@@ -8,7 +8,10 @@ Subcommands
     top-simulate  twisted-top run -> moments.csv + entropy.csv (jz_ columns)
 
 All physics parameters come from a YAML config; the only flags are
---config, --out-dir, --seed, --threads, --quiet.  Defaults are
+--config, --out-dir, --seed, --threads, --quiet.  Every subcommand accepts
+--threads, but only detune-scan uses it: it runs the ideal and detuned
+trajectories in parallel, and its output bytes do not depend on the
+thread count.  Defaults are
 materialized into an echoed effective config so a run is reproducible
 from its own artifacts, and every CSV cell is written with 17
 significant digits so identical (config, seed) pairs give byte-identical
@@ -25,7 +28,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -441,24 +444,28 @@ def load_config(
             "tops support only momentum_eigenstate (J_z product states)",
         )
 
-    part_block = _as_mapping(
-        root.get("bipartition", {"part_a": [0]}), "bipartition"
-    )
-    _reject_unknown(part_block, "bipartition", ("part_a",))
-    part_a = [
-        _as_int(j, f"bipartition.part_a[{i}]", minimum=0)
-        for i, j in enumerate(
-            _as_list(part_block.get("part_a", [0]), "bipartition.part_a")
-        )
-    ]
     part = None
     if body_count >= 2:
+        part_block = _as_mapping(
+            root.get("bipartition", {"part_a": [0]}), "bipartition"
+        )
+        _reject_unknown(part_block, "bipartition", ("part_a",))
+        part_a = [
+            _as_int(j, f"bipartition.part_a[{i}]", minimum=0)
+            for i, j in enumerate(
+                _as_list(part_block.get("part_a", [0]), "bipartition.part_a")
+            )
+        ]
         try:
             part = BipartitionSpec(
                 rotor_count=body_count, part_a=tuple(part_a)
             )
         except ValidationError as exc:
             raise ConfigError("bipartition.part_a", str(exc)) from exc
+    elif "bipartition" in root:
+        raise ConfigError(
+            "bipartition", "a single body has no bipartition"
+        )
 
     if "steps" not in root:
         raise ConfigError("steps", "missing required field")
@@ -571,7 +578,8 @@ def load_config(
         effective["j_tot"] = j_tot
         effective["field_terms"] = field_echo
     effective["initial"] = initial_echo
-    effective["bipartition"] = {"part_a": list(part_a)}
+    if part is not None:
+        effective["bipartition"] = {"part_a": list(part_a)}
     effective["steps"] = steps
     effective["engine"] = {
         "tail_tolerance": tail_tolerance,
@@ -755,25 +763,42 @@ def _rotor_run_pieces(cfg: ExperimentConfig):
     return engine, state
 
 
-def run_simulate(cfg: ExperimentConfig, quiet: bool = False) -> None:
-    started = time.monotonic()
-    engine, state = _rotor_run_pieces(cfg)
+def _simulate_files(
+    cfg: ExperimentConfig, engine, state, measure, purity, prefix: str
+):
+    """Moments and entropy along engine.trajectory -> (files, warnings).
+
+    ``measure(state, t)`` gives the step's MomentRecord and
+    ``purity(state, part)`` its bipartite purity; entropy rows are
+    omitted for a single body.
+    """
     records = []
     entropy_rows = []
     for t, current in engine.trajectory(state, cfg.steps):
-        records.append(measure_moments(current, t))
+        records.append(measure(current, t))
         if cfg.part is not None:
-            purity = schmidt_purity(current, cfg.part)
-            entropy_rows.append([t, purity, 1.0 - purity])
+            value = purity(current, cfg.part)
+            entropy_rows.append([t, value, 1.0 - value])
     series = displacement_stats(records)
-    n = cfg.potential.rotor_count
+    n = cfg.plan.rotor_count
     files = {
-        "moments.csv": _csv_text(_moment_columns(n, "p"), _moment_rows(series, n)),
+        "moments.csv": _csv_text(
+            _moment_columns(n, prefix), _moment_rows(series, n)
+        ),
         "entropy.csv": _csv_text(("t", "purity", "s_lin"), entropy_rows),
     }
     warnings = []
     if cfg.part is None:
         warnings.append("entropy undefined for a single body; rows omitted")
+    return files, warnings
+
+
+def run_simulate(cfg: ExperimentConfig, quiet: bool = False) -> None:
+    started = time.monotonic()
+    engine, state = _rotor_run_pieces(cfg)
+    files, warnings = _simulate_files(
+        cfg, engine, state, measure_moments, schmidt_purity, "p"
+    )
     if engine.grow_events:
         warnings.append(f"window auto-grow events: {engine.grow_events}")
     dims = [list(w) for w in engine.lattice.windows]
@@ -909,8 +934,7 @@ def _run_single_detuning(cfg, delta_tau, horizon):
     plan = ResonancePlan(
         cfg.plan.rationals, (delta_tau,) * cfg.plan.rotor_count
     )
-    run_cfg = ExperimentConfig(**{**cfg.__dict__, "plan": plan, "steps": horizon})
-    engine, state = _rotor_run_pieces(run_cfg)
+    engine, state = _rotor_run_pieces(replace(cfg, plan=plan, steps=horizon))
     records = [
         measure_moments(s, t) for t, s in engine.trajectory(state, horizon)
     ]
@@ -994,26 +1018,10 @@ def run_top_simulate(cfg: ExperimentConfig, quiet: bool = False) -> None:
     )
     engine = TopEngine(spec)
     state = TopState.jz_product(spec, cfg.initial["momenta"])
-    records = []
-    entropy_rows = []
-    for t, current in engine.trajectory(state, cfg.steps):
-        records.append(engine.measure_jz_moments(current, t))
-        if cfg.part is not None:
-            purity = top_purity(current, cfg.part)
-            entropy_rows.append([t, purity, 1.0 - purity])
-    series = displacement_stats(records)
-    n = spec.top_count
-    files = {
-        "moments.csv": _csv_text(
-            _moment_columns(n, "jz"), _moment_rows(series, n)
-        ),
-        "entropy.csv": _csv_text(("t", "purity", "s_lin"), entropy_rows),
-    }
-    warnings = []
-    if cfg.part is None:
-        warnings.append("entropy undefined for a single body; rows omitted")
-    dims = [list(spec.shape)]
-    _write_outputs(cfg, files, dims, warnings, started, quiet)
+    files, warnings = _simulate_files(
+        cfg, engine, state, engine.measure_jz_moments, top_purity, "jz"
+    )
+    _write_outputs(cfg, files, [list(spec.shape)], warnings, started, quiet)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bipartite purity and linear entropy of evolved lattice states.
+"""Bipartite purity and linear entropy of evolved rotor and top states.
 
 Everything here works with the purity mu2 = Tr(rho_A^2) of a pure global
 state; the linear entropy is S_lin = 1 - mu2.  Purity is extracted from
@@ -18,16 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .potential import PotentialSpec, ResonancePlan
-from .rotor_engine import (
-    MOMENTUM,
-    RotorEngine,
-    RotorState,
-)
-
-# beyond this subsystem dimension the quadruple-sum evaluation of the
-# product-basis purity is forbidden (cost grows as d^4)
-NAIVE_DIM_LIMIT = 32
+from .rotor_engine import RotorState
 
 
 @dataclass(frozen=True)
@@ -69,91 +60,39 @@ class BipartitionSpec:
         return BipartitionSpec(self.rotor_count, self.part_b)
 
 
-@dataclass(frozen=True)
-class EntropyRecord:
-    """Purity and linear entropy of one snapshot."""
+def _block_purity(
+    amplitudes: np.ndarray, part: BipartitionSpec, element_cap: int
+) -> float:
+    """Tr(rho_A^2) of a pure amplitude tensor over the axes in part_a.
 
-    t: int
-    purity: float
-    s_lin: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.purity) and math.isfinite(self.s_lin)):
-            raise ValidationError("entropy record fields must be finite")
-        if self.purity < 0.0 or self.purity > 1.0 + 1e-12:
-            raise ValidationError(
-                f"purity {self.purity} outside [0, 1 + 1e-12]"
-            )
-        if abs(self.s_lin - (1.0 - self.purity)) > 1e-12:
-            raise ValidationError(
-                "s_lin and purity must satisfy s_lin = 1 - purity"
-            )
-
-    @classmethod
-    def from_purity(cls, t: int, purity: float) -> "EntropyRecord":
-        return cls(t=int(t), purity=float(purity),
-                   s_lin=1.0 - float(purity))
-
-
-def schmidt_purity(state: RotorState, part: BipartitionSpec) -> float:
-    """Tr(rho_A^2) for one block of a pure lattice state.
-
-    The amplitude tensor is permuted so the block's axes (in ascending
-    rotor order) come first, reshaped to a dim_A x dim_B matrix, and the
-    purity is the sum of fourth powers of its singular values.
+    The tensor is permuted so the block's axes (in ascending order) come
+    first, reshaped to a dim_A x dim_B matrix, and the purity is the sum
+    of fourth powers of its singular values.  The SVD workspace is checked
+    against ``element_cap`` before anything is allocated.
     """
-    if part.rotor_count != state.lattice.rotor_count:
-        raise ValidationError(
-            "bipartition rotor count does not match the state"
-        )
-    if state.representation != MOMENTUM:
-        raise ValidationError(
-            "schmidt_purity expects a momentum-representation state"
-        )
-    shape = state.lattice.shape
-    order = part.part_a + part.part_b
+    shape = amplitudes.shape
     dim_a = int(np.prod([shape[j] for j in part.part_a]))
     dim_b = int(np.prod([shape[j] for j in part.part_b]))
     small = min(dim_a, dim_b)
     workspace = dim_a * dim_b + 2 * small * small
-    if workspace > state.lattice.element_cap:
+    if workspace > element_cap:
         raise ResourceCapError(
             f"schmidt decomposition workspace {workspace} exceeds the "
-            f"element cap {state.lattice.element_cap}"
+            f"element cap {element_cap}"
         )
-    matrix = np.transpose(state.amplitudes, order).reshape(dim_a, dim_b)
+    order = part.part_a + part.part_b
+    matrix = np.transpose(amplitudes, order).reshape(dim_a, dim_b)
     singular = np.linalg.svd(matrix, compute_uv=False)
     return float(np.sum(singular**4))
 
 
-def entropy_series(
-    initial: RotorState,
-    potential: PotentialSpec,
-    plan: ResonancePlan,
-    part: BipartitionSpec,
-    t_max: int,
-    *,
-    tail_tol: float | None = None,
-    tail_budget: float | None = None,
-    auto_grow: bool = False,
-) -> list[EntropyRecord]:
-    """Purity/linear-entropy trace along a generic split-step evolution."""
-    if t_max < 0:
-        raise ValidationError("t_max must be >= 0")
-    kwargs = {}
-    if tail_tol is not None:
-        kwargs["tail_tol"] = tail_tol
-    if tail_budget is not None:
-        kwargs["tail_budget"] = tail_budget
-    engine = RotorEngine(
-        potential, plan, initial.lattice, auto_grow=auto_grow, **kwargs
-    )
-    records = []
-    for t, state in engine.trajectory(initial, t_max):
-        records.append(
-            EntropyRecord.from_purity(t, schmidt_purity(state, part))
+def schmidt_purity(state: RotorState, part: BipartitionSpec) -> float:
+    """Tr(rho_A^2) for one block of rotors of a pure lattice state."""
+    if part.rotor_count != state.lattice.rotor_count:
+        raise ValidationError(
+            "bipartition rotor count does not match the state"
         )
-    return records
+    return _block_purity(state.amplitudes, part, state.lattice.element_cap)
 
 
 def _coefficient_weights(values: Sequence[complex], label: str) -> np.ndarray:

@@ -274,23 +274,6 @@ def split_interaction(
     )
 
 
-def shifted(spec: PotentialSpec, shift_set: Iterable[int]) -> PotentialSpec:
-    """V with ``theta_j -> theta_j + pi`` on the given rotors.
-
-    Each term picks up ``(-1)**parity``; the mode vectors are unchanged.
-    """
-    shift = frozenset(shift_set)
-    terms = tuple(
-        FourierTerm(
-            t.coefficient * (1.0 - 2.0 * term_parity(t, shift)),
-            t.modes,
-            t.phase,
-        )
-        for t in spec.terms
-    )
-    return PotentialSpec(spec.rotor_count, terms)
-
-
 def accumulated_potential(
     spec: PotentialSpec, shift_set: Iterable[int], steps: int
 ) -> PotentialSpec:

@@ -722,7 +722,7 @@ def scaling_fit(pairs: Sequence) -> ScalingFit:
         xs.append(math.log10(detuning))
         ys.append(math.log10(t_d))
     fit = _scipy_stats.linregress(xs, ys)
-    spread = _scipy_stats.t.ppf(0.975, len(xs) - 2) if len(xs) > 2 else 0.0
+    spread = _scipy_stats.t.ppf(0.975, len(xs) - 2)
     return ScalingFit(
         slope=float(fit.slope),
         intercept=float(fit.intercept),

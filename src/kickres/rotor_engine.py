@@ -30,9 +30,6 @@ DEFAULT_ELEMENT_CAP = 1 << 26  # complex amplitudes: 1 GiB at 16 bytes each
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_TAIL_BUDGET = 1e-8
 
-MOMENTUM = "momentum"
-ANGLE = "angle"
-
 
 @dataclass(frozen=True)
 class RotorLattice:
@@ -122,28 +119,20 @@ class RotorLattice:
 
 
 class RotorState:
-    """Normalized amplitude tensor over a lattice, in momentum or angle form."""
+    """Normalized momentum amplitude tensor over a lattice."""
 
-    def __init__(
-        self,
-        lattice: RotorLattice,
-        amplitudes: np.ndarray,
-        representation: str = MOMENTUM,
-    ) -> None:
+    def __init__(self, lattice: RotorLattice, amplitudes: np.ndarray) -> None:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != lattice.shape:
             raise ValidationError(
                 f"amplitude shape {amplitudes.shape} does not match "
                 f"lattice shape {lattice.shape}"
             )
-        if representation not in (MOMENTUM, ANGLE):
-            raise ValidationError(f"unknown representation {representation!r}")
         norm = float(np.linalg.norm(amplitudes.ravel()))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state norm {norm} deviates from 1")
         self.lattice = lattice
         self.amplitudes = amplitudes
-        self.representation = representation
 
     @classmethod
     def momentum_eigenstate(
@@ -200,38 +189,13 @@ class RotorState:
         return cls(lattice, amps)
 
     def copy(self) -> "RotorState":
-        return RotorState(self.lattice, self.amplitudes.copy(), self.representation)
+        return RotorState(self.lattice, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes.ravel()))
 
-    def to_angle(self) -> "RotorState":
-        """Angle-grid amplitudes psi(theta_k) on the conjugate grid."""
-        if self.representation == ANGLE:
-            return self
-        a = np.fft.ifftn(self.amplitudes)
-        for j in range(self.lattice.rotor_count):
-            lo, _ = self.lattice.windows[j]
-            m = self.lattice.shape[j]
-            twist = np.exp(1j * lo * self.lattice.angles(j)) * math.sqrt(m)
-            a = a * self.lattice.axis_view(j, twist)
-        return RotorState(self.lattice, a, ANGLE)
-
-    def to_momentum(self) -> "RotorState":
-        if self.representation == MOMENTUM:
-            return self
-        a = self.amplitudes
-        for j in range(self.lattice.rotor_count):
-            lo, _ = self.lattice.windows[j]
-            m = self.lattice.shape[j]
-            twist = np.exp(-1j * lo * self.lattice.angles(j)) / math.sqrt(m)
-            a = a * self.lattice.axis_view(j, twist)
-        return RotorState(self.lattice, np.fft.fftn(a), MOMENTUM)
-
     def momentum_marginal(self, rotor: int) -> np.ndarray:
         """Probability over the rotor's momentum window."""
-        if self.representation != MOMENTUM:
-            raise ValidationError("marginals need the momentum representation")
         prob = np.abs(self.amplitudes) ** 2
         axes = tuple(j for j in range(self.lattice.rotor_count) if j != rotor)
         return prob.sum(axis=axes)
@@ -482,5 +446,3 @@ class RotorEngine:
     def _check_state(self, state: RotorState) -> None:
         if state.lattice.shape != self.lattice.shape:
             raise ValidationError("state lattice does not match the engine")
-        if state.representation != MOMENTUM:
-            raise ValidationError("propagation expects the momentum representation")

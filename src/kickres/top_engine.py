@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .entanglement import BipartitionSpec, EntropyRecord
+from .entanglement import BipartitionSpec, _block_purity
 from .errors import ResourceCapError, ValidationError
 from .potential import ResonancePlan
 from .rotor_engine import MomentRecord
@@ -329,25 +329,7 @@ def top_purity(state: TopState, part: BipartitionSpec) -> float:
     """Tr(rho_A^2) of a pure top state over a block of tops."""
     if part.rotor_count != state.spec.top_count:
         raise ValidationError("bipartition top count mismatch")
-    shape = state.spec.shape
-    order = part.part_a + part.part_b
-    dim_a = int(np.prod([shape[n] for n in part.part_a]))
-    dim_b = int(np.prod([shape[n] for n in part.part_b]))
-    matrix = np.transpose(state.amplitudes, order).reshape(dim_a, dim_b)
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    return float(np.sum(singular**4))
-
-
-def top_entropy_series(
-    engine: TopEngine,
-    initial: TopState,
-    part: BipartitionSpec,
-    t_max: int,
-) -> list:
-    return [
-        EntropyRecord.from_purity(t, top_purity(state, part))
-        for t, state in engine.trajectory(initial, t_max)
-    ]
+    return _block_purity(state.amplitudes, part, state.spec.element_cap)
 
 
 # ----------------------------------------------------------------------

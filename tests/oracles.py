@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import jv
 
+from kickres.potential import FourierTerm, PotentialSpec
+
 # Linear entropy plateau 1 - sum_n J_n(xi)^4 for a one-term coupling of
 # strength xi with uniform initial angles (momentum eigenstates).  Values
 # frozen from the Bessel sum below with a 200-order tail check.
@@ -24,6 +26,24 @@ def fd_gradient(spec, rotor, thetas, h=1e-6):
     plus[rotor] = plus[rotor] + h
     minus[rotor] = minus[rotor] - h
     return (spec.evaluate(plus) - spec.evaluate(minus)) / (2.0 * h)
+
+
+def shifted(spec, shift_set):
+    """V with ``theta_j -> theta_j + pi`` on the given rotors.
+
+    Each term picks up ``(-1)**(sum of its modes on the shifted rotors)``;
+    the mode vectors are unchanged.
+    """
+    shift = frozenset(shift_set)
+    terms = tuple(
+        FourierTerm(
+            t.coefficient * (-1.0) ** sum(t.modes[j] for j in shift),
+            t.modes,
+            t.phase,
+        )
+        for t in spec.terms
+    )
+    return PotentialSpec(spec.rotor_count, terms)
 
 
 def _orders(x):

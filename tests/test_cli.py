@@ -48,6 +48,15 @@ def fig1_body(steps=12, **extra):
     return body
 
 
+def one_rotor_body(steps=4):
+    body = fig1_body(steps=steps)
+    body["potential"]["terms"] = [{"coefficient": 0.5, "modes": [1]}]
+    body["plan"] = [{"numerator": 1, "denominator": 1}]
+    body["initial"]["momenta"] = [0]
+    del body["bipartition"]
+    return body
+
+
 def top_body(steps=10):
     return {
         "system": "top",
@@ -191,6 +200,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as excinfo:
             load_config(path, "detune-scan")
         assert "exact base plan" in str(excinfo.value)
+
+    def test_bipartition_rejected_for_a_single_body(self, tmp_path):
+        body = one_rotor_body()
+        body["bipartition"] = {"part_a": [7, 7, 3]}
+        path = write_config(tmp_path, "one.yaml", body)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path, "simulate")
+        assert excinfo.value.path == "bipartition"
+        assert run("simulate", path, tmp_path / "out") == EXIT_VALIDATION
+
+    def test_single_body_echo_reruns_without_bipartition(self, tmp_path):
+        path = write_config(tmp_path, "one.yaml", one_rotor_body())
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", path, out1) == EXIT_OK
+        echo = yaml.safe_load((out1 / "effective_config.yaml").read_text())
+        assert "bipartition" not in echo
+        assert run("simulate", out1 / "effective_config.yaml", out2) == EXIT_OK
+        for name in ("moments.csv", "entropy.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_coherent_initial_rejected_for_tops(self, tmp_path):
         body = top_body()
@@ -465,6 +493,14 @@ class TestTopSimulate:
         assert manifest["identity"]["dimensions"] == [[25, 25]]
         _, entropy_rows = read_csv(out / "entropy.csv")
         assert entropy_rows[0][1] == pytest.approx(1.0)
+
+    def test_purity_workspace_cap_exit_code(self, tmp_path):
+        # the 5 x 5 state fits the cap of 30, its purity workspace does not
+        body = top_body(steps=2)
+        body["j_tot"] = 2
+        body["engine"] = {"element_cap": 30}
+        path = write_config(tmp_path, "top.yaml", body)
+        assert run("top-simulate", path, tmp_path / "o") == EXIT_RESOURCE
 
     def test_half_integer_j_rejected(self, tmp_path):
         body = top_body()

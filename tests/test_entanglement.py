@@ -3,8 +3,6 @@ import pytest
 
 from kickres.entanglement import (
     BipartitionSpec,
-    EntropyRecord,
-    entropy_series,
     epsilon_second_moment,
     product_basis_purity,
     schmidt_purity,
@@ -103,15 +101,6 @@ class TestBipartition:
             BipartitionSpec(1, (0,))
 
 
-class TestEntropyRecord:
-    def test_consistency_enforced(self):
-        EntropyRecord.from_purity(3, 0.75)
-        with pytest.raises(ValidationError):
-            EntropyRecord(t=1, purity=0.5, s_lin=0.4)
-        with pytest.raises(ValidationError):
-            EntropyRecord(t=1, purity=1.5, s_lin=-0.5)
-
-
 class TestSchmidtPurity:
     def test_product_state(self):
         lat = RotorLattice(((-3, 3), (-4, 4)))
@@ -151,12 +140,6 @@ class TestSchmidtPurity:
             b = schmidt_purity(state, part.swapped())
             assert abs(a - b) < 1e-12
 
-    def test_requires_momentum_representation(self):
-        lat = RotorLattice(((-3, 3), (-3, 3)))
-        state = RotorState.momentum_eigenstate(lat, (0, 0)).to_angle()
-        with pytest.raises(ValidationError):
-            schmidt_purity(state, BipartitionSpec(2, (0,)))
-
 
 def two_rotor_setup(xi):
     pot = PotentialSpec(
@@ -175,16 +158,19 @@ class TestEntropySeries:
     def test_antisymmetric_interaction_alternates(self):
         pot, plan = two_rotor_setup(1.0)
         lat = RotorLattice.for_run(pot, (0, 0), steps=6)
+        engine = RotorEngine(pot, plan, lat)
         initial = RotorState.momentum_eigenstate(lat, (0, 0))
         part = BipartitionSpec(2, (0,))
-        records = entropy_series(initial, pot, plan, part, 6)
-        assert [rec.t for rec in records] == list(range(7))
-        for rec in records:
-            if rec.t % 2 == 0:
-                assert abs(rec.s_lin) < 1e-10
+        seen = []
+        for t, state in engine.trajectory(initial, 6):
+            seen.append(t)
+            s_lin = 1.0 - schmidt_purity(state, part)
+            if t % 2 == 0:
+                assert abs(s_lin) < 1e-10
             else:
                 # odd-step plateau: 1 - sum_n J_n(xi)^4 for xi = 1
-                assert rec.s_lin == pytest.approx(S_ODD_UNIT, abs=1e-9)
+                assert s_lin == pytest.approx(S_ODD_UNIT, abs=1e-9)
+        assert seen == list(range(7))
 
     def test_local_potential_leaves_entropy_unchanged(self):
         local = PotentialSpec(
@@ -195,9 +181,9 @@ class TestEntropySeries:
         state = random_lattice_state(lat, 42, concentrated=True)
         part = BipartitionSpec(2, (1,))
         before = schmidt_purity(state, part)
-        records = entropy_series(state, local, plan, part, 4)
-        for rec in records:
-            assert abs(rec.purity - before) < 1e-12
+        engine = RotorEngine(local, plan, lat)
+        for _, current in engine.trajectory(state, 4):
+            assert abs(schmidt_purity(current, part) - before) < 1e-12
 
     def test_empty_interaction_keeps_product_states_pure(self):
         local = PotentialSpec(
@@ -205,12 +191,11 @@ class TestEntropySeries:
         )
         plan = ResonancePlan(((1, 2), (1, 2)))
         lat = RotorLattice.for_run(local, (0, 0), steps=5)
+        engine = RotorEngine(local, plan, lat)
         initial = RotorState.momentum_eigenstate(lat, (0, 0))
-        records = entropy_series(
-            initial, local, plan, BipartitionSpec(2, (0,)), 5
-        )
-        for rec in records:
-            assert abs(rec.s_lin) < 1e-12
+        part = BipartitionSpec(2, (0,))
+        for _, state in engine.trajectory(initial, 5):
+            assert abs(1.0 - schmidt_purity(state, part)) < 1e-12
 
 
 class TestProductBasisPurity:

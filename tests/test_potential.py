@@ -21,13 +21,12 @@ from kickres import (
     decompose,
     effective_potential,
     satisfies_resonance_symmetry,
-    shifted,
     sine_term,
     split_interaction,
     term_parity,
     term_text,
 )
-from oracles import fd_gradient
+from oracles import fd_gradient, shifted
 
 TWO_PI = 2.0 * math.pi
 

@@ -384,25 +384,26 @@ class TestSlinExact:
     def test_entropy_closed_form_matches_engine(self):
         # schmidt purity along the resonant trajectory against the
         # Monte-Carlo closed form, figure-1 setup
-        from kickres.entanglement import entropy_series
-
         pot = fig1_potential()
         lat = RotorLattice.for_run(pot, (0, 0), steps=9)
+        engine = RotorEngine(pot, PLAN_MIXED, lat)
         initial = RotorState.momentum_eigenstate(lat, (0, 0))
-        records = entropy_series(initial, pot, PLAN_MIXED, PART, 9)
         _, _, v_i = split_interaction(pot, (0,))
-        for rec in records[1:]:
+        for t, state in engine.trajectory(initial, 9):
+            if t == 0:
+                continue
+            s_lin = 1.0 - schmidt_purity(state, PART)
             est = slin_exact(
                 v_i,
                 PLAN_MIXED.shift_set,
                 UNIFORM,
                 PART,
-                rec.t,
+                t,
                 200_000,
-                rec.t,
+                t,
             )
             band = max(3 * est.std_error, 1e-10)
-            assert abs(rec.s_lin - est.value) <= band
+            assert abs(s_lin - est.value) <= band
 
 
 class TestClassifyRegimes:

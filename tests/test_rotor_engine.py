@@ -123,14 +123,6 @@ class TestStates:
         with pytest.raises(ValidationError):
             RotorState.coherent_product(lat, ((0.0, 0.0),), width=2.0)
 
-    def test_angle_round_trip(self):
-        lat = RotorLattice(((-6, 8), (-4, 4)))
-        state = random_state(lat, 7)
-        back = state.to_angle().to_momentum()
-        np.testing.assert_allclose(
-            back.amplitudes, state.amplitudes, atol=1e-12
-        )
-
 
 class TestKickAndFree:
     def test_single_kick_bessel_variance(self):

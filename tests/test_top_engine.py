@@ -19,7 +19,6 @@ from kickres.top_engine import (
     build_spin_ops,
     predict_jz_moments,
     saturation_time,
-    top_entropy_series,
     top_params,
     top_purity,
 )
@@ -591,6 +590,20 @@ class TestEntanglement:
                 BipartitionSpec(rotor_count=3, part_a=(0,)),
             )
 
+    def test_purity_workspace_respects_element_cap(self):
+        # 25 amplitudes fit the cap of 30, the 5 x 5 SVD workspace
+        # (25 + 2 * 5 * 5 = 75 elements) does not
+        spec = TopSpec(
+            top_count=2,
+            j_tot=2,
+            plan=make_plan((1, 1), (1, 2)),
+            field_terms=(),
+            element_cap=30,
+        )
+        state = TopState.jz_product(spec, (0, 0))
+        with pytest.raises(ResourceCapError, match="workspace 75"):
+            top_purity(state, BipartitionSpec(rotor_count=2, part_a=(0,)))
+
     def test_odd_parity_coupling_keeps_even_steps_pure(self):
         spec = TopSpec(
             top_count=2,
@@ -604,12 +617,12 @@ class TestEntanglement:
         engine = TopEngine(spec)
         state, _ = random_product(spec, 13)
         part = BipartitionSpec(rotor_count=2, part_a=(0,))
-        series = top_entropy_series(engine, state, part, 8)
-        for rec in series:
-            if rec.t % 2 == 0:
-                assert rec.s_lin < 1e-10
+        for t, current in engine.trajectory(state, 8):
+            s_lin = 1.0 - top_purity(current, part)
+            if t % 2 == 0:
+                assert s_lin < 1e-10
             else:
-                assert rec.s_lin > 1e-4
+                assert s_lin > 1e-4
 
     def test_even_parity_coupling_matches_eigenbasis_closed_form(self):
         j = 6
@@ -626,7 +639,6 @@ class TestEntanglement:
         engine = TopEngine(spec)
         state, factors = random_product(spec, 57)
         part = BipartitionSpec(rotor_count=2, part_a=(0,))
-        series = top_entropy_series(engine, state, part, 10)
 
         j_x, _ = build_spin_ops(j)
         values, vectors = np.linalg.eigh(j_x)
@@ -635,11 +647,11 @@ class TestEntanglement:
         energies = 0.3 * values[:, None] * np.ones(
             dim
         ) + 0.8 / j**2 * values[:, None] * values[None, :] ** 2
-        for rec in series:
-            if rec.t % 2 == 1:
+        for t, current in engine.trajectory(state, 10):
+            if t % 2 == 1:
                 continue
-            closed = product_basis_purity(phi, chi, energies, rec.t)
-            assert abs(rec.purity - closed) < 1e-10
+            closed = product_basis_purity(phi, chi, energies, t)
+            assert abs(top_purity(current, part) - closed) < 1e-10
 
 
 def test_fig_style_parity_split_example():
