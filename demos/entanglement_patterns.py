@@ -94,9 +94,9 @@ def main() -> None:
             print(f"  predicted growth/saturation crossover t* = {tstar:.2f}")
 
         print(f"  {'t':>3s} {'s_lin simulated':>16s} {'s_lin predicted':>16s}")
-        for t in (1, 2, 3, 6, 7, 8, 15, 30):
-            est = slin_exact(v_i, PLAN.shift_set, UNIFORM, PART, t)
-            print(f"  {t:3d} {simulated[t]:16.6f} {est.value:16.6f}")
+        times = (1, 2, 3, 6, 7, 8, 15, 30)
+        for est in slin_exact(v_i, PLAN.shift_set, UNIFORM, PART, times):
+            print(f"  {est.t:3d} {simulated[est.t]:16.6f} {est.value:16.6f}")
 
         if grows and np.isfinite(tstar):
             crossed = next(

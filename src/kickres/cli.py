@@ -541,6 +541,12 @@ def load_config(
                 raise ConfigError(
                     f"detune_scan.detunings[{i}]", "must be positive"
                 )
+            if value in values:
+                raise ConfigError(
+                    f"detune_scan.detunings[{i}]",
+                    f"repeats detunings[{values.index(value)}]: "
+                    "each value is one scan point",
+                )
             values.append(value)
         detunings = tuple(values)
         threshold = _as_float(
@@ -882,7 +888,6 @@ def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
     _, _, v_i = split_interaction(cfg.potential, cfg.part.part_a)
     epsilon_block = None
     tstar: float = math.inf
-    slin_rows = []
     if v_i.is_zero:
         slin_rows = [[t, 0.0, 0.0] for t in range(cfg.steps + 1)]
     else:
@@ -903,11 +908,11 @@ def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
         }
         if moments.norm > 0.0:
             tstar = crossover_time(moments)
-        for t in range(cfg.steps + 1):
-            est = slin_exact(
-                v_i, shift, density, cfg.part, t, cfg.samples, cfg.seed + t
-            )
-            slin_rows.append([t, est.value, est.std_error])
+        estimates = slin_exact(
+            v_i, shift, density, cfg.part, range(cfg.steps + 1),
+            cfg.samples, cfg.seed,
+        )
+        slin_rows = [[e.t, e.value, e.std_error] for e in estimates]
 
     body = {
         "report_version": 1,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .entanglement import BipartitionSpec
 from .errors import ValidationError
@@ -539,32 +538,44 @@ def slin_exact(
     shift_set: frozenset,
     initial: ProductAngleDensity,
     part: BipartitionSpec,
-    t: int,
+    times: Sequence[int],
     sample_count: int = 200_000,
     seed=12345,
-) -> SlinEstimate:
-    """Closed-form linear entropy at step t, Monte-Carlo averaged.
+) -> tuple[SlinEstimate, ...]:
+    """Closed-form linear entropy at each step in `times`, by Monte Carlo.
 
     Even steps: 1 - <cos(t eps_plus)>.  Odd steps:
     1 - <cos(t eps_plus) cos(eps_minus)> + <sin(t eps_plus) sin(eps_minus)>,
-    i.e. 1 - <cos(t eps_plus + eps_minus)>.
+    i.e. 1 - <cos(t eps_plus + eps_minus)>.  One four-block sample serves
+    every t, so the curve carries common random numbers and, for the same
+    seed and sample count, its t = 1 value is epsilon_moments' s_odd.
+    Returns one SlinEstimate per entry of `times`, in order.
     """
     _check_interaction_inputs(v_i, initial, part, sample_count)
-    if t < 0:
+    if any(t < 0 for t in times):
         raise ValidationError("t must be >= 0")
     v_plus, v_minus = decompose(v_i, shift_set)
     eps_plus, eps_minus = _sample_epsilon_blocks(
         v_plus, v_minus, initial, part, sample_count, seed
     )
-    if t % 2 == 0:
-        samples = np.cos(t * eps_plus)
-    else:
-        samples = np.cos(t * eps_plus + eps_minus)
-    value = float(1.0 - np.mean(samples))
-    error = float(np.std(samples)) / math.sqrt(sample_count)
-    return SlinEstimate(
-        t=t, value=value, std_error=error, sample_count=sample_count
-    )
+    root = math.sqrt(sample_count)
+    estimates = []
+    # one t at a time: a (len(times), sample_count) array would dominate
+    # the run's memory
+    for t in times:
+        if t % 2 == 0:
+            samples = np.cos(t * eps_plus)
+        else:
+            samples = np.cos(t * eps_plus + eps_minus)
+        estimates.append(
+            SlinEstimate(
+                t=t,
+                value=float(1.0 - np.mean(samples)),
+                std_error=float(np.std(samples)) / root,
+                sample_count=sample_count,
+            )
+        )
+    return tuple(estimates)
 
 
 def crossover_time(moments: EpsilonMoments) -> float:
@@ -721,13 +732,22 @@ def scaling_fit(pairs: Sequence) -> ScalingFit:
             )
         xs.append(math.log10(detuning))
         ys.append(math.log10(t_d))
-    fit = _scipy_stats.linregress(xs, ys)
-    spread = _scipy_stats.t.ppf(0.975, len(xs) - 2)
+    if min(xs) == max(xs):
+        raise ValidationError("detunings must not all be equal to fit")
+    # imported here so that importing kickres does not load scipy
+    from scipy.special import stdtrit
+
+    x, y = np.array(xs), np.array(ys)
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
+    residual = dy - slope * dx
+    stderr = math.sqrt(float(residual @ residual) / (len(xs) - 2) / sxx)
     return ScalingFit(
-        slope=float(fit.slope),
-        intercept=float(fit.intercept),
-        stderr=float(fit.stderr),
-        ci95=float(spread * fit.stderr),
+        slope=slope,
+        intercept=float(y.mean() - slope * x.mean()),
+        stderr=stderr,
+        ci95=float(stdtrit(len(xs) - 2, 0.975)) * stderr,
         points=len(xs),
     )
 

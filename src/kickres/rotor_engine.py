@@ -188,25 +188,24 @@ class RotorState:
             amps = np.multiply.outer(amps, g)
         return cls(lattice, amps)
 
-    def copy(self) -> "RotorState":
-        return RotorState(self.lattice, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes.ravel()))
 
-    def momentum_marginal(self, rotor: int) -> np.ndarray:
-        """Probability over the rotor's momentum window."""
+    def momentum_marginals(self) -> tuple[np.ndarray, ...]:
+        """Probability over each rotor's momentum window, from one |a|^2."""
         prob = np.abs(self.amplitudes) ** 2
-        axes = tuple(j for j in range(self.lattice.rotor_count) if j != rotor)
-        return prob.sum(axis=axes)
+        n = self.lattice.rotor_count
+        return tuple(
+            prob.sum(axis=tuple(k for k in range(n) if k != j))
+            for j in range(n)
+        )
 
     def edge_mass(self, layers: int = 2) -> tuple[float, ...]:
         """Probability on the outermost ``layers`` cells of each window."""
-        out = []
-        for j in range(self.lattice.rotor_count):
-            marg = self.momentum_marginal(j)
-            out.append(float(marg[:layers].sum() + marg[-layers:].sum()))
-        return tuple(out)
+        return tuple(
+            float(marg[:layers].sum() + marg[-layers:].sum())
+            for marg in self.momentum_marginals()
+        )
 
 
 @dataclass(frozen=True)
@@ -224,8 +223,7 @@ class MomentRecord:
 
 def measure_moments(state: RotorState, t: int = 0) -> MomentRecord:
     means, seconds = [], []
-    for j in range(state.lattice.rotor_count):
-        marg = state.momentum_marginal(j)
+    for j, marg in enumerate(state.momentum_marginals()):
         l = state.lattice.momenta(j).astype(float)
         means.append(float(np.dot(marg, l)))
         seconds.append(float(np.dot(marg, l * l)))

@@ -30,8 +30,6 @@ from .rotor_engine import MomentRecord
 
 DEFAULT_TOP_ELEMENT_CAP = 1 << 26
 
-TWO_PI = 2.0 * math.pi
-
 # equator gate: linearizing the moment laws needs the initial state far
 # from the poles
 EQUATOR_MEAN_FRACTION = 0.05
@@ -176,9 +174,6 @@ class TopState:
             arr = arr / np.linalg.norm(arr)
             amps = np.tensordot(amps, arr, axes=0)
         return cls(spec, amps)
-
-    def copy(self) -> "TopState":
-        return TopState(self.spec, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -67,6 +67,16 @@ def uniform_cos_moment(c, t):
     return float(np.sum(jv(_orders(x), x) ** 4))
 
 
+def linregress_fit(xs, ys):
+    """(slope, intercept, stderr, ci95) from scipy.stats, the reference
+    for the closed-form least squares in ``scaling_fit``."""
+    from scipy import stats
+
+    fit = stats.linregress(xs, ys)
+    spread = stats.t.ppf(0.975, len(xs) - 2)
+    return fit.slope, fit.intercept, fit.stderr, spread * fit.stderr
+
+
 def kick_matrix_quadrature(v_of_theta, l_values, grid=4096):
     """<l'| e^{-iV(theta)} |l> for one rotor by trapezoid quadrature.
 

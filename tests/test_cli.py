@@ -192,6 +192,16 @@ class TestConfigValidation:
         assert "detune_scan.detunings[1]" in message
         assert "ideal run is the reference" in message
 
+    def test_repeated_detuning_rejected(self, tmp_path):
+        body = fig1_body()
+        body["detune_scan"] = {"detunings": [1e-3, 1e-3, 1e-3]}
+        path = write_config(tmp_path, "scan.yaml", body)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path, "detune-scan")
+        assert excinfo.value.path == "detune_scan.detunings[1]"
+        assert "repeats detunings[0]" in str(excinfo.value)
+        assert run("detune-scan", path, tmp_path / "out") == EXIT_VALIDATION
+
     def test_detuned_base_plan_rejected_for_scan(self, tmp_path):
         body = fig1_body()
         body["plan"][0]["delta_tau"] = 1e-4
@@ -367,6 +377,21 @@ class TestPredict:
         header, rows = read_csv(out / "predicted_moments.csv")
         assert header == ["t", "D_1", "sigma2_1", "D_2", "sigma2_2"]
         assert rows[4][2] == pytest.approx(0.005 * 16)
+
+    def test_odd_step_entropy_is_the_s_odd_sample(self, tmp_path):
+        # one Monte-Carlo sample per run: the curve and the epsilon
+        # moments share it, so the odd steps repeat s_odd exactly
+        body = fig1_body(steps=7)
+        body["predictor"] = {"samples": 20000, "seed": 4242}
+        path = write_config(tmp_path, "fig1.yaml", body)
+        out = tmp_path / "out"
+        assert run("predict", path, out) == EXIT_OK
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        s_odd = report["epsilon_moments"]["s_odd"]
+        _, rows = read_csv(out / "predicted_entropy.csv")
+        odd = [row[1] for row in rows if row[0] % 2 == 1]
+        assert len(odd) == 4
+        assert all(value == s_odd for value in odd)
 
     def test_seed_flag_changes_mc_estimates(self, tmp_path):
         body = fig1_body(steps=2)

@@ -36,7 +36,12 @@ from kickres.rotor_engine import (
     measure_moments,
 )
 
-from oracles import S_ODD_TENTH, S_ODD_UNIT, uniform_cos_moment
+from oracles import (
+    S_ODD_TENTH,
+    S_ODD_UNIT,
+    linregress_fit,
+    uniform_cos_moment,
+)
 
 
 def fig1_potential():
@@ -291,41 +296,38 @@ class TestEpsilonMoments:
 class TestSlinExact:
     def test_antisymmetric_even_steps_vanish(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
-        for t in (0, 2, 6):
-            est = slin_exact(
-                v_i, PLAN_MIXED.shift_set, UNIFORM, PART, t, 50_000, 5
-            )
+        for est in slin_exact(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, (0, 2, 6), 50_000, 5
+        ):
             assert est.value == pytest.approx(0.0, abs=1e-14)
             assert est.std_error == pytest.approx(0.0, abs=1e-14)
 
     def test_antisymmetric_odd_steps_constant(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
-        values = [
-            slin_exact(
-                v_i, PLAN_MIXED.shift_set, UNIFORM, PART, t, 50_000, 5
-            ).value
-            for t in (1, 3, 11)
-        ]
+        estimates = slin_exact(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, (1, 3, 11), 50_000, 5
+        )
+        values = [est.value for est in estimates]
         assert values[0] == values[1] == values[2]
-        est = slin_exact(
-            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 1, 400_000, 17
+        (est,) = slin_exact(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, (1,), 400_000, 17
         )
         assert abs(est.value - S_ODD_UNIT) < 3 * est.std_error
 
     def test_symmetric_small_t_quadratic(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
-        for t in (1, 2, 4):
-            est = slin_exact(
-                v_i, PLAN_BOTH.shift_set, UNIFORM, PART, t, 200_000, 9
-            )
+        for est in slin_exact(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, (1, 2, 4), 200_000, 9
+        ):
+            t = est.t
             assert abs(est.value - 0.01 * t * t) / (0.01 * t * t) < 0.1
 
     def test_symmetric_saturation_band(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
-        for t in (142, 143, 200):  # ||eps|| t > 20
-            est = slin_exact(
-                v_i, PLAN_BOTH.shift_set, UNIFORM, PART, t, 100_000, 13
-            )
+        times = (142, 143, 200)  # ||eps|| t > 20
+        for est in slin_exact(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, times, 100_000, 13
+        ):
             assert 0.9 <= est.value <= 1.0
 
     def test_monte_carlo_matches_bessel_series(self):
@@ -333,11 +335,10 @@ class TestSlinExact:
         # quartic Bessel sum for <cos(t eps)>
         v_i = PotentialSpec(2, (cosine_term(0.1, (1, -1)),))
         shift = PLAN_BOTH.shift_set
-        for t in (1, 3, 7):
-            est = slin_exact(
-                v_i, shift, UNIFORM, PART, t, 400_000, 31
-            )
-            exact = 1.0 - uniform_cos_moment(0.1, t)
+        for est in slin_exact(
+            v_i, shift, UNIFORM, PART, (1, 3, 7), 400_000, 31
+        ):
+            exact = 1.0 - uniform_cos_moment(0.1, est.t)
             assert abs(est.value - exact) < 3 * est.std_error
 
     def test_short_time_remainder_is_quartic(self):
@@ -352,8 +353,8 @@ class TestSlinExact:
             for t in (1, 2)
         ]
         assert 14.0 < residuals[1] / residuals[0] < 18.0
-        est = slin_exact(
-            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 1, 400_000, 43
+        (est,) = slin_exact(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, (1,), 400_000, 43
         )
         assert abs(est.value - (1.0 - uniform_cos_moment(0.1, 1))) < (
             3 * est.std_error
@@ -393,12 +394,12 @@ class TestSlinExact:
             if t == 0:
                 continue
             s_lin = 1.0 - schmidt_purity(state, PART)
-            est = slin_exact(
+            (est,) = slin_exact(
                 v_i,
                 PLAN_MIXED.shift_set,
                 UNIFORM,
                 PART,
-                t,
+                (t,),
                 200_000,
                 t,
             )
@@ -523,6 +524,21 @@ class TestRobustness:
             scaling_fit(pairs[:2])
         with pytest.raises(ValidationError):
             scaling_fit([(1e-3, math.inf), (1e-4, 10.0), (1e-5, 30.0)])
+        with pytest.raises(ValidationError):
+            scaling_fit([(1e-3, 20.0), (1e-3, 21.0), (1e-3, 22.0)])
+
+    def test_scaling_fit_matches_linregress(self):
+        rng = np.random.default_rng(3)
+        # scattered points: on a near-exact power law linregress's
+        # (1 - r^2) form of the stderr loses digits to cancellation
+        for n in (3, 4, 7):
+            detunings = 10.0 ** rng.uniform(-5.0, -2.0, size=n)
+            times = 0.63 * detunings**-0.5 * rng.uniform(0.7, 1.4, size=n)
+            fit = scaling_fit(list(zip(detunings, times)))
+            ref = linregress_fit(np.log10(detunings), np.log10(times))
+            assert fit.points == n
+            got = (fit.slope, fit.intercept, fit.stderr, fit.ci95)
+            assert got == pytest.approx(ref, rel=1e-12)
 
     def test_robustness_result_assembly(self):
         detunings = [1e-3, 1e-4, 1e-5]
