@@ -92,16 +92,30 @@ def kick_matrix_quadrature(v_of_theta, l_values, grid=4096):
     return np.array([[lookup[lp - ll] for ll in l] for lp in l])
 
 
-def dense_purity(psi, dims, part_a):
-    """Tr(rho_A^2) by an explicit dense partial trace."""
+def block_matrix(psi, dims, part_a):
+    """The pure state psi over ``dims`` as a dim_A x dim_B matrix, rows
+    indexed by the axes in ``part_a`` (ascending), columns by the rest."""
     dims = tuple(int(d) for d in dims)
     axes_a = tuple(sorted(part_a))
     axes_b = tuple(j for j in range(len(dims)) if j not in axes_a)
     tensor = np.asarray(psi).reshape(dims).transpose(axes_a + axes_b)
     da = int(np.prod([dims[j] for j in axes_a]))
-    m = tensor.reshape(da, -1)
+    return tensor.reshape(da, -1)
+
+
+def dense_purity(psi, dims, part_a):
+    """Tr(rho_A^2) by an explicit dense partial trace."""
+    m = block_matrix(psi, dims, part_a)
     rho = m @ m.conj().T
     return float(np.real(np.trace(rho @ rho)))
+
+
+def svd_purity(matrix):
+    """Tr(rho_A^2) of a dim_A x dim_B amplitude matrix as the sum of the
+    fourth powers of its singular values (Schmidt coefficients): the SVD
+    kernel the Gram-matrix purity replaced."""
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    return float(np.sum(singular**4))
 
 
 def spin_matrices(j):

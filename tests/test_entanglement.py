@@ -7,11 +7,11 @@ from kickres.entanglement import (
     product_basis_purity,
     schmidt_purity,
 )
-from kickres.errors import ValidationError
+from kickres.errors import ResourceCapError, ValidationError
 from kickres.potential import PotentialSpec, ResonancePlan, cosine_term
 from kickres.rotor_engine import RotorEngine, RotorLattice, RotorState
 
-from oracles import S_ODD_UNIT, dense_purity
+from oracles import S_ODD_UNIT, block_matrix, dense_purity, svd_purity
 
 
 def random_lattice_state(lattice, seed, concentrated=False):
@@ -101,6 +101,16 @@ class TestBipartition:
             BipartitionSpec(1, (0,))
 
 
+def assert_pinned_to_oracles(state, block):
+    """schmidt_purity against the SVD and dense partial-trace oracles."""
+    lat = state.lattice
+    psi = state.amplitudes.ravel()
+    mine = schmidt_purity(state, BipartitionSpec(lat.rotor_count, block))
+    assert abs(mine - svd_purity(block_matrix(psi, lat.shape, block))) <= 1e-12
+    assert abs(mine - dense_purity(psi, lat.shape, block)) <= 1e-12
+    return mine
+
+
 class TestSchmidtPurity:
     def test_product_state(self):
         lat = RotorLattice(((-3, 3), (-4, 4)))
@@ -120,16 +130,20 @@ class TestSchmidtPurity:
         assert schmidt_purity(state, part) == pytest.approx(0.5, abs=1e-14)
 
     def test_matches_dense_partial_trace(self):
+        # shape 5 x 6 x 6: the two-rotor blocks have more rows than
+        # columns, so they take the transposed branch
         lat = RotorLattice(((-2, 2), (-2, 3), (-3, 2)))
         state = random_lattice_state(lat, 7)
-        for block in [(0,), (1,), (2,), (0, 2), (1, 2)]:
-            part = BipartitionSpec(3, block)
-            expected = dense_purity(
-                state.amplitudes.ravel(), lat.shape, block
-            )
-            assert schmidt_purity(state, part) == pytest.approx(
-                expected, abs=1e-12
-            )
+        for block in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+            assert_pinned_to_oracles(state, block)
+
+    def test_workspace_respects_element_cap(self):
+        # 25 amplitudes fit the cap of 30, the purity workspace
+        # (25 + 2 * 5 * 5 = 75 elements) does not
+        lat = RotorLattice(((-2, 2), (-2, 2)), element_cap=30)
+        state = RotorState.momentum_eigenstate(lat, (0, 0))
+        with pytest.raises(ResourceCapError, match="purity workspace 75"):
+            schmidt_purity(state, BipartitionSpec(2, (0,)))
 
     def test_subsystem_symmetry(self):
         lat = RotorLattice(((-4, 4), (-3, 3), (-2, 2)))
@@ -139,6 +153,40 @@ class TestSchmidtPurity:
             a = schmidt_purity(state, part)
             b = schmidt_purity(state, part.swapped())
             assert abs(a - b) < 1e-12
+
+    def test_evolved_auto_grown_fig4_state(self):
+        pot = PotentialSpec(
+            2,
+            (
+                cosine_term(9.0, (1, 0)),
+                cosine_term(10.0, (0, 1)),
+                cosine_term(0.1, (1, -1)),
+            ),
+        )
+        plan = ResonancePlan(((1, 3), (1, 5)))
+        lat = RotorLattice.for_run(pot, (0, 0), steps=2)
+        engine = RotorEngine(pot, plan, lat, auto_grow=True)
+        initial = RotorState.momentum_eigenstate(lat, (0, 0))
+        state = engine.evolve(initial, 6)
+        assert engine.grow_events >= 1
+        assert state.lattice.shape != lat.shape
+        for block in [(0,), (1,)]:
+            mu2 = assert_pinned_to_oracles(state, block)
+            assert 1.0 - mu2 > 1e-3
+
+    def test_near_product_state(self):
+        lat = RotorLattice(((-3, 3), (-4, 4)))
+        rng = np.random.default_rng(5)
+        left = rng.normal(size=7) + 1j * rng.normal(size=7)
+        right = rng.normal(size=9) + 1j * rng.normal(size=9)
+        noise = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
+        amps = np.outer(left, right)
+        amps = amps / np.linalg.norm(amps) + 7e-6 * noise / np.linalg.norm(
+            noise
+        )
+        state = RotorState(lat, amps / np.linalg.norm(amps))
+        mu2 = assert_pinned_to_oracles(state, (0,))
+        assert 1e-11 < 1.0 - mu2 < 1e-9
 
 
 def two_rotor_setup(xi):
@@ -263,7 +311,7 @@ class TestCrossCheck:
     def test_schmidt_vs_product_basis_on_resonant_run(self):
         # with a coupling that survives the half-period shift, the even
         # step map is exp(-i m (V + V')), diagonal in the product angle
-        # basis, so the reshaped-SVD route and the quasienergy-grid route
+        # basis, so the reshaped-Gram route and the quasienergy-grid route
         # must return the same purity
         xi = 0.4
         pot = PotentialSpec(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import dense_purity, spin_matrices
+from oracles import block_matrix, dense_purity, spin_matrices, svd_purity
 
 from kickres.entanglement import BipartitionSpec, product_basis_purity
 from kickres.errors import ResourceCapError, ValidationError
@@ -577,6 +577,29 @@ class TestEntanglement:
         swapped = top_purity(state, part.swapped())
         assert abs(mine - swapped) < 1e-12
 
+    def test_purity_pinned_to_oracles_on_evolved_pair(self):
+        spec = TopSpec(
+            top_count=2,
+            j_tot=8,
+            plan=make_plan((1, 1), (1, 2)),
+            field_terms=(
+                FieldTerm(0.3, (1, 0)),
+                FieldTerm(0.6, (1, 1)),
+                FieldTerm(0.8, (1, 2)),
+            ),
+        )
+        engine = TopEngine(spec)
+        state, _ = random_product(spec, 29)
+        for t, current in engine.trajectory(state, 5):
+            psi = current.amplitudes.reshape(-1)
+            for block in [(0,), (1,)]:
+                part = BipartitionSpec(rotor_count=2, part_a=block)
+                mine = top_purity(current, part)
+                matrix = block_matrix(psi, spec.shape, block)
+                assert abs(mine - svd_purity(matrix)) <= 1e-12
+                assert abs(mine - dense_purity(psi, spec.shape, block)) <= 1e-12
+        assert t == 5 and 1.0 - mine > 1e-3
+
     def test_partition_count_mismatch(self):
         spec = TopSpec(
             top_count=2,
@@ -591,7 +614,7 @@ class TestEntanglement:
             )
 
     def test_purity_workspace_respects_element_cap(self):
-        # 25 amplitudes fit the cap of 30, the 5 x 5 SVD workspace
+        # 25 amplitudes fit the cap of 30, the 5 x 5 purity workspace
         # (25 + 2 * 5 * 5 = 75 elements) does not
         spec = TopSpec(
             top_count=2,
