@@ -48,7 +48,7 @@ SCAN = ((1e-3, 40), (5e-4, 60), (1e-4, 120))
 
 def moment_run(plan, steps):
     momenta = (0, 0)
-    lattice = RotorLattice.for_run(POTENTIAL, momenta, steps)
+    lattice = RotorLattice.for_run(POTENTIAL, momenta, steps, auto_grow=True)
     engine = RotorEngine(POTENTIAL, plan, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     return [measure_moments(s, t) for t, s in engine.trajectory(state, steps)]

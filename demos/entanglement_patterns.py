@@ -60,7 +60,7 @@ COUPLINGS = [
 
 def entropy_series(potential, steps):
     momenta = (0, 0)
-    lattice = RotorLattice.for_run(potential, momenta, steps)
+    lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
     engine = RotorEngine(potential, PLAN, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     return [

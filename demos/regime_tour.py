@@ -85,7 +85,7 @@ MODELS = [
 def simulate(potential, plan, steps):
     """Evolve |0,0> and return spread records plus the entropy series."""
     momenta = (0,) * potential.rotor_count
-    lattice = RotorLattice.for_run(potential, momenta, steps)
+    lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
     engine = RotorEngine(potential, plan, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     records, entropy = [], []

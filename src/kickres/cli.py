@@ -16,8 +16,8 @@ materialized into an echoed effective config so a run is reproducible
 from its own artifacts, and every CSV cell is written with 17
 significant digits so identical (config, seed) pairs give byte-identical
 files.  Each output references the run manifest by the content hash of
-the manifest's deterministic identity block (the wall clock lives in a
-separate runtime block).
+the manifest's deterministic identity block (the wall clock and each rotor
+run's window growth live in a separate runtime block).
 """
 
 from __future__ import annotations
@@ -656,11 +656,14 @@ def _write_outputs(
     warnings: list,
     started: float,
     quiet: bool,
+    runs: list | None = None,
 ) -> None:
     """Write all artifacts, stamping each with the manifest identity hash.
 
     The identity block excludes out_dir and wall clock, so the same
     physics + seed gives byte-identical data files wherever they land.
+    ``runs`` (rotor runs: grow events and final windows) goes into the
+    runtime block beside the wall clock, outside the hash.
     """
     identity = {
         "command": cfg.command,
@@ -683,6 +686,8 @@ def _write_outputs(
             "wall_clock_seconds": round(time.monotonic() - started, 3),
         },
     }
+    if runs is not None:
+        manifest["runtime"]["runs"] = runs
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     stamp = f"# manifest_sha256: {content_hash}\n"
@@ -749,6 +754,7 @@ def _rotor_run_pieces(cfg: ExperimentConfig):
         margin=cfg.window_margin
         + (0 if descriptor["type"] == "momentum_eigenstate" else margin_extra),
         element_cap=cfg.element_cap,
+        auto_grow=cfg.auto_grow,
     )
     engine = RotorEngine(
         cfg.potential,
@@ -799,16 +805,25 @@ def _simulate_files(
     return files, warnings
 
 
+def _run_record(engine: RotorEngine, **labels) -> dict:
+    """Manifest runtime entry of one rotor run: its window growth."""
+    return {
+        **labels,
+        "grow_events": engine.grow_events,
+        "window_shape": list(engine.lattice.shape),
+        "windows": [list(w) for w in engine.lattice.windows],
+    }
+
+
 def run_simulate(cfg: ExperimentConfig, quiet: bool = False) -> None:
     started = time.monotonic()
     engine, state = _rotor_run_pieces(cfg)
     files, warnings = _simulate_files(
         cfg, engine, state, measure_moments, schmidt_purity, "p"
     )
-    if engine.grow_events:
-        warnings.append(f"window auto-grow events: {engine.grow_events}")
-    dims = [list(w) for w in engine.lattice.windows]
-    _write_outputs(cfg, files, dims, warnings, started, quiet)
+    _write_outputs(
+        cfg, files, [], warnings, started, quiet, [_run_record(engine)]
+    )
 
 
 def _initial_density(cfg: ExperimentConfig) -> ProductAngleDensity:
@@ -943,7 +958,7 @@ def _run_single_detuning(cfg, delta_tau, horizon):
     records = [
         measure_moments(s, t) for t, s in engine.trajectory(state, horizon)
     ]
-    return records, engine.grow_events
+    return records, _run_record(engine, delta_tau=delta_tau, steps=horizon)
 
 
 def run_detune_scan(
@@ -959,27 +974,15 @@ def run_detune_scan(
             )
     else:
         results = [_run_single_detuning(cfg, *job) for job in jobs]
-    ideal_records, grow_total = results[0]
-    warnings = []
-    if grow_total:
-        warnings.append(f"ideal run auto-grow events: {grow_total}")
-
+    ideal_records = results[0][0]
     files = {}
     delta_series = []
-    for i, (delta_tau, horizon) in enumerate(
-        zip(cfg.detunings, cfg.horizons), start=1
-    ):
-        records, grew = results[i]
-        deltas = deviation_series(records, ideal_records[: horizon + 1])
+    for i, horizon in enumerate(cfg.horizons, start=1):
+        deltas = deviation_series(results[i][0], ideal_records[: horizon + 1])
         delta_series.append(deltas)
         files[f"delta_{i}.csv"] = _csv_text(
             ("t", "delta1"), [[t, d] for t, d in deltas]
         )
-        if grew:
-            warnings.append(
-                f"detuned run {i} (delta_tau={delta_tau:g}) "
-                f"auto-grow events: {grew}"
-            )
     result = RobustnessResult.assemble(
         cfg.threshold, cfg.detunings, delta_series
     )
@@ -1009,7 +1012,8 @@ def run_detune_scan(
         "fit": fit_block,
     }
     files["report.yaml"] = _canonical_yaml(body)
-    _write_outputs(cfg, files, [], warnings, started, quiet)
+    runs = [run for _, run in results]
+    _write_outputs(cfg, files, [], [], started, quiet, runs)
 
 
 def run_top_simulate(cfg: ExperimentConfig, quiet: bool = False) -> None:

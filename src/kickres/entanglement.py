@@ -70,14 +70,22 @@ def _block_purity(
     first and reshaped to a dim_A x dim_B matrix M, turned so the smaller
     side is the row side.  The purity is ||M M^dagger||_F^2: the reduced
     density matrix of the smaller side, squared and traced.  The workspace
-    (the conjugate copy of M, the Gram matrix and one temporary) is
-    checked against ``element_cap`` before anything is allocated.
+    (the permuted copy of M when a block's axes are not adjacent, the
+    conjugate copy of M, the Gram matrix and one temporary) is checked
+    against ``element_cap`` before anything is allocated.
     """
     shape = amplitudes.shape
     dim_a = int(np.prod([shape[j] for j in part.part_a]))
     dim_b = int(np.prod([shape[j] for j in part.part_b]))
     small = min(dim_a, dim_b)
-    workspace = dim_a * dim_b + 2 * small * small
+    # The reshape below is a view only when each side's axes are adjacent.
+    adjacent = all(
+        b == a + 1
+        for axes in (part.part_a, part.part_b)
+        for a, b in zip(axes, axes[1:])
+    )
+    copies = 1 if adjacent else 2
+    workspace = copies * dim_a * dim_b + 2 * small * small
     if workspace > element_cap:
         raise ResourceCapError(
             f"purity workspace {workspace} exceeds the "

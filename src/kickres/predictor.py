@@ -716,6 +716,42 @@ class ScalingFit:
     points: int
 
 
+def _t_quantile(p: float, df: int) -> float:
+    """Quantile of Student's t with an integer ``df`` >= 1, for p > 1/2.
+
+    With theta = arctan(t / sqrt(df)), the two-sided probability
+    A(t|df) = P(|T| <= t) is a finite series in cos(theta) (Abramowitz &
+    Stegun 26.7.3 for odd df, 26.7.4 for even df).  A rises monotonically
+    on 0 < theta < pi/2, so bisection in theta solves A = 2p - 1 to the
+    last bit.
+    """
+    target = 2.0 * p - 1.0
+
+    def two_sided(theta: float) -> float:
+        c2 = math.cos(theta) ** 2
+        if df % 2:
+            term = total = math.cos(theta) if df > 1 else 0.0
+            first = 3
+        else:
+            term = total = 1.0
+            first = 2
+        for k in range(first, df - 1, 2):
+            term *= c2 * (k - 1) / k
+            total += term
+        series = math.sin(theta) * total
+        return 2.0 / math.pi * (theta + series) if df % 2 else series
+
+    lo, hi = 0.0, 0.5 * math.pi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if two_sided(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(df) * math.tan(mid)
+
+
 def scaling_fit(pairs: Sequence) -> ScalingFit:
     """Fit log10(t_D) against log10(delta_tau) by least squares."""
     if len(pairs) < 3:
@@ -734,9 +770,6 @@ def scaling_fit(pairs: Sequence) -> ScalingFit:
         ys.append(math.log10(t_d))
     if min(xs) == max(xs):
         raise ValidationError("detunings must not all be equal to fit")
-    # imported here so that importing kickres does not load scipy
-    from scipy.special import stdtrit
-
     x, y = np.array(xs), np.array(ys)
     dx, dy = x - x.mean(), y - y.mean()
     sxx = float(dx @ dx)
@@ -747,7 +780,7 @@ def scaling_fit(pairs: Sequence) -> ScalingFit:
         slope=slope,
         intercept=float(y.mean() - slope * x.mean()),
         stderr=stderr,
-        ci95=float(stdtrit(len(xs) - 2, 0.975)) * stderr,
+        ci95=_t_quantile(0.975, len(xs) - 2) * stderr,
         points=len(xs),
     )
 

@@ -8,6 +8,16 @@ at large momentum.  Besides the generic per-step propagator there are two
 closed-form paths: the lowest-resonance factorization (one accumulated
 kick plus a parity phase) and its dressed-operator generalization to
 higher resonance orders under the translation-symmetry condition.
+
+Windows follow the occupied support.  A growing run (``auto_grow``)
+starts on the bandwidth reach of its first ``START_STEPS`` kicks plus the
+margin; after each step, every rotor whose edge mass passes
+``GROW_TRIGGER`` (far below the ``tail_tol`` truncation check) grows by
+``GROWTH_FACTOR``, at least by its minimum pad, and the step is redone
+from the pre-step state.  A fixed run sizes its windows for the
+worst-case reach of all its steps.  Every length is rounded up to a
+7-smooth one (prime factors 2, 3, 5, 7), which numpy's FFT handles at
+full speed (Frigo & Johnson, Proc. IEEE 93(2), 2005).
 """
 
 from __future__ import annotations
@@ -29,6 +39,30 @@ from .potential import (
 DEFAULT_ELEMENT_CAP = 1 << 26  # complex amplitudes: 1 GiB at 16 bytes each
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_TAIL_BUDGET = 1e-8
+START_STEPS = 4  # a growing run's first window covers this many kicks
+GROW_TRIGGER = 1e-20  # edge mass that makes a rotor's window grow
+GROWTH_FACTOR = 1.25
+GROW_MARGIN = 16  # minimum pad per side: this plus ceil(bandwidth)
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest integer >= n whose prime factors are all at most 7."""
+    n = max(int(n), 1)
+    best = 1 << (n - 1).bit_length()  # a power of two always qualifies
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                p2 = p3
+                while p2 < n:
+                    p2 *= 2
+                best = min(best, p2)
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
 
 
 @dataclass(frozen=True)
@@ -71,22 +105,32 @@ class RotorLattice:
         steps: int,
         margin: int = 16,
         element_cap: int = DEFAULT_ELEMENT_CAP,
+        auto_grow: bool = False,
     ) -> "RotorLattice":
-        """Windows wide enough for ``steps`` kicks from the given centers.
+        """Windows for a ``steps``-kick run from the given centers.
 
         Each kick shifts momentum by at most the potential's per-rotor
         bandwidth (sum of |coefficient * mode|), so the padding
-        ``ceil(steps * bandwidth) + margin`` bounds the reachable support;
-        the margin absorbs the soft Bessel tails.
+        ``ceil(k * bandwidth) + margin`` bounds the support k kicks reach;
+        the margin absorbs the soft Bessel tails.  A fixed run covers
+        k = ``steps``; a growing one (``auto_grow``) starts from
+        k = min(steps, START_STEPS) and widens as its edges fill.  Each
+        length is rounded up to a 7-smooth one around its center, unless
+        that alone would pass the element cap.
         """
         if len(initial_momenta) != potential.rotor_count:
             raise ValidationError("need one initial momentum per rotor")
+        reach = min(steps, START_STEPS) if auto_grow else steps
         windows = []
         for j in range(potential.rotor_count):
-            half = math.ceil(steps * potential.kick_bandwidth(j)) + margin
+            half = math.ceil(reach * potential.kick_bandwidth(j)) + margin
             p0 = int(initial_momenta[j])
             windows.append((p0 - half, p0 + half))
-        return cls(tuple(windows), element_cap)
+        exact = cls(tuple(windows), element_cap)
+        smooth = [_smooth_length(m) for m in exact.shape]
+        if math.prod(smooth) > element_cap:
+            return exact
+        return exact.resized(smooth)
 
     @property
     def rotor_count(self) -> int:
@@ -110,11 +154,13 @@ class RotorLattice:
         shape[rotor] = len(values)
         return values.reshape(shape)
 
-    def grown(self, rotors: Sequence[int], pad: int) -> "RotorLattice":
-        windows = list(self.windows)
-        for j in rotors:
-            lo, hi = windows[j]
-            windows[j] = (lo - pad, hi + pad)
+    def resized(self, lengths: Sequence[int]) -> "RotorLattice":
+        """Windows of the given lengths, each centered on the current one
+        (an odd extra cell goes on top)."""
+        windows = []
+        for (lo, hi), m in zip(self.windows, lengths):
+            lo -= (m - (hi - lo + 1)) // 2
+            windows.append((lo, lo + m - 1))
         return RotorLattice(tuple(windows), self.element_cap)
 
 
@@ -128,11 +174,12 @@ class RotorState:
                 f"amplitude shape {amplitudes.shape} does not match "
                 f"lattice shape {lattice.shape}"
             )
-        norm = float(np.linalg.norm(amplitudes.ravel()))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError(f"state norm {norm} deviates from 1")
         self.lattice = lattice
         self.amplitudes = amplitudes
+        self._marginals: tuple[np.ndarray, ...] | None = None
+        norm = self.norm()
+        if abs(norm - 1.0) > 1e-10:
+            raise ValidationError(f"state norm {norm} deviates from 1")
 
     @classmethod
     def momentum_eigenstate(
@@ -189,16 +236,25 @@ class RotorState:
         return cls(lattice, amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes.ravel()))
+        # One contiguous pass; np.linalg.norm splits a complex array into
+        # two strided ones and runs tens of times slower on large lattices.
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def momentum_marginals(self) -> tuple[np.ndarray, ...]:
-        """Probability over each rotor's momentum window, from one |a|^2."""
-        prob = np.abs(self.amplitudes) ** 2
-        n = self.lattice.rotor_count
-        return tuple(
-            prob.sum(axis=tuple(k for k in range(n) if k != j))
-            for j in range(n)
-        )
+        """Probability over each rotor's momentum window, from one |a|^2.
+
+        Computed on first use and kept: a state's amplitudes are not
+        changed after construction, so the trajectory's edge check and the
+        caller's moments share one pass.
+        """
+        if self._marginals is None:
+            prob = np.abs(self.amplitudes) ** 2
+            n = self.lattice.rotor_count
+            self._marginals = tuple(
+                prob.sum(axis=tuple(k for k in range(n) if k != j))
+                for j in range(n)
+            )
+        return self._marginals
 
     def edge_mass(self, layers: int = 2) -> tuple[float, ...]:
         """Probability on the outermost ``layers`` cells of each window."""
@@ -264,10 +320,11 @@ def displacement_stats(series: Sequence[MomentRecord]) -> list[MomentRecord]:
 
 
 class RotorEngine:
-    """Propagators for one (potential, plan) pair on a fixed lattice.
+    """Propagators for one (potential, plan) pair on a momentum lattice.
 
-    ``auto_grow=True`` lets evolve() widen windows when tail mass crosses
-    the tolerance instead of raising; the element cap still applies.
+    ``auto_grow=True`` lets trajectory() widen a rotor's window whenever
+    its edge mass passes GROW_TRIGGER, so the tail tolerance comes into
+    play only where the element cap stops the growth.
     """
 
     def __init__(
@@ -289,6 +346,10 @@ class RotorEngine:
         self.tail_budget = float(tail_budget)
         self.auto_grow = bool(auto_grow)
         self.grow_events = 0
+        self._pads = [
+            GROW_MARGIN + math.ceil(potential.kick_bandwidth(j))
+            for j in range(potential.rotor_count)
+        ]
         self._configure(lattice)
 
     def _configure(self, lattice: RotorLattice) -> None:
@@ -350,18 +411,32 @@ class RotorEngine:
         if steps < 0:
             raise ValidationError("steps must be >= 0")
         self._check_state(state)
+        trigger = min(GROW_TRIGGER, self.tail_tol)
         cumulative_tail = 0.0
         yield 0, state
         for t in range(1, steps + 1):
             nxt = self.step(state)
-            tail = max(nxt.edge_mass())
-            # A step that trips the tolerance has already aliased across the
-            # window boundary, so growing must redo it from the pre-step
-            # state on the wider window rather than keep the tainted result.
-            while tail > self.tail_tol and self.auto_grow:
-                state = self._embed_wider(state)
+            edges = nxt.edge_mass()
+            # A step whose edges fill has already aliased across the window
+            # boundary, so growing must redo it from the pre-step state on
+            # the wider window rather than keep the tainted result.
+            while self.auto_grow:
+                rotors = [j for j, e in enumerate(edges) if e > trigger]
+                if not rotors:
+                    break
+                wider = self._wider_lattice(rotors)
+                if wider is None:
+                    if max(edges) > self.tail_tol:
+                        raise ResourceCapError(
+                            f"rotors {rotors} must grow past the element cap "
+                            f"{self.lattice.element_cap} at step {t} (tail "
+                            f"mass {max(edges):.3e})"
+                        )
+                    break  # the cap stops growth inside the tail tolerance
+                state = self._embed_wider(state, wider)
                 nxt = self.step(state)
-                tail = max(nxt.edge_mass())
+                edges = nxt.edge_mass()
+            tail = max(edges)
             if tail > self.tail_tol:
                 raise TruncationError(
                     f"tail mass {tail:.3e} exceeds tolerance "
@@ -377,18 +452,50 @@ class RotorEngine:
             state = nxt
             yield t, state
 
-    def _embed_wider(self, state: RotorState) -> RotorState:
-        pad = 16 + max(
-            math.ceil(self.potential.kick_bandwidth(j))
-            for j in range(self.lattice.rotor_count)
+    def _wider_lattice(self, rotors: Sequence[int]) -> RotorLattice | None:
+        """The lattice with the windows of ``rotors`` grown.
+
+        Each grows by GROWTH_FACTOR, but at least by its minimum pad on
+        both sides, onto a 7-smooth length.  Where that passes the element
+        cap, each grows by as much of its minimum pad as the cap allows,
+        so geometric overshoot alone never stops a run.  None when no
+        window can grow at all.
+        """
+        shape = self.lattice.shape
+        cap = self.lattice.element_cap
+        padded = {j: shape[j] + 2 * self._pads[j] for j in rotors}
+        lengths = [
+            _smooth_length(max(math.ceil(GROWTH_FACTOR * m), padded[j]))
+            if j in padded
+            else m
+            for j, m in enumerate(shape)
+        ]
+        if math.prod(lengths) <= cap:
+            return self.lattice.resized(lengths)
+        lengths = list(shape)
+        for j in rotors:
+            others = math.prod(lengths) // lengths[j]
+            lengths[j] = max(shape[j], min(padded[j], cap // others))
+        if lengths == list(shape):
+            return None
+        return self.lattice.resized(lengths)
+
+    def _embed_wider(
+        self, state: RotorState, lattice: RotorLattice
+    ) -> RotorState:
+        """``state`` zero-padded onto ``lattice``, which becomes the
+        engine's lattice."""
+        slices = tuple(
+            slice(old[0] - new[0], old[0] - new[0] + m)
+            for old, new, m in zip(
+                self.lattice.windows, lattice.windows, self.lattice.shape
+            )
         )
-        new_lattice = self.lattice.grown(range(self.lattice.rotor_count), pad)
-        slices = tuple(slice(pad, pad + m) for m in self.lattice.shape)
-        amps = np.zeros(new_lattice.shape, dtype=complex)
+        amps = np.zeros(lattice.shape, dtype=complex)
         amps[slices] = state.amplitudes
-        self._configure(new_lattice)
+        self._configure(lattice)
         self.grow_events += 1
-        return RotorState(new_lattice, amps)
+        return RotorState(lattice, amps)
 
     def resonant_evolve(self, state: RotorState, steps: int) -> RotorState:
         """Closed-form t-step evolution at the two lowest resonance orders."""

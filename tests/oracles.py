@@ -7,10 +7,19 @@ partial traces.  Slow and obvious beats fast and clever.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import jv
 
+from kickres.entanglement import schmidt_purity
 from kickres.potential import FourierTerm, PotentialSpec
+from kickres.rotor_engine import (
+    RotorEngine,
+    RotorLattice,
+    RotorState,
+    measure_moments,
+)
 
 # Linear entropy plateau 1 - sum_n J_n(xi)^4 for a one-term coupling of
 # strength xi with uniform initial angles (momentum eigenstates).  Values
@@ -75,6 +84,39 @@ def linregress_fit(xs, ys):
     fit = stats.linregress(xs, ys)
     spread = stats.t.ppf(0.975, len(xs) - 2)
     return fit.slope, fit.intercept, fit.stderr, spread * fit.stderr
+
+
+def t_quantile(p, df):
+    """Student-t quantile from scipy, the reference for the finite-series
+    quantile behind ``scaling_fit``'s ci95."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, p))
+
+
+def fixed_window_run(potential, plan, momenta, steps, margin, part):
+    """(moment records, purities) of a run from momentum eigenstates on
+    one window that never grows.
+
+    Each half-width is ceil(steps * bandwidth) + margin, the worst-case
+    reach of all the steps, on exact (unrounded) lengths: the sizing every
+    run used before windows grew on demand.  The margin must keep the
+    edges inside the tail tolerance, or the run raises.  It steps with the
+    package's own engine: what it pins is the window policy, not the
+    propagator.
+    """
+    windows = []
+    for j, p0 in enumerate(momenta):
+        half = math.ceil(steps * potential.kick_bandwidth(j)) + margin
+        windows.append((p0 - half, p0 + half))
+    lattice = RotorLattice(tuple(windows))
+    engine = RotorEngine(potential, plan, lattice)
+    state = RotorState.momentum_eigenstate(lattice, momenta)
+    records, purities = [], []
+    for t, current in engine.trajectory(state, steps):
+        records.append(measure_moments(current, t))
+        purities.append(schmidt_purity(current, part))
+    return records, purities
 
 
 def kick_matrix_quadrature(v_of_theta, l_values, grid=4096):

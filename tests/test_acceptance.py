@@ -152,7 +152,9 @@ TOP_SPEC = TopSpec(
 def _entangled_run(potential, plan, steps, *, margin=16, entropy_limit=None):
     """Evolve |0,...,0> and collect moment spreads plus bipartite entropy."""
     momenta = (0,) * potential.rotor_count
-    lattice = RotorLattice.for_run(potential, momenta, steps, margin=margin)
+    lattice = RotorLattice.for_run(
+        potential, momenta, steps, margin=margin, auto_grow=True
+    )
     engine = RotorEngine(potential, plan, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     records = []
@@ -169,7 +171,7 @@ def _entangled_run(potential, plan, steps, *, margin=16, entropy_limit=None):
 def _moment_run(potential, plan, steps):
     """Moment records only (no entanglement), for the detuning scan."""
     momenta = (0,) * potential.rotor_count
-    lattice = RotorLattice.for_run(potential, momenta, steps)
+    lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
     engine = RotorEngine(potential, plan, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     return [measure_moments(s, t) for t, s in engine.trajectory(state, steps)]

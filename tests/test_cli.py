@@ -2,10 +2,16 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+
+import kickres
 
 from oracles import S_ODD_UNIT
 
@@ -326,6 +332,41 @@ class TestSimulate:
         assert first_line == f"# manifest_sha256: {recomputed}"
         assert "moments.csv" in manifest["identity"]["outputs"]
 
+    def test_manifest_runtime_records_window_growth(self, tmp_path):
+        path = write_config(tmp_path, "fig1.yaml", fig1_body(steps=100))
+        out = tmp_path / "out"
+        assert run("simulate", path, out) == EXIT_OK
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        # growth is the normal path: no warning, and the windows it picks
+        # stay out of the hashed identity
+        assert manifest["identity"]["warnings"] == []
+        assert manifest["identity"]["dimensions"] == []
+        (record,) = manifest["runtime"]["runs"]
+        assert record["grow_events"] >= 1
+        assert record["window_shape"] == [
+            hi - lo + 1 for lo, hi in record["windows"]
+        ]
+
+    def test_tight_element_cap_still_runs(self, tmp_path):
+        # The worst-case window of this run, 73 cells, exactly fills the
+        # cap.  The growing run starts on 49 cells; neither 1.25x growth
+        # (90 cells) nor the minimum pad (85) fits, so it grows to the 73
+        # the cap allows and finishes like an uncapped run.
+        body = one_rotor_body(steps=10)
+        body["potential"]["terms"] = [{"coefficient": 2.0, "modes": [1]}]
+        free = write_config(tmp_path, "free.yaml", body)
+        body["engine"] = {"element_cap": 73}
+        capped = write_config(tmp_path, "capped.yaml", body)
+        assert run("simulate", capped, tmp_path / "capped") == EXIT_OK
+        assert run("simulate", free, tmp_path / "free") == EXIT_OK
+        manifest = yaml.safe_load(
+            (tmp_path / "capped" / "manifest.yaml").read_text()
+        )
+        assert manifest["runtime"]["runs"][0]["window_shape"] == [73]
+        _, rows = read_csv(tmp_path / "capped" / "moments.csv")
+        _, ref_rows = read_csv(tmp_path / "free" / "moments.csv")
+        np.testing.assert_allclose(rows, ref_rows, rtol=1e-8, atol=1e-10)
+
     def test_validation_exit_code(self, tmp_path):
         path = write_config(tmp_path, "bad.yaml", {"system": "rotor"})
         assert run("simulate", path, tmp_path / "out") == EXIT_VALIDATION
@@ -486,6 +527,55 @@ class TestDetuneScan:
         assert run("detune-scan", path, out2, "--threads", "3") == EXIT_OK
         for name in ("delta_1.csv", "delta_2.csv", "tD.csv", "report.yaml"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_runs_recorded_outside_the_hash(self, tmp_path):
+        body = self.scan_body([3e-3, 1e-3], [12, 20])
+        path = write_config(tmp_path, "scan.yaml", body)
+        out = tmp_path / "out"
+        assert run("detune-scan", path, out) == EXIT_OK
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["identity"]["warnings"] == []
+        runs = manifest["runtime"]["runs"]
+        assert [(r["delta_tau"], r["steps"]) for r in runs] == [
+            (0.0, 20),
+            (3e-3, 12),
+            (1e-3, 20),
+        ]
+        assert all(r["grow_events"] >= 1 for r in runs)
+        assert all(len(r["window_shape"]) == 2 for r in runs)
+
+    def test_loads_no_scipy(self, tmp_path):
+        body = self.scan_body([3e-3, 1e-3, 3e-4], [15, 25, 45])
+        path = write_config(tmp_path, "scan.yaml", body)
+        out = tmp_path / "out"
+        code = "\n".join(
+            (
+                "import sys",
+                "import kickres.cli",
+                "def scipy_modules():",
+                "    return sorted(m for m in sys.modules"
+                " if m.startswith('scipy'))",
+                "assert scipy_modules() == [], scipy_modules()",
+                "argv = ['detune-scan', '--config', sys.argv[1],"
+                " '--out-dir', sys.argv[2], '--quiet']",
+                "assert kickres.cli.main(argv) == 0",
+                "assert scipy_modules() == [], scipy_modules()",
+            )
+        )
+        src = str(Path(kickres.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path), str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        assert report["fit"]["points"] == 3
 
     def test_fit_skipped_below_three_points(self, tmp_path):
         body = self.scan_body([3e-3], [15])

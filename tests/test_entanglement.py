@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,27 @@ class TestSchmidtPurity:
         state = RotorState.momentum_eigenstate(lat, (0, 0))
         with pytest.raises(ResourceCapError, match="purity workspace 75"):
             schmidt_purity(state, BipartitionSpec(2, (0,)))
+
+    def test_workspace_counts_the_permuted_copy(self):
+        # Blocks whose axes are not adjacent in a 3-body tensor need a
+        # permuted copy of the amplitudes besides the conjugate one: the
+        # cap must refuse a budget below what the kernel really allocates.
+        lat = RotorLattice(((0, 39), (0, 29), (0, 49)), element_cap=10**6)
+        state = random_lattice_state(lat, 11)
+        for block in [(0, 2), (1,)]:
+            part = BipartitionSpec(3, block)
+            tracemalloc.start()
+            try:
+                schmidt_purity(state, part)
+                peak = tracemalloc.get_traced_memory()[1] // 16
+            finally:
+                tracemalloc.stop()
+            assert peak > 2 * state.amplitudes.size
+            tight = RotorLattice(lat.windows, element_cap=peak - 1)
+            with pytest.raises(ResourceCapError, match="purity workspace"):
+                schmidt_purity(RotorState(tight, state.amplitudes), part)
+            roomy = RotorLattice(lat.windows, element_cap=int(1.05 * peak))
+            schmidt_purity(RotorState(roomy, state.amplitudes), part)
 
     def test_subsystem_symmetry(self):
         lat = RotorLattice(((-4, 4), (-3, 3), (-2, 2)))

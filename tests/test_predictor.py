@@ -17,6 +17,7 @@ from kickres.predictor import (
     ProductAngleDensity,
     RobustnessResult,
     WavepacketParams,
+    _t_quantile,
     agreement_time,
     classify_regimes,
     crossover_time,
@@ -40,6 +41,7 @@ from oracles import (
     S_ODD_TENTH,
     S_ODD_UNIT,
     linregress_fit,
+    t_quantile,
     uniform_cos_moment,
 )
 
@@ -539,6 +541,13 @@ class TestRobustness:
             assert fit.points == n
             got = (fit.slope, fit.intercept, fit.stderr, fit.ci95)
             assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_t_quantile_matches_scipy(self):
+        for df in range(1, 61):
+            for p in (0.975, 0.6, 0.995):
+                assert _t_quantile(p, df) == pytest.approx(
+                    t_quantile(p, df), rel=1e-12
+                )
 
     def test_robustness_result_assembly(self):
         detunings = [1e-3, 1e-4, 1e-5]

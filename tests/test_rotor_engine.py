@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kickres import (
+    BipartitionSpec,
     PotentialSpec,
     ResonancePlan,
     ResourceCapError,
@@ -15,15 +18,17 @@ from kickres import (
     ValidationError,
     cosine_term,
 )
+from kickres.entanglement import schmidt_purity
 from kickres.rotor_engine import (
     MomentRecord,
     RotorEngine,
     RotorLattice,
     RotorState,
+    _smooth_length,
     displacement_stats,
     measure_moments,
 )
-from oracles import kick_matrix_quadrature, kick_variance
+from oracles import fixed_window_run, kick_matrix_quadrature, kick_variance
 
 
 def fig1_potential():
@@ -48,6 +53,24 @@ def fig2_potential():
     )
 
 
+def fig4_potential():
+    return PotentialSpec(
+        2,
+        (
+            cosine_term(9.0, (1, 0)),
+            cosine_term(10.0, (0, 1)),
+            cosine_term(0.1, (1, -1)),
+        ),
+    )
+
+
+def is_smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def random_state(lattice, seed):
     rng = np.random.default_rng(seed)
     amps = np.zeros(lattice.shape, dtype=complex)
@@ -63,10 +86,34 @@ def random_state(lattice, seed):
 
 class TestLattice:
     def test_for_run_padding(self):
+        # Bandwidths are 1.1 and 1.2.  A fixed run covers all 10 kicks:
+        # half-widths 11 + 16 and 12 + 16 (lengths 55 and 57), rounded up
+        # to the 7-smooth lengths 56 and 60 around the center.
         lat = RotorLattice.for_run(fig1_potential(), (0, 0), steps=10)
-        # bandwidths are 1.1 and 1.2
-        assert lat.windows[0] == (-27, 27)
-        assert lat.windows[1] == (-28, 28)
+        assert lat.windows == ((-27, 28), (-29, 30))
+        # A growing run starts on the first 4 kicks: half-widths 5 + 16
+        # (length 43), rounded up to 45.
+        grow = RotorLattice.for_run(
+            fig1_potential(), (3, -2), steps=10, auto_grow=True
+        )
+        assert grow.windows == ((3 - 22, 3 + 22), (-2 - 22, -2 + 22))
+        # A run shorter than the start horizon covers its own reach.
+        short = RotorLattice.for_run(
+            fig1_potential(), (0, 0), steps=2, auto_grow=True
+        )
+        assert short.shape == (_smooth_length(2 * 19 + 1),) * 2
+
+    def test_for_run_keeps_exact_lengths_under_a_tight_cap(self):
+        lat = RotorLattice.for_run(
+            fig1_potential(), (0, 0), steps=10, element_cap=55 * 57
+        )
+        assert lat.windows == ((-27, 27), (-28, 28))
+
+    @given(st.integers(min_value=1, max_value=100_000))
+    def test_smooth_length_is_the_next_7_smooth(self, n):
+        m = _smooth_length(n)
+        assert m >= n and is_smooth(m)
+        assert not any(is_smooth(k) for k in range(n, m))
 
     def test_rejects_tiny_window(self):
         with pytest.raises(ValidationError):
@@ -338,6 +385,22 @@ class TestTruncationHandling:
         with pytest.raises(TruncationError):
             engine.evolve(state, 6)
 
+    def test_growth_falls_back_under_the_element_cap(self):
+        # bandwidth 2: minimum pad 16 + 2 per side.  Growth takes 1.25x
+        # onto a 7-smooth length (252) where the cap allows, else as much
+        # of the minimum pad (to 237) as fits.
+        pot = PotentialSpec(1, (cosine_term(2.0, (1,)),))
+        plan = ResonancePlan(((1, 1),))
+        for cap, length in ((10**6, 252), (251, 237), (220, 220), (201, None)):
+            lat = RotorLattice(((-100, 100),), element_cap=cap)
+            wider = RotorEngine(pot, plan, lat)._wider_lattice([0])
+            if length is None:
+                assert wider is None
+            else:
+                assert wider.shape == (length,)
+                lo, hi = wider.windows[0]
+                assert lo <= -100 and hi >= 100 and abs(lo + hi) <= 1
+
     def test_auto_grow_recovers(self):
         pot = PotentialSpec(1, (cosine_term(2.0, (1,)),))
         lat = RotorLattice(((-6, 6),))
@@ -407,3 +470,68 @@ class TestMoments:
                     expect += lam_minus[j]
                 assert rec.spread[j] == pytest.approx(expect, abs=1e-8)
                 assert rec.variance[j] >= -1e-9
+
+
+class TestGrowingWindows:
+    @pytest.mark.parametrize(
+        "potential, rationals, detuning, steps, margin",
+        [
+            (fig1_potential(), ((1, 1), (1, 2)), 0.0, 100, 16),  # fig1
+            # the fig4 head's model, run well past its start window
+            (fig4_potential(), ((1, 3), (1, 5)), 0.0, 20, 16),
+            # the scan3 ideal run and its first detuned run
+            (fig2_potential(), ((1, 1), (1, 2)), 0.0, 70, 48),
+            (fig2_potential(), ((1, 1), (1, 2)), 1e-3, 40, 48),
+        ],
+    )
+    def test_matches_the_fixed_window_oracle(
+        self, potential, rationals, detuning, steps, margin
+    ):
+        plan = ResonancePlan(rationals, (detuning, detuning))
+        part = BipartitionSpec(2, (0,))
+        ref_records, ref_purity = fixed_window_run(
+            potential, plan, (0, 0), steps, margin, part
+        )
+        lat = RotorLattice.for_run(potential, (0, 0), steps, auto_grow=True)
+        engine = RotorEngine(potential, plan, lat, auto_grow=True)
+        state = RotorState.momentum_eigenstate(lat, (0, 0))
+        records, purity = [], []
+        for t, current in engine.trajectory(state, steps):
+            records.append(measure_moments(current, t))
+            purity.append(schmidt_purity(current, part))
+        assert engine.grow_events >= 1
+        # <p^2> to 1e-10 relative; <p>, which is zero here, to 1e-10 of
+        # the momentum scale sqrt(<p^2>)
+        for got, ref in zip(records, ref_records, strict=True):
+            for j in range(2):
+                scale = max(ref.second[j], 1.0)
+                assert abs(got.second[j] - ref.second[j]) <= 1e-10 * scale
+                assert abs(got.mean[j] - ref.mean[j]) <= 1e-10 * scale**0.5
+        np.testing.assert_allclose(purity, ref_purity, rtol=0, atol=1e-12)
+
+    def test_only_filling_windows_grow(self):
+        # the secondary-resonance rotor of the scan model stays bounded
+        pot = fig2_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        lat = RotorLattice.for_run(pot, (0, 0), 40, auto_grow=True)
+        engine = RotorEngine(pot, plan, lat, auto_grow=True)
+        engine.evolve(RotorState.momentum_eigenstate(lat, (0, 0)), 40)
+        assert engine.lattice.shape[0] > lat.shape[0]
+        assert engine.lattice.windows[1] == lat.windows[1]
+        assert all(is_smooth(m) for m in engine.lattice.shape)
+
+    def test_trajectory_states_carry_their_marginals(self):
+        # the edge check forms each accepted state's marginals once, and
+        # measure_moments reuses them
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        lat = RotorLattice.for_run(pot, (0, 0), 6, auto_grow=True)
+        engine = RotorEngine(pot, plan, lat, auto_grow=True)
+        state = RotorState.momentum_eigenstate(lat, (0, 0))
+        for t, current in engine.trajectory(state, 6):
+            if t == 0:
+                continue
+            cached = current._marginals
+            assert cached is not None
+            measure_moments(current, t)
+            assert current.momentum_marginals() is cached
