@@ -10,7 +10,7 @@ t_sat = j / sqrt(lambda_plus).  This script prints the predicted
 coefficients, runs the exact unitary evolution, and tabulates the
 simulated-to-predicted ratio as each top approaches its own t_sat.
 
-Run from the repository root (no arguments, ~5 s):
+Run from the repository root (no arguments, ~1 s):
 
     python3 demos/coupled_tops.py
 """

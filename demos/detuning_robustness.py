@@ -8,7 +8,7 @@ and crosses any fixed threshold at an agreement time t_D that scales like
 delta_tau^(-1/2).  This script measures Delta_1(t) for three detunings,
 extracts t_D at the 1% threshold, and fits the scaling exponent.
 
-Run from the repository root (no arguments, ~10 s):
+Run from the repository root (no arguments, ~1 s):
 
     python3 demos/detuning_robustness.py
 """

@@ -10,7 +10,7 @@ coupling alone.  This script classifies three small models, prints the
 closed-form coefficients, and checks a few simulated steps against every
 predicted law.
 
-Run from the repository root (no arguments, ~15 s):
+Run from the repository root (no arguments, ~1 s):
 
     python3 demos/regime_tour.py
 """

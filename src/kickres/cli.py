@@ -8,10 +8,11 @@ Subcommands
     top-simulate  twisted-top run -> moments.csv + entropy.csv (jz_ columns)
 
 All physics parameters come from a YAML config; the only flags are
---config, --out-dir, --seed, --threads, --quiet.  Every subcommand accepts
---threads, but only detune-scan uses it: it runs the ideal and detuned
-trajectories in parallel, and its output bytes do not depend on the
-thread count.  Defaults are
+--config, --out-dir, --seed, --threads, --quiet.  Only detune-scan uses
+--threads: it runs the ideal and detuned trajectories in parallel, and its
+output bytes do not depend on the thread count.  predict and classify have
+no parallel work and reject values above 1; simulate and top-simulate
+accept the flag but run on one thread.  Defaults are
 materialized into an echoed effective config so a run is reproducible
 from its own artifacts, and every CSV cell is written with 17
 significant digits so identical (config, seed) pairs give byte-identical
@@ -58,6 +59,7 @@ from .predictor import (
     crossover_time,
     deviation_series,
     epsilon_moments,
+    epsilon_sample,
     predict_moments,
     slin_exact,
     wavepacket_params,
@@ -906,9 +908,10 @@ def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
     if v_i.is_zero:
         slin_rows = [[t, 0.0, 0.0] for t in range(cfg.steps + 1)]
     else:
-        moments = epsilon_moments(
+        sample = epsilon_sample(
             v_i, shift, density, cfg.part, cfg.samples, cfg.seed
         )
+        moments = epsilon_moments(sample)
         epsilon_block = {
             "eps_plus_sq": moments.eps_plus_sq,
             "eps_minus_sq": moments.eps_minus_sq,
@@ -923,10 +926,7 @@ def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
         }
         if moments.norm > 0.0:
             tstar = crossover_time(moments)
-        estimates = slin_exact(
-            v_i, shift, density, cfg.part, range(cfg.steps + 1),
-            cfg.samples, cfg.seed,
-        )
+        estimates = slin_exact(sample, range(cfg.steps + 1))
         slin_rows = [[e.t, e.value, e.std_error] for e in estimates]
 
     body = {
@@ -1075,6 +1075,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("--seed", "must fit in an unsigned 64-bit value")
         if args.threads < 1:
             raise ConfigError("--threads", "must be >= 1")
+        if args.threads > 1 and args.command in ("predict", "classify"):
+            raise ConfigError(
+                "--threads", f"{args.command} has no parallel work; use 1"
+            )
         cfg = load_config(
             args.config,
             args.command,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -471,55 +471,111 @@ def _check_interaction_inputs(
         )
 
 
-def epsilon_moments(
+def _mean_and_spread(
+    x: np.ndarray, overwrite: bool = False
+) -> tuple[float, float]:
+    """(np.mean(x), np.std(x)) with the mean taken once.
+
+    np.std subtracts the mean, squares, averages and takes the root; doing
+    the same operations on the same mean gives the same bytes.  With
+    overwrite=True the deviations are formed in x itself.
+    """
+    mean = np.mean(x)
+    dev = np.subtract(x, mean, out=x if overwrite else None)
+    np.multiply(dev, dev, out=dev)
+    return float(mean), float(np.sqrt(np.mean(dev)))
+
+
+@dataclass(frozen=True, eq=False)
+class EpsilonSample:
+    """One Monte-Carlo draw of the four-block differences.
+
+    eps_plus[k] and eps_minus[k] are the even and odd interaction parts
+    v_plus, v_minus evaluated at (A,B) + (A',B') - (A',B) - (A,B') for the
+    k-th draw of the four blocks.  The arrays are read-only, so every
+    consumer of one sample sees the same numbers.
+    """
+
+    v_plus: PotentialSpec
+    v_minus: PotentialSpec
+    initial: ProductAngleDensity
+    part: BipartitionSpec
+    sample_count: int
+    eps_plus: np.ndarray
+    eps_minus: np.ndarray
+
+
+def epsilon_sample(
     v_i: PotentialSpec,
     shift_set: frozenset,
     initial: ProductAngleDensity,
     part: BipartitionSpec,
     sample_count: int = 200_000,
     seed=12345,
-) -> EpsilonMoments:
-    """Moments of the four-block differences of the interaction parts.
+) -> EpsilonSample:
+    """Split the interaction by parity and draw its four-block sample once.
 
-    eps_plus and eps_minus evaluate the even/odd interaction parts at
-    (A,B) + (A',B') - (A',B) - (A,B'), with all four blocks drawn
-    independently from the initial angular density.  Second moments are
-    computed exactly; Monte-Carlo estimates supply s_odd = 1 - <cos eps>
-    and standard errors for every reported field.
+    All four blocks are drawn independently from the initial angular
+    density; epsilon_moments and slin_exact both average over the result.
     """
     _check_interaction_inputs(v_i, initial, part, sample_count)
     v_plus, v_minus = decompose(v_i, shift_set)
+    eps_plus, eps_minus = _sample_epsilon_blocks(
+        v_plus, v_minus, initial, part, sample_count, seed
+    )
+    eps_plus.flags.writeable = False
+    eps_minus.flags.writeable = False
+    return EpsilonSample(
+        v_plus=v_plus,
+        v_minus=v_minus,
+        initial=initial,
+        part=part,
+        sample_count=sample_count,
+        eps_plus=eps_plus,
+        eps_minus=eps_minus,
+    )
 
-    atoms_plus = _four_block_atoms(v_plus, part)
-    atoms_minus = _four_block_atoms(v_minus, part)
+
+def epsilon_moments(sample: EpsilonSample) -> EpsilonMoments:
+    """Moments of the four-block differences of the interaction parts.
+
+    Second moments are computed exactly from the parity parts; the draw
+    in `sample` supplies s_odd = 1 - <cos(eps_plus + eps_minus)>, the
+    first moments and standard errors for every reported field.
+    """
+    initial = sample.initial
+    atoms_plus = _four_block_atoms(sample.v_plus, sample.part)
+    atoms_minus = _four_block_atoms(sample.v_minus, sample.part)
     plus_sq = _four_block_product_mean(initial, atoms_plus, atoms_plus)
     minus_sq = _four_block_product_mean(initial, atoms_minus, atoms_minus)
     cross = _four_block_product_mean(initial, atoms_plus, atoms_minus)
     eps_sq = plus_sq + 2 * cross + minus_sq
 
-    eps_plus, eps_minus = _sample_epsilon_blocks(
-        v_plus, v_minus, initial, part, sample_count, seed
+    eps_plus, eps_minus = sample.eps_plus, sample.eps_minus
+    plus_mean, plus_spread = _mean_and_spread(eps_plus)
+    minus_mean, minus_spread = _mean_and_spread(eps_minus)
+    cos_mean, cos_spread = _mean_and_spread(
+        np.cos(eps_plus + eps_minus), overwrite=True
     )
-    cos_eps = np.cos(eps_plus + eps_minus)
-    root = math.sqrt(sample_count)
+    root = math.sqrt(sample.sample_count)
     errors = {
         "eps_plus_sq": float(np.std(eps_plus**2)) / root,
         "eps_minus_sq": float(np.std(eps_minus**2)) / root,
         "eps_cross": float(np.std(eps_plus * eps_minus)) / root,
-        "s_odd": float(np.std(cos_eps)) / root,
-        "eps_plus_mean": float(np.std(eps_plus)) / root,
-        "eps_minus_mean": float(np.std(eps_minus)) / root,
+        "s_odd": cos_spread / root,
+        "eps_plus_mean": plus_spread / root,
+        "eps_minus_mean": minus_spread / root,
     }
     return EpsilonMoments(
         eps_plus_sq=plus_sq,
         eps_minus_sq=minus_sq,
         eps_cross=cross,
         norm=math.sqrt(max(eps_sq, 0.0)),
-        s_odd=float(1.0 - np.mean(cos_eps)),
-        eps_plus_mean=float(np.mean(eps_plus)),
-        eps_minus_mean=float(np.mean(eps_minus)),
+        s_odd=1.0 - cos_mean,
+        eps_plus_mean=plus_mean,
+        eps_minus_mean=minus_mean,
         std_errors=errors,
-        sample_count=sample_count,
+        sample_count=sample.sample_count,
     )
 
 
@@ -534,45 +590,55 @@ class SlinEstimate:
 
 
 def slin_exact(
-    v_i: PotentialSpec,
-    shift_set: frozenset,
-    initial: ProductAngleDensity,
-    part: BipartitionSpec,
-    times: Sequence[int],
-    sample_count: int = 200_000,
-    seed=12345,
+    sample: EpsilonSample, times: Iterable[int]
 ) -> tuple[SlinEstimate, ...]:
     """Closed-form linear entropy at each step in `times`, by Monte Carlo.
 
     Even steps: 1 - <cos(t eps_plus)>.  Odd steps:
     1 - <cos(t eps_plus) cos(eps_minus)> + <sin(t eps_plus) sin(eps_minus)>,
-    i.e. 1 - <cos(t eps_plus + eps_minus)>.  One four-block sample serves
-    every t, so the curve carries common random numbers and, for the same
-    seed and sample count, its t = 1 value is epsilon_moments' s_odd.
-    Returns one SlinEstimate per entry of `times`, in order.
+    i.e. 1 - <cos(t eps_plus + eps_minus)>.  Every t averages over the one
+    draw in `sample`, so the curve carries common random numbers and its
+    t = 1 value is epsilon_moments(sample).s_odd.
+
+    Row t is cos(t eps_plus + [t odd] eps_minus), so it depends on t only
+    through the key (0 if v_plus is zero else t, 0 if v_minus is zero
+    else t mod 2); each key is evaluated once and its value and standard
+    error reused for every step that shares it.  This is exact: a zero
+    part's samples are exactly 0.0, t * 0.0 == 0.0 and x + 0.0 == x (up to
+    the sign of a zero, which cos ignores), so every step gets the bytes
+    it would get on its own.  On an antisymmetric coupling the whole curve
+    is two rows.  Returns one SlinEstimate per entry of `times`, in order.
     """
-    _check_interaction_inputs(v_i, initial, part, sample_count)
-    if any(t < 0 for t in times):
-        raise ValidationError("t must be >= 0")
-    v_plus, v_minus = decompose(v_i, shift_set)
-    eps_plus, eps_minus = _sample_epsilon_blocks(
-        v_plus, v_minus, initial, part, sample_count, seed
-    )
-    root = math.sqrt(sample_count)
-    estimates = []
-    # one t at a time: a (len(times), sample_count) array would dominate
-    # the run's memory
+    times = tuple(times)
     for t in times:
-        if t % 2 == 0:
-            samples = np.cos(t * eps_plus)
-        else:
-            samples = np.cos(t * eps_plus + eps_minus)
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValidationError(f"times must be integers, got {t!r}")
+        if t < 0:
+            raise ValidationError("t must be >= 0")
+    plus_zero = sample.v_plus.is_zero
+    minus_zero = sample.v_minus.is_zero
+    root = math.sqrt(sample.sample_count)
+    # one reused row buffer: a (len(times), sample_count) array would
+    # dominate the run's memory
+    row = np.empty(sample.sample_count)
+    rows = {}
+    estimates = []
+    for t in map(int, times):
+        key = (0 if plus_zero else t, 0 if minus_zero else t % 2)
+        if key not in rows:
+            np.multiply(sample.eps_plus, key[0], out=row)
+            if key[1]:
+                np.add(row, sample.eps_minus, out=row)
+            np.cos(row, out=row)
+            mean, spread = _mean_and_spread(row, overwrite=True)
+            rows[key] = (1.0 - mean, spread / root)
+        value, std_error = rows[key]
         estimates.append(
             SlinEstimate(
                 t=t,
-                value=float(1.0 - np.mean(samples)),
-                std_error=float(np.std(samples)) / root,
-                sample_count=sample_count,
+                value=value,
+                std_error=std_error,
+                sample_count=sample.sample_count,
             )
         )
     return tuple(estimates)

@@ -160,6 +160,23 @@ def svd_purity(matrix):
     return float(np.sum(singular**4))
 
 
+def slin_curve_reference(sample, times):
+    """(t, s_lin, std_error) per step from one four-block draw, the per-step
+    loop that slin_exact's row reuse replaced: a fresh cos, mean and
+    np.std over the whole sample at every t."""
+    root = math.sqrt(sample.sample_count)
+    out = []
+    for t in times:
+        if t % 2 == 0:
+            samples = np.cos(t * sample.eps_plus)
+        else:
+            samples = np.cos(t * sample.eps_plus + sample.eps_minus)
+        out.append(
+            (t, float(1.0 - np.mean(samples)), float(np.std(samples)) / root)
+        )
+    return out
+
+
 def spin_matrices(j):
     """Dense (J_x, J_y, J_z) in the J_z eigenbasis ordered m = -j..j."""
     dim = int(round(2 * j)) + 1

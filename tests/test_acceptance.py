@@ -74,6 +74,7 @@ from kickres import (
     deviation_series,
     displacement_stats,
     epsilon_moments,
+    epsilon_sample,
     epsilon_second_moment,
     measure_moments,
     predict_jz_moments,
@@ -289,7 +290,9 @@ def test_c01_mixed_pair_closed_form_moments_and_entropy(mixed_weak_run):
     assert abs(simulated - S_ODD_UNIT) <= 1e-9
 
     _, _, v_i = split_interaction(MIXED_WEAK, PART.part_a)
-    mc = epsilon_moments(v_i, PLAN_MIXED.shift_set, UNIFORM2, PART)
+    mc = epsilon_moments(
+        epsilon_sample(v_i, PLAN_MIXED.shift_set, UNIFORM2, PART)
+    )
     assert abs(simulated - mc.s_odd) <= 3.0 * mc.std_errors["s_odd"]
     assert abs(simulated - 0.58) <= 0.02
 
@@ -533,7 +536,7 @@ def test_c07_detuning_horizon_scaling(detuning_scan):
 def test_c07_detuned_entropy_offset_prediction():
     _, _, v_i = split_interaction(SECONDARY_PAIR, PART.part_a)
     shift = ResonancePlan(SCAN_RATIONALS).shift_set
-    mc = epsilon_moments(v_i, shift, UNIFORM2, PART)
+    mc = epsilon_moments(epsilon_sample(v_i, shift, UNIFORM2, PART))
     assert abs(mc.s_odd - 0.0099) <= 5e-4
 
 

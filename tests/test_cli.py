@@ -24,6 +24,8 @@ from kickres.cli import (
     load_config,
     main,
 )
+from kickres.potential import PotentialSpec
+from kickres.predictor import ProductAngleDensity
 
 
 def write_config(tmp_path, name, body):
@@ -451,6 +453,29 @@ class TestPredict:
             out3 / "report.yaml"
         ).read_bytes()
 
+    def test_one_draw_per_run(self, tmp_path, monkeypatch):
+        # the epsilon moments and the entropy curve share one four-block
+        # draw: two angle samples (plain and primed) and, on this
+        # antisymmetric coupling, four evaluations of the odd part
+        calls = {"sample": 0, "evaluate": 0}
+
+        def counted(cls, name, key):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(ProductAngleDensity, "sample", "sample")
+        counted(PotentialSpec, "evaluate", "evaluate")
+        body = fig1_body(steps=6)
+        body["predictor"] = {"samples": 20000, "seed": 5}
+        path = write_config(tmp_path, "fig1.yaml", body)
+        assert run("predict", path, tmp_path / "out") == EXIT_OK
+        assert calls == {"sample": 2, "evaluate": 4}
+
     def test_empty_interaction_predict(self, tmp_path):
         body = fig1_body(steps=4)
         body["potential"]["terms"] = [{"coefficient": 0.5, "modes": [1, 0]}]
@@ -645,6 +670,19 @@ def test_threads_flag_validated(tmp_path):
         ]
     )
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["predict", "classify"])
+def test_threads_above_one_rejected_without_parallel_work(
+    tmp_path, capsys, command
+):
+    path = write_config(tmp_path, "fig1.yaml", fig1_body(steps=2))
+    assert run(command, path, tmp_path / "a", "--threads", "2") == (
+        EXIT_VALIDATION
+    )
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert run(command, path, tmp_path / "b", "--threads", "1") == EXIT_OK
 
 
 def test_seed_flag_validated(tmp_path):

@@ -23,6 +23,7 @@ from kickres.predictor import (
     crossover_time,
     deviation_series,
     epsilon_moments,
+    epsilon_sample,
     predict_moments,
     scaling_fit,
     slin_exact,
@@ -41,6 +42,7 @@ from oracles import (
     S_ODD_TENTH,
     S_ODD_UNIT,
     linregress_fit,
+    slin_curve_reference,
     t_quantile,
     uniform_cos_moment,
 )
@@ -235,12 +237,57 @@ class TestPredictMoments:
                 )
 
 
+class TestEpsilonSample:
+    def test_sample_is_read_only(self):
+        _, _, v_i = split_interaction(fig1_potential(), (0,))
+        sample = epsilon_sample(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 3
+        )
+        with pytest.raises(ValueError):
+            sample.eps_plus[0] = 1.0
+        with pytest.raises(ValueError):
+            sample.eps_minus[0] = 1.0
+        with pytest.raises(AttributeError):
+            sample.eps_plus = np.ones(20_000)
+
+    def test_parity_parts_and_sizes(self):
+        _, _, v_i = split_interaction(fig1_potential(), (0,))
+        sample = epsilon_sample(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 3
+        )
+        assert sample.v_plus.is_zero and not sample.v_minus.is_zero
+        assert sample.sample_count == 20_000
+        assert sample.eps_plus.shape == sample.eps_minus.shape == (20_000,)
+        assert not np.any(sample.eps_plus)
+
+    def test_moments_spreads_equal_numpy_std(self):
+        # epsilon_moments takes each mean once and reuses it for the
+        # spread; the standard errors keep np.std's bytes
+        _, _, v_i = split_interaction(fig2_potential(True), (0,))
+        sample = epsilon_sample(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 30_000, 8
+        )
+        em = epsilon_moments(sample)
+        plus, minus = sample.eps_plus, sample.eps_minus
+        root = math.sqrt(30_000)
+        cos_eps = np.cos(plus + minus)
+        assert em.s_odd == float(1.0 - np.mean(cos_eps))
+        assert em.eps_plus_mean == float(np.mean(plus))
+        assert em.eps_minus_mean == float(np.mean(minus))
+        assert em.std_errors["s_odd"] == float(np.std(cos_eps)) / root
+        assert em.std_errors["eps_plus_mean"] == float(np.std(plus)) / root
+        assert em.std_errors["eps_minus_mean"] == (
+            float(np.std(minus)) / root
+        )
+
+
 class TestEpsilonMoments:
     def test_symmetric_coupling_both_secondary(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
-        em = epsilon_moments(
+        sample = epsilon_sample(
             v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 50_000, 7
         )
+        em = epsilon_moments(sample)
         assert em.eps_plus_sq == pytest.approx(0.02, abs=1e-12)
         assert em.eps_minus_sq == pytest.approx(0.0, abs=1e-12)
         assert em.eps_cross == pytest.approx(0.0, abs=1e-12)
@@ -251,46 +298,50 @@ class TestEpsilonMoments:
         scaled = PotentialSpec(
             2, (cosine_term(0.7, (1, -1)),)
         )
-        em = epsilon_moments(
+        sample = epsilon_sample(
             scaled, PLAN_MIXED.shift_set, UNIFORM, PART, 50_000, 7
         )
+        em = epsilon_moments(sample)
         assert em.eps_plus_sq == pytest.approx(0.0, abs=1e-12)
         assert em.eps_minus_sq == pytest.approx(
             2 * 0.7**2, abs=1e-12
         )
         # full-strength variant straight from the figure-1 interaction
-        em_unit = epsilon_moments(
+        sample = epsilon_sample(
             v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 100_000, 11
         )
+        em_unit = epsilon_moments(sample)
         assert em_unit.eps_minus_sq == pytest.approx(2.0, abs=1e-12)
 
     def test_s_odd_matches_bessel_oracle(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
-        em = epsilon_moments(
+        sample = epsilon_sample(
             v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 200_000, 21
         )
+        em = epsilon_moments(sample)
         assert abs(em.s_odd - S_ODD_UNIT) < 3 * em.std_errors["s_odd"]
         assert abs(em.s_odd - 0.58) < 0.02
 
     def test_first_moments_vanish(self):
         _, _, v_i = split_interaction(fig2_potential(True), (0,))
-        em = epsilon_moments(
+        sample = epsilon_sample(
             v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 100_000, 3
         )
+        em = epsilon_moments(sample)
         assert abs(em.eps_plus_mean) < 4 * em.std_errors["eps_plus_mean"]
         assert abs(em.eps_minus_mean) < 4 * em.std_errors["eps_minus_mean"]
 
     def test_sample_floor(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
         with pytest.raises(ValidationError):
-            epsilon_moments(
+            epsilon_sample(
                 v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 9_999, 1
             )
 
     def test_empty_interaction_rejected(self):
         empty = PotentialSpec(2, ())
         with pytest.raises(ValidationError):
-            epsilon_moments(
+            epsilon_sample(
                 empty, PLAN_MIXED.shift_set, UNIFORM, PART, 50_000, 1
             )
 
@@ -298,38 +349,43 @@ class TestEpsilonMoments:
 class TestSlinExact:
     def test_antisymmetric_even_steps_vanish(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
-        for est in slin_exact(
-            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, (0, 2, 6), 50_000, 5
-        ):
+        sample = epsilon_sample(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 50_000, 5
+        )
+        for est in slin_exact(sample, (0, 2, 6)):
             assert est.value == pytest.approx(0.0, abs=1e-14)
             assert est.std_error == pytest.approx(0.0, abs=1e-14)
 
     def test_antisymmetric_odd_steps_constant(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
-        estimates = slin_exact(
-            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, (1, 3, 11), 50_000, 5
+        sample = epsilon_sample(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 50_000, 5
         )
+        estimates = slin_exact(sample, (1, 3, 11))
         values = [est.value for est in estimates]
         assert values[0] == values[1] == values[2]
-        (est,) = slin_exact(
-            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, (1,), 400_000, 17
+        sample = epsilon_sample(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 400_000, 17
         )
+        (est,) = slin_exact(sample, (1,))
         assert abs(est.value - S_ODD_UNIT) < 3 * est.std_error
 
     def test_symmetric_small_t_quadratic(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
-        for est in slin_exact(
-            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, (1, 2, 4), 200_000, 9
-        ):
+        sample = epsilon_sample(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 200_000, 9
+        )
+        for est in slin_exact(sample, (1, 2, 4)):
             t = est.t
             assert abs(est.value - 0.01 * t * t) / (0.01 * t * t) < 0.1
 
     def test_symmetric_saturation_band(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
         times = (142, 143, 200)  # ||eps|| t > 20
-        for est in slin_exact(
-            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, times, 100_000, 13
-        ):
+        sample = epsilon_sample(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 100_000, 13
+        )
+        for est in slin_exact(sample, times):
             assert 0.9 <= est.value <= 1.0
 
     def test_monte_carlo_matches_bessel_series(self):
@@ -337,9 +393,10 @@ class TestSlinExact:
         # quartic Bessel sum for <cos(t eps)>
         v_i = PotentialSpec(2, (cosine_term(0.1, (1, -1)),))
         shift = PLAN_BOTH.shift_set
-        for est in slin_exact(
-            v_i, shift, UNIFORM, PART, (1, 3, 7), 400_000, 31
-        ):
+        sample = epsilon_sample(
+            v_i, shift, UNIFORM, PART, 400_000, 31
+        )
+        for est in slin_exact(sample, (1, 3, 7)):
             exact = 1.0 - uniform_cos_moment(0.1, est.t)
             assert abs(est.value - exact) < 3 * est.std_error
 
@@ -347,26 +404,67 @@ class TestSlinExact:
         # exact closed form: S_lin(t) = 1 - sum_n J_n(xi t)^4, so the
         # remainder against (eps^2/2) t^2 must scale like t^4
         v_i = PotentialSpec(2, (cosine_term(0.1, (1, -1)),))
-        em = epsilon_moments(
+        sample = epsilon_sample(
             v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 50_000, 2
         )
+        em = epsilon_moments(sample)
         residuals = [
             abs((1.0 - uniform_cos_moment(0.1, t)) - 0.5 * em.eps_sq * t**2)
             for t in (1, 2)
         ]
         assert 14.0 < residuals[1] / residuals[0] < 18.0
-        (est,) = slin_exact(
-            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, (1,), 400_000, 43
+        sample = epsilon_sample(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 400_000, 43
         )
+        (est,) = slin_exact(sample, (1,))
         assert abs(est.value - (1.0 - uniform_cos_moment(0.1, 1))) < (
             3 * est.std_error
         )
 
+    @pytest.mark.parametrize(
+        "potential, plan",
+        [
+            (fig1_potential, PLAN_MIXED),  # eps_plus == 0
+            (fig2_potential, PLAN_BOTH),  # eps_minus == 0
+            (lambda: fig2_potential(True), PLAN_BOTH),  # neither
+        ],
+        ids=["antisymmetric", "symmetric", "mixed"],
+    )
+    def test_row_reuse_matches_per_step_reference(self, potential, plan):
+        _, _, v_i = split_interaction(potential(), (0,))
+        sample = epsilon_sample(v_i, plan.shift_set, UNIFORM, PART, 20_000, 6)
+        times = (0, 1, 2, 3, 4, 7, 8, 3, 0, 30, 31, 12)
+        got = [
+            (est.t, est.value, est.std_error)
+            for est in slin_exact(sample, times)
+        ]
+        assert got == slin_curve_reference(sample, times)
+
+    def test_generator_times_are_read_once(self):
+        _, _, v_i = split_interaction(fig2_potential(), (0,))
+        sample = epsilon_sample(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 20_000, 4
+        )
+        from_tuple = slin_exact(sample, tuple(range(5)))
+        from_generator = slin_exact(sample, (t for t in range(5)))
+        assert from_generator == from_tuple
+        assert [est.t for est in from_generator] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("bad", [3.5, True, -1, "2"])
+    def test_non_integer_or_negative_steps_rejected(self, bad):
+        _, _, v_i = split_interaction(fig1_potential(), (0,))
+        sample = epsilon_sample(
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 4
+        )
+        with pytest.raises(ValidationError):
+            slin_exact(sample, (0, 1, bad))
+
     def test_crossover_time(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
-        em = epsilon_moments(
+        sample = epsilon_sample(
             v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 50_000, 7
         )
+        em = epsilon_moments(sample)
         assert crossover_time(em) == pytest.approx(
             1.0 / (math.sqrt(2) * 0.1), rel=1e-12
         )
@@ -396,15 +494,10 @@ class TestSlinExact:
             if t == 0:
                 continue
             s_lin = 1.0 - schmidt_purity(state, PART)
-            (est,) = slin_exact(
-                v_i,
-                PLAN_MIXED.shift_set,
-                UNIFORM,
-                PART,
-                (t,),
-                200_000,
-                t,
+            sample = epsilon_sample(
+                v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 200_000, t
             )
+            (est,) = slin_exact(sample, (t,))
             band = max(3 * est.std_error, 1e-10)
             assert abs(s_lin - est.value) <= band
 
