@@ -9,16 +9,24 @@ so at the principal resonance the twist is the identity and at the
 secondary resonance it reduces to the exact pi-rotation
 exp(-i pi J_nz) about the z axis.
 
-The one-cycle map is U = U_f U_k (twist first).  Because H_f is
-diagonal in the product J_x eigenbasis, the field step is applied by
-rotating each axis into that eigenbasis with a precomputed single-top
-orthogonal transform; no matrix exponentials are taken at run time.
+The one-cycle map is U = U_f U_k (twist first).  H_f is diagonal in the
+product J_x eigenbasis, so the engine keeps each state's amplitudes in
+that frame between steps and the field step is one elementwise phase.
+Each top's twist is taken into the same frame once, when the engine is
+built: at exact principal resonance it is skipped, at exact secondary
+resonance the pi-rotation maps J_x to -J_x and becomes a signed reversal
+of that axis (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and any
+other rational or a detuning keeps the dense matrix W^T T W.  A state's
+J_z-basis amplitudes are rotated back from the J_x frame, one
+single-top transform per axis, only when they are read; no matrix
+exponentials are taken at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -122,6 +130,19 @@ class TopSpec:
     def shift_set(self) -> frozenset:
         return self.plan.shift_set
 
+    @cached_property
+    def _jx_eigenbasis(self) -> tuple:
+        """(eigenvalues, W) of one top's J_x, J_x = W diag W^T.
+
+        J_x is real symmetric, so W is real orthogonal.  It is held as a
+        complex array: a real product over a float view of the amplitudes
+        does half the flops, but at j = 50 its last bits change with the
+        BLAS thread count, and the complex product's do not.
+        """
+        j_x, _ = build_spin_ops(self.j_tot)
+        values, vectors = np.linalg.eigh(j_x.real)
+        return values, vectors.astype(complex)
+
     def field_parity(self, term: FieldTerm) -> int:
         """Parity of a term under flipping J_nx -> -J_nx for n in the
         pi-rotated set."""
@@ -129,7 +150,14 @@ class TopSpec:
 
 
 class TopState:
-    """Normalized amplitude tensor over the product J_z eigenbasis."""
+    """Normalized amplitude tensor over the product J_z eigenbasis.
+
+    States made by TopEngine hold their amplitudes over the product J_x
+    eigenbasis instead; ``amplitudes`` rotates them back on first read.
+    A state built from J_z amplitudes is rotated into the J_x frame on
+    first use by the engine.  Either copy is kept once made: a state's
+    amplitudes are not changed after construction.
+    """
 
     def __init__(self, spec: TopSpec, amplitudes: np.ndarray):
         amps = np.asarray(amplitudes, dtype=complex)
@@ -137,13 +165,40 @@ class TopState:
             raise ValidationError(
                 f"amplitude shape {amps.shape} does not match {spec.shape}"
             )
-        norm = np.linalg.norm(amps)
+        self.spec = spec
+        self._jz = amps
+        self._jx = None
+        self._check_norm()
+
+    @classmethod
+    def _from_jx(cls, spec: TopSpec, jx_amplitudes: np.ndarray) -> "TopState":
+        state = cls.__new__(cls)
+        state.spec = spec
+        state._jz = None
+        state._jx = jx_amplitudes
+        state._check_norm()
+        return state
+
+    def _check_norm(self) -> None:
+        norm = self.norm()
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(
                 f"state norm {norm} deviates from 1 beyond 1e-10"
             )
-        self.spec = spec
-        self.amplitudes = amps
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._jz is None:
+            _, basis = self.spec._jx_eigenbasis
+            self._jz = _rotate_axes(self._jx, basis)
+        return self._jz
+
+    def _jx_amplitudes(self) -> np.ndarray:
+        """Amplitudes over the product J_x eigenbasis."""
+        if self._jx is None:
+            _, basis = self.spec._jx_eigenbasis
+            self._jx = _rotate_axes(self._jz, basis.T)
+        return self._jx
 
     @classmethod
     def jz_product(cls, spec: TopSpec, m_values: Sequence[int]) -> "TopState":
@@ -176,7 +231,11 @@ class TopState:
         return cls(spec, amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # Either frame gives the norm (the change of frame is unitary).
+        # One contiguous pass; np.linalg.norm splits a complex array into
+        # two strided ones.
+        amps = self._jz if self._jz is not None else self._jx
+        return math.sqrt(np.vdot(amps, amps).real)
 
 
 def build_spin_ops(j_tot: int):
@@ -193,30 +252,65 @@ def build_spin_ops(j_tot: int):
     return j_x, j_z
 
 
+def _along_axis(amps: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """``matrix`` applied to one axis of a (dim,) * N amplitude tensor.
+
+    One matrix product over a reshaped view, with no axis moved: the
+    last axis is contracted from the right, any other one from the left
+    of a (before, dim, after) stack.
+    """
+    dim = matrix.shape[0]
+    after = amps.size // dim ** (axis + 1)
+    if after == 1:
+        return (amps.reshape(-1, dim) @ matrix.T).reshape(amps.shape)
+    return (matrix @ amps.reshape(-1, dim, after)).reshape(amps.shape)
+
+
+def _rotate_axes(amps: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` applied to every axis: a change of single-top basis."""
+    for axis in range(amps.ndim):
+        amps = _along_axis(amps, matrix, axis)
+    return amps
+
+
 class TopEngine:
     """Applies the one-cycle map U = U_f U_k for a TopSpec."""
 
     def __init__(self, spec: TopSpec):
         self.spec = spec
-        j = spec.j_tot
-        dim = spec.dimension
-        j_x, j_z = build_spin_ops(j)
-        self.j_x = j_x
-        self.j_z = j_z
-        values, vectors = np.linalg.eigh(j_x)
-        self._x_values = values
-        self._x_rotation = vectors  # J_x = W diag(values) W^dagger
-        m = np.arange(-j, j + 1)
-        self._twist_phase = []
-        for n in range(spec.top_count):
-            r, s = spec.plan.rationals[n]
-            residue = (r % s) * ((m * m) % s) % s
-            phase = np.exp(-2j * np.pi * residue / s)
-            delta = spec.plan.detunings[n]
-            if delta:
-                phase = phase * np.exp(-1j * delta * (m * m) / (2.0 * j))
-            self._twist_phase.append(phase)
+        self._x_values, basis = spec._jx_eigenbasis
+        self._twist_x = tuple(
+            self._jx_frame_twist(n, basis) for n in range(spec.top_count)
+        )
         self._field_phase = np.exp(-1j * self._field_diagonal())
+
+    def _jx_frame_twist(self, n: int, basis: np.ndarray) -> tuple:
+        """(form, operand) of top n's twist over its J_x eigenbasis.
+
+        ``skip``: exact principal resonance, the phase is exactly 1.
+        ``reverse``: exact secondary resonance; exp(-i pi J_z) maps the
+        J_x eigenvalue k to -k, so W^T T W is a reversal of the axis
+        times the +-1 vector returned (shaped to broadcast on axis n).
+        ``dense``: any other rational or a detuning, the matrix W^T T W.
+        """
+        spec = self.spec
+        j = spec.j_tot
+        r, s = spec.plan.rationals[n]
+        delta = spec.plan.detunings[n]
+        if s == 1 and delta == 0.0:
+            return "skip", None
+        m = np.arange(-j, j + 1)
+        residue = (r % s) * ((m * m) % s) % s
+        phase = np.exp(-2j * np.pi * residue / s)
+        if delta:
+            phase = phase * np.exp(-1j * delta * (m * m) / (2.0 * j))
+        dense = basis.T @ (phase[:, None] * basis)
+        if s == 2 and delta == 0.0:
+            shape = [1] * spec.top_count
+            shape[n] = spec.dimension
+            signs = np.rint(np.diagonal(dense[:, ::-1]).real)
+            return "reverse", signs.reshape(shape)
+        return "dense", dense
 
     def _field_diagonal(self) -> np.ndarray:
         """H_f eigenvalue grid over the product J_x eigenbasis."""
@@ -237,29 +331,19 @@ class TopEngine:
             grid = grid + scale * factor
         return grid
 
-    def _axis_transform(
-        self, amps: np.ndarray, matrix: np.ndarray, axis: int
-    ) -> np.ndarray:
-        moved = np.tensordot(matrix, amps, axes=([1], [axis]))
-        return np.moveaxis(moved, 0, axis)
-
     def twist(self, state: TopState) -> TopState:
-        amps = state.amplitudes.copy()
-        for n in range(self.spec.top_count):
-            shape = [1] * self.spec.top_count
-            shape[n] = self.spec.dimension
-            amps *= self._twist_phase[n].reshape(shape)
-        return TopState(self.spec, amps)
+        amps = state._jx_amplitudes()
+        for n, (form, operand) in enumerate(self._twist_x):
+            if form == "reverse":
+                amps = np.flip(amps, n) * operand
+            elif form == "dense":
+                amps = _along_axis(amps, operand, n)
+        return TopState._from_jx(self.spec, amps)
 
     def field_rotation(self, state: TopState) -> TopState:
-        amps = state.amplitudes
-        rot = self._x_rotation
-        for n in range(self.spec.top_count):
-            amps = self._axis_transform(amps, rot.conj().T, n)
-        amps = amps * self._field_phase
-        for n in range(self.spec.top_count):
-            amps = self._axis_transform(amps, rot, n)
-        return TopState(self.spec, amps)
+        return TopState._from_jx(
+            self.spec, state._jx_amplitudes() * self._field_phase
+        )
 
     def step(self, state: TopState) -> TopState:
         return self.field_rotation(self.twist(state))
@@ -282,42 +366,27 @@ class TopEngine:
     # ------------------------------------------------------------------
     # observables
 
-    def _jz_weights(self, state: TopState, axis: int) -> np.ndarray:
-        prob = np.abs(state.amplitudes) ** 2
-        axes = tuple(
-            n for n in range(self.spec.top_count) if n != axis
-        )
-        return prob.sum(axis=axes)
-
     def measure_jz_moments(self, state: TopState, t: int = 0) -> MomentRecord:
         j = self.spec.j_tot
         m = np.arange(-j, j + 1, dtype=float)
-        means, seconds = [], []
-        for n in range(self.spec.top_count):
-            weights = self._jz_weights(state, n)
-            means.append(float(weights @ m))
-            seconds.append(float(weights @ m**2))
-        return MomentRecord(
-            t=int(t), mean=tuple(means), second=tuple(seconds)
-        )
+        return _axis_moments(np.abs(state.amplitudes) ** 2, m, t)
 
     def measure_jx_moments(self, state: TopState, t: int = 0) -> MomentRecord:
-        amps = state.amplitudes
-        rot = self._x_rotation
-        for n in range(self.spec.top_count):
-            amps = self._axis_transform(amps, rot.conj().T, n)
-        prob = np.abs(amps) ** 2
-        means, seconds = [], []
-        for n in range(self.spec.top_count):
-            axes = tuple(
-                k for k in range(self.spec.top_count) if k != n
-            )
-            weights = prob.sum(axis=axes)
-            means.append(float(weights @ self._x_values))
-            seconds.append(float(weights @ self._x_values**2))
-        return MomentRecord(
-            t=int(t), mean=tuple(means), second=tuple(seconds)
+        prob = np.abs(state._jx_amplitudes()) ** 2
+        return _axis_moments(prob, self._x_values, t)
+
+
+def _axis_moments(prob: np.ndarray, values: np.ndarray, t: int) -> MomentRecord:
+    """First and second moments of ``values`` under each axis marginal
+    of the probability tensor ``prob``."""
+    means, seconds = [], []
+    for n in range(prob.ndim):
+        weights = prob.sum(
+            axis=tuple(k for k in range(prob.ndim) if k != n)
         )
+        means.append(float(weights @ values))
+        seconds.append(float(weights @ values**2))
+    return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
 
 
 def top_purity(state: TopState, part: BipartitionSpec) -> float:

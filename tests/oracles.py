@@ -20,6 +20,7 @@ from kickres.rotor_engine import (
     RotorState,
     measure_moments,
 )
+from kickres.top_engine import build_spin_ops
 
 # Linear entropy plateau 1 - sum_n J_n(xi)^4 for a one-term coupling of
 # strength xi with uniform initial angles (momentum eigenstates).  Values
@@ -188,3 +189,44 @@ def spin_matrices(j):
     jx = (jp + jp.T) / 2.0
     jy = (jp - jp.T) / 2j
     return jx, jy, jz
+
+
+def _top_axis_transform(amps, matrix, axis):
+    moved = np.tensordot(matrix, amps, axes=([1], [axis]))
+    return np.moveaxis(moved, 0, axis)
+
+
+def jz_frame_top_run(engine, amplitudes, steps):
+    """J_z-basis amplitudes after 0..steps kick cycles of a TopEngine's
+    model, stepped entirely in the J_z frame: the per-step path the
+    J_x-frame propagation replaced.
+
+    Each cycle multiplies every axis by its twist phase (rebuilt here from
+    the plan's rationals and detunings), rotates every axis into the J_x
+    eigenbasis, applies the engine's field phase and rotates every axis
+    back.  Only the field phase grid is taken from the engine.
+    """
+    spec = engine.spec
+    j = spec.j_tot
+    m = np.arange(-j, j + 1)
+    twist = []
+    for (r, s), delta in zip(spec.plan.rationals, spec.plan.detunings):
+        phase = np.exp(-2j * np.pi * ((r % s) * ((m * m) % s) % s) / s)
+        if delta:
+            phase = phase * np.exp(-1j * delta * (m * m) / (2.0 * j))
+        twist.append(phase)
+    _, rot = np.linalg.eigh(build_spin_ops(j)[0])
+    amps = np.array(amplitudes, dtype=complex)
+    out = [amps]
+    for _ in range(steps):
+        for n in range(spec.top_count):
+            shape = [1] * spec.top_count
+            shape[n] = spec.dimension
+            amps = amps * twist[n].reshape(shape)
+        for n in range(spec.top_count):
+            amps = _top_axis_transform(amps, rot.conj().T, n)
+        amps = amps * engine._field_phase
+        for n in range(spec.top_count):
+            amps = _top_axis_transform(amps, rot, n)
+        out.append(amps)
+    return out

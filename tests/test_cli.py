@@ -634,6 +634,43 @@ class TestTopSimulate:
         _, entropy_rows = read_csv(out / "entropy.csv")
         assert entropy_rows[0][1] == pytest.approx(1.0)
 
+    def test_moments_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the J_x-frame back-rotation must not bring thread-dependent bits
+        # into moments.csv; entropy.csv is not compared (its purity
+        # kernel's bytes still depend on the BLAS thread count)
+        fig7 = Path(__file__).resolve().parents[1] / "configs" / "fig7.yaml"
+        body = yaml.safe_load(fig7.read_text())
+        body["steps"] = 50
+        path = write_config(tmp_path, "fig7_short.yaml", body)
+        src = str(Path(kickres.__file__).resolve().parents[1])
+        moments = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (src, env.get("PYTHONPATH")))
+            )
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads{threads}"
+            done = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "kickres.cli",
+                    "top-simulate",
+                    "--config",
+                    str(path),
+                    "--out-dir",
+                    str(out),
+                    "--quiet",
+                ],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            moments.append((out / "moments.csv").read_bytes())
+        assert moments[0] == moments[1]
+
     def test_purity_workspace_cap_exit_code(self, tmp_path):
         # the 5 x 5 state fits the cap of 30, its purity workspace does not
         body = top_body(steps=2)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import block_matrix, dense_purity, spin_matrices, svd_purity
+from oracles import (
+    block_matrix,
+    dense_purity,
+    jz_frame_top_run,
+    spin_matrices,
+    svd_purity,
+)
 
 from kickres.entanglement import BipartitionSpec, product_basis_purity
 from kickres.errors import ResourceCapError, ValidationError
@@ -289,6 +295,128 @@ class TestDenseOracle:
         engine = TopEngine(spec)
         with pytest.raises(ValidationError):
             list(engine.trajectory(random_state(spec, 1), -1))
+
+
+FIG7_SPEC = TopSpec(
+    top_count=2,
+    j_tot=50,
+    plan=make_plan((1, 1), (1, 2)),
+    field_terms=(
+        FieldTerm(1e-4, (1, 0)),
+        FieldTerm(0.02, (0, 2)),
+        FieldTerm(0.005, (1, 1)),
+        FieldTerm(5e-4, (1, 2)),
+    ),
+)
+
+
+def assert_matches_jz_frame_oracle(spec, state, steps, part):
+    """Amplitudes, J_z moments and purity along the engine's J_x-frame
+    trajectory against the J_z-frame stepping in tests/oracles."""
+    engine = TopEngine(spec)
+    reference = jz_frame_top_run(engine, state.amplitudes, steps)
+    j = spec.j_tot
+    m = np.arange(-j, j + 1, dtype=float)
+    for (t, current), amps in zip(
+        engine.trajectory(state, steps), reference
+    ):
+        gap = np.max(np.abs(current.amplitudes - amps))
+        assert gap <= 1e-12, f"amplitudes off by {gap:.3g} at t={t}"
+        record = engine.measure_jz_moments(current, t)
+        prob = np.abs(amps) ** 2
+        for n in range(spec.top_count):
+            others = tuple(k for k in range(spec.top_count) if k != n)
+            weights = prob.sum(axis=others)
+            # <J_z> scales with j and is noise-sized on these runs;
+            # <J_z^2> is compared relative to its value
+            assert abs(record.mean[n] - weights @ m) <= 1e-12 * j
+            second = weights @ m**2
+            assert abs(record.second[n] - second) <= 1e-12 * max(
+                second, j
+            )
+        purity = top_purity(TopState(spec, amps), part)
+        assert abs(top_purity(current, part) - purity) <= 1e-12
+    assert t == steps
+
+
+class TestJxFramePropagation:
+    def test_fig7_model_matches_jz_frame_oracle(self):
+        # principal top: twist skipped; secondary top: signed reversal
+        state = TopState.jz_product(FIG7_SPEC, (0, 0))
+        part = BipartitionSpec(rotor_count=2, part_a=(0,))
+        assert_matches_jz_frame_oracle(FIG7_SPEC, state, 200, part)
+
+    def test_dense_twists_match_jz_frame_oracle(self):
+        # a 1/3 twist and a detuned 1/2 twist keep the dense W^T T W
+        spec = TopSpec(
+            top_count=2,
+            j_tot=6,
+            plan=make_plan((1, 3), (1, 2), detunings=(0.0, 0.3)),
+            field_terms=(
+                FieldTerm(0.7, (1, 0)),
+                FieldTerm(-0.4, (0, 1)),
+                FieldTerm(0.25, (1, 1)),
+                FieldTerm(0.15, (1, 2)),
+            ),
+        )
+        part = BipartitionSpec(rotor_count=2, part_a=(0,))
+        assert_matches_jz_frame_oracle(spec, random_state(spec, 3), 100, part)
+
+    def test_three_tops_with_split_block_match_jz_frame_oracle(self):
+        spec = TopSpec(
+            top_count=3,
+            j_tot=3,
+            plan=make_plan((1, 1), (1, 2), (2, 3)),
+            field_terms=(
+                FieldTerm(0.4, (1, 0, 0)),
+                FieldTerm(0.3, (0, 1, 1)),
+                FieldTerm(0.5, (1, 0, 2)),
+                FieldTerm(-0.2, (1, 1, 1)),
+            ),
+        )
+        part = BipartitionSpec(rotor_count=3, part_a=(0, 2))
+        assert_matches_jz_frame_oracle(spec, random_state(spec, 5), 100, part)
+
+    def test_twist_form_follows_the_plan(self):
+        cases = [
+            ((1, 1), 0.0, "skip"),
+            ((2, 1), 0.0, "skip"),
+            ((1, 2), 0.0, "reverse"),
+            ((3, 2), 0.0, "reverse"),
+            ((1, 1), 1e-3, "dense"),
+            ((1, 2), 0.3, "dense"),
+            ((1, 3), 0.0, "dense"),
+            ((1, 4), 0.0, "dense"),
+        ]
+        spec = TopSpec(
+            top_count=len(cases),
+            j_tot=1,
+            plan=make_plan(
+                *[ratio for ratio, _, _ in cases],
+                detunings=[delta for _, delta, _ in cases],
+            ),
+            field_terms=(),
+        )
+        engine = TopEngine(spec)
+        forms = [form for form, _ in engine._twist_x]
+        assert forms == [form for _, _, form in cases]
+        for form, operand in engine._twist_x:
+            if form == "reverse":
+                assert set(np.ravel(operand)) <= {-1.0, 1.0}
+
+    def test_frames_are_converted_once_and_only_when_read(self):
+        state = TopState.jz_product(FIG7_SPEC, (0, 0))
+        assert state._jx is None
+        engine = TopEngine(FIG7_SPEC)
+        stepped = engine.step(state)
+        rotated_in = state._jx
+        assert rotated_in is not None
+        engine.step(state)
+        assert state._jx is rotated_in
+        assert stepped._jz is None
+        amps = stepped.amplitudes
+        assert stepped.amplitudes is amps
+        assert abs(stepped.norm() - 1.0) < 1e-12
 
 
 class TestConservation:
