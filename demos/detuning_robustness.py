@@ -29,6 +29,7 @@ from kickres import (
     cosine_term,
     deviation_series,
     measure_moments,
+    observe,
     scaling_fit,
 )
 
@@ -51,7 +52,8 @@ def moment_run(plan, steps):
     lattice = RotorLattice.for_run(POTENTIAL, momenta, steps, auto_grow=True)
     engine = RotorEngine(POTENTIAL, plan, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
-    return [measure_moments(s, t) for t, s in engine.trajectory(state, steps)]
+    series, _ = observe(engine, state, steps, measure_moments)
+    return series
 
 
 def main() -> None:

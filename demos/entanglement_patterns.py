@@ -35,6 +35,8 @@ from kickres import (
     crossover_time,
     epsilon_moments,
     epsilon_sample,
+    measure_moments,
+    observe,
     schmidt_purity,
     slin_exact,
     split_interaction,
@@ -64,10 +66,14 @@ def entropy_series(potential, steps):
     lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
     engine = RotorEngine(potential, PLAN, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
-    return [
-        1.0 - schmidt_purity(current, PART)
-        for _, current in engine.trajectory(state, steps)
-    ]
+    _, purities = observe(
+        engine,
+        state,
+        steps,
+        measure_moments,
+        lambda current: schmidt_purity(current, PART),
+    )
+    return [1.0 - p for p in purities]
 
 
 def main() -> None:

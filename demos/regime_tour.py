@@ -28,8 +28,8 @@ from kickres import (
     RotorState,
     classify_regimes,
     cosine_term,
-    displacement_stats,
     measure_moments,
+    observe,
     predict_moments,
     schmidt_purity,
     term_text,
@@ -88,11 +88,14 @@ def simulate(potential, plan, steps):
     lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
     engine = RotorEngine(potential, plan, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
-    records, entropy = [], []
-    for t, current in engine.trajectory(state, steps):
-        records.append(measure_moments(current, t))
-        entropy.append(1.0 - schmidt_purity(current, PART))
-    return displacement_stats(records), entropy
+    series, purities = observe(
+        engine,
+        state,
+        steps,
+        measure_moments,
+        lambda current: schmidt_purity(current, PART),
+    )
+    return series, [1.0 - p for p in purities]
 
 
 def main() -> None:

@@ -10,9 +10,8 @@ Subcommands
 All physics parameters come from a YAML config; the only flags are
 --config, --out-dir, --seed, --threads, --quiet.  Only detune-scan uses
 --threads: it runs the ideal and detuned trajectories in parallel, and its
-output bytes do not depend on the thread count.  predict and classify have
-no parallel work and reject values above 1; simulate and top-simulate
-accept the flag but run on one thread.  Defaults are
+output bytes do not depend on the thread count.  The other subcommands
+have no parallel work and reject values above 1.  Defaults are
 materialized into an echoed effective config so a run is reproducible
 from its own artifacts, and every CSV cell is written with 17
 significant digits so identical (config, seed) pairs give byte-identical
@@ -28,7 +27,6 @@ import hashlib
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -71,8 +69,8 @@ from .rotor_engine import (
     RotorEngine,
     RotorLattice,
     RotorState,
-    displacement_stats,
     measure_moments,
+    observe,
 )
 from .top_engine import (
     FieldTerm,
@@ -780,20 +778,21 @@ def _rotor_run_pieces(cfg: ExperimentConfig):
 def _simulate_files(
     cfg: ExperimentConfig, engine, state, measure, purity, prefix: str
 ):
-    """Moments and entropy along engine.trajectory -> (files, warnings).
+    """Moments and entropy along the run -> (files, warnings).
 
     ``measure(state, t)`` gives the step's MomentRecord and
     ``purity(state, part)`` its bipartite purity; entropy rows are
     omitted for a single body.
     """
-    records = []
-    entropy_rows = []
-    for t, current in engine.trajectory(state, cfg.steps):
-        records.append(measure(current, t))
-        if cfg.part is not None:
-            value = purity(current, cfg.part)
-            entropy_rows.append([t, value, 1.0 - value])
-    series = displacement_stats(records)
+    part = cfg.part
+    series, purities = observe(
+        engine,
+        state,
+        cfg.steps,
+        measure,
+        None if part is None else lambda current: purity(current, part),
+    )
+    entropy_rows = [[r.t, p, 1.0 - p] for r, p in zip(series, purities)]
     n = cfg.plan.rotor_count
     files = {
         "moments.csv": _csv_text(
@@ -802,7 +801,7 @@ def _simulate_files(
         "entropy.csv": _csv_text(("t", "purity", "s_lin"), entropy_rows),
     }
     warnings = []
-    if cfg.part is None:
+    if part is None:
         warnings.append("entropy undefined for a single body; rows omitted")
     return files, warnings
 
@@ -955,10 +954,8 @@ def _run_single_detuning(cfg, delta_tau, horizon):
         cfg.plan.rationals, (delta_tau,) * cfg.plan.rotor_count
     )
     engine, state = _rotor_run_pieces(replace(cfg, plan=plan, steps=horizon))
-    records = [
-        measure_moments(s, t) for t, s in engine.trajectory(state, horizon)
-    ]
-    return records, _run_record(engine, delta_tau=delta_tau, steps=horizon)
+    series, _ = observe(engine, state, horizon, measure_moments)
+    return series, _run_record(engine, delta_tau=delta_tau, steps=horizon)
 
 
 def run_detune_scan(
@@ -968,6 +965,10 @@ def run_detune_scan(
     ideal_horizon = max(max(cfg.horizons), cfg.steps)
     jobs = [(0.0, ideal_horizon)] + list(zip(cfg.detunings, cfg.horizons))
     if threads > 1:
+        # imported here: its modules (logging among them) would cost every
+        # other run about 0.8 MiB of memory and their import time
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
                 pool.map(lambda job: _run_single_detuning(cfg, *job), jobs)
@@ -1075,7 +1076,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("--seed", "must fit in an unsigned 64-bit value")
         if args.threads < 1:
             raise ConfigError("--threads", "must be >= 1")
-        if args.threads > 1 and args.command in ("predict", "classify"):
+        if args.threads > 1 and args.command != "detune-scan":
             raise ConfigError(
                 "--threads", f"{args.command} has no parallel work; use 1"
             )

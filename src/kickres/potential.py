@@ -168,25 +168,6 @@ class PotentialSpec:
             out += term.coefficient * np.cos(arg)
         return out
 
-    def gradient(self, rotor: int, thetas: Sequence[np.ndarray]) -> np.ndarray:
-        """dV/dtheta_rotor = -sum_k c_k m_{k,rotor} sin(m_k . theta + phi_k)."""
-        arrays = [np.asarray(th, dtype=float) for th in thetas]
-        if len(arrays) != self.rotor_count:
-            raise ValidationError("need one angle array per rotor")
-        _check_rotor(self, rotor)
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        out = np.zeros(shape)
-        for term in self.terms:
-            mj = term.modes[rotor]
-            if mj == 0:
-                continue
-            arg = term.phase
-            for m, th in zip(term.modes, arrays):
-                if m:
-                    arg = arg + m * th
-            out -= term.coefficient * mj * np.sin(arg)
-        return out
-
 
 def _check_rotor(spec: PotentialSpec, rotor: int) -> None:
     if not 0 <= rotor < spec.rotor_count:
@@ -337,10 +318,6 @@ class ResonancePlan:
         return len(self.rationals)
 
     @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.rationals)
-
-    @property
     def shift_set(self) -> frozenset[int]:
         """Rotors with even resonance order (half-turn shift carriers)."""
         return frozenset(j for j, (_, s) in enumerate(self.rationals) if s % 2 == 0)
@@ -348,15 +325,6 @@ class ResonancePlan:
     @property
     def is_exact(self) -> bool:
         return all(d == 0.0 for d in self.detunings)
-
-    @property
-    def lowest_orders_only(self) -> bool:
-        return all(s in (1, 2) for s in self.orders)
-
-    def tau(self, rotor: int) -> float:
-        """Kicking period as a float (display only - evolution never uses it)."""
-        r, s = self.rationals[rotor]
-        return 2.0 * TWO_PI * r / s + self.detunings[rotor]
 
 
 def satisfies_resonance_symmetry(spec: PotentialSpec, plan: ResonancePlan) -> bool:

@@ -676,19 +676,17 @@ def classify_regimes(
 ) -> RegimeReport:
     """Map symmetry classes to the predicted dynamical regimes.
 
-    The plan must be at the two lowest resonance orders or satisfy the
-    higher-order factorization condition; classification then uses the
-    even-order shift set.  Selection-rule flags record the compatibility
-    between the interaction class and the classes of the rotors it
-    couples (a purely even interaction cannot make a participating
-    rotor's effective potential purely odd, and vice versa).
+    The plan must satisfy the factorization symmetry condition, as every
+    plan at the two lowest resonance orders does; classification then
+    uses the even-order shift set.  Selection-rule flags record the
+    compatibility between the interaction class and the classes of the
+    rotors it couples (a purely even interaction cannot make a
+    participating rotor's effective potential purely odd, and vice versa).
     """
     if potential.rotor_count != part.rotor_count:
         raise ValidationError("bipartition rotor count mismatch")
     exact = ResonancePlan(plan.rationals)
-    if not exact.lowest_orders_only and not satisfies_resonance_symmetry(
-        potential, exact
-    ):
+    if not satisfies_resonance_symmetry(potential, exact):
         raise ValidationError(
             "higher-order plan violates the factorization symmetry "
             "condition; classification is undefined"

@@ -4,10 +4,12 @@ States live on per-rotor integer momentum windows.  A kick is a circular
 convolution done by FFT to the angle grid, pointwise phase multiplication,
 and FFT back; free rotation is diagonal in momentum with the rational part
 of its phase reduced by integer modular arithmetic, so no accuracy is lost
-at large momentum.  Besides the generic per-step propagator there are two
-closed-form paths: the lowest-resonance factorization (one accumulated
-kick plus a parity phase) and its dressed-operator generalization to
-higher resonance orders under the translation-symmetry condition.
+at large momentum.  Besides the generic per-step propagator there is one
+closed-form path, ``dressed_evolve``: one accumulated kick plus the
+momentum phases of t free rotations, valid at any exact resonance whose
+potential meets the translation-symmetry condition (which orders 1 and 2
+always do).  ``observe`` is the one loop that steps an engine and
+records each state's moments and, optionally, its purity.
 
 Windows follow the occupied support.  A growing run (``auto_grow``)
 starts on the bandwidth reach of its first ``START_STEPS`` kicks plus the
@@ -264,10 +266,11 @@ class RotorState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentRecord:
     """Per-step momentum moments; displacement fields are filled against
-    the t=0 reference by displacement_stats."""
+    the t=0 reference by displacement_stats.  Slotted: a run keeps one
+    per step, and a slotted record is a third smaller."""
 
     t: int
     mean: tuple[float, ...]
@@ -317,6 +320,27 @@ def displacement_stats(series: Sequence[MomentRecord]) -> list[MomentRecord]:
             )
         )
     return out
+
+
+def observe(
+    engine, state, steps: int, measure, purity=None
+) -> tuple[list[MomentRecord], list[float]]:
+    """Step ``engine`` from ``state`` and observe every state it yields.
+
+    ``engine`` is a RotorEngine or a TopEngine: anything whose
+    ``trajectory(state, steps)`` yields (t, state) for t = 0..steps.
+    ``measure(state, t)`` gives each step's MomentRecord and
+    ``purity(state)``, when given, its bipartite purity.  Returns the
+    displacement_stats series and the purities (empty without
+    ``purity``).  A TruncationError from the trajectory passes through
+    unchanged, naming its step.
+    """
+    records, purities = [], []
+    for t, current in engine.trajectory(state, steps):
+        records.append(measure(current, t))
+        if purity is not None:
+            purities.append(purity(current))
+    return displacement_stats(records), purities
 
 
 class RotorEngine:
@@ -377,8 +401,12 @@ class RotorEngine:
 
     def _apply_kick_array(self, a: np.ndarray, phase: np.ndarray) -> np.ndarray:
         # The momentum-offset twist cancels around a diagonal angle factor,
-        # so the plain ifftn/fftn pair is exact here.
-        return np.fft.fftn(np.fft.ifftn(a) * phase)
+        # so the plain ifftn/fftn pair is exact here.  The phase and the
+        # forward transform act in place: a full-lattice copy fewer at the
+        # peak of the step.
+        b = np.fft.ifftn(a)
+        b *= phase
+        return np.fft.fftn(b, out=b)
 
     def kick(self, state: RotorState) -> RotorState:
         self._check_state(state)
@@ -390,9 +418,10 @@ class RotorEngine:
 
     def free_rotation(self, state: RotorState) -> RotorState:
         self._check_state(state)
-        a = state.amplitudes
-        for j, phase in enumerate(self._free_phase):
-            a = a * self.lattice.axis_view(j, phase)
+        phases = self._free_phase
+        a = state.amplitudes * self.lattice.axis_view(0, phases[0])
+        for j in range(1, len(phases)):
+            a *= self.lattice.axis_view(j, phases[j])  # in place, as in kick
         return RotorState(state.lattice, a)
 
     def step(self, state: RotorState) -> RotorState:
@@ -497,20 +526,10 @@ class RotorEngine:
         self.grow_events += 1
         return RotorState(lattice, amps)
 
-    def resonant_evolve(self, state: RotorState, steps: int) -> RotorState:
-        """Closed-form t-step evolution at the two lowest resonance orders."""
-        if not self.plan.is_exact:
-            raise ValidationError("closed-form evolution needs zero detuning")
-        if not self.plan.lowest_orders_only:
-            raise ValidationError(
-                "resonant_evolve handles orders 1 and 2 only; "
-                "use dressed_evolve for higher orders"
-            )
-        return self._closed_form(state, steps)
-
     def dressed_evolve(self, state: RotorState, steps: int) -> RotorState:
-        """Closed-form t-step evolution at any orders, via the dressed
-        commuting factors; requires the translation-symmetry condition."""
+        """Closed-form t-step evolution at any exact resonance, via the
+        dressed commuting factors; requires the translation-symmetry
+        condition, which orders 1 and 2 meet for every potential."""
         if not self.plan.is_exact:
             raise ValidationError("closed-form evolution needs zero detuning")
         if not satisfies_resonance_symmetry(self.potential, self.plan):
@@ -518,9 +537,6 @@ class RotorEngine:
                 "potential violates the resonance translation symmetry; "
                 "the dressed factors do not commute"
             )
-        return self._closed_form(state, steps)
-
-    def _closed_form(self, state: RotorState, steps: int) -> RotorState:
         # U^t = [momentum phases of t free rotations] x [one kick by the
         # accumulated potential]; the half-turn dressing phases cancel
         # between the two commuting factors.

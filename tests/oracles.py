@@ -1,8 +1,8 @@
 """Hand-rolled reference results the suite checks the library against.
 
 Everything here is deliberately independent of the package internals:
-finite differences, Bessel identities, quadrature-built matrices, dense
-partial traces.  Slow and obvious beats fast and clever.
+Bessel identities, quadrature-built matrices, dense partial traces.
+Slow and obvious beats fast and clever.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ from kickres.top_engine import build_spin_ops
 # frozen from the Bessel sum below with a 200-order tail check.
 S_ODD_UNIT = 0.581812227138689  # xi = 1.0
 S_ODD_TENTH = 0.009943923279238542  # xi = 0.1
-
-
-def fd_gradient(spec, rotor, thetas, h=1e-6):
-    """Central-difference d/dtheta_rotor of spec.evaluate."""
-    plus = [np.array(t, dtype=float) for t in thetas]
-    minus = [np.array(t, dtype=float) for t in thetas]
-    plus[rotor] = plus[rotor] + h
-    minus[rotor] = minus[rotor] - h
-    return (spec.evaluate(plus) - spec.evaluate(minus)) / (2.0 * h)
 
 
 def shifted(spec, shift_set):
@@ -95,9 +86,9 @@ def t_quantile(p, df):
     return float(stdtrit(df, p))
 
 
-def fixed_window_run(potential, plan, momenta, steps, margin, part):
-    """(moment records, purities) of a run from momentum eigenstates on
-    one window that never grows.
+def fixed_window_engine(potential, plan, momenta, steps, margin):
+    """(engine, initial state) of a run from momentum eigenstates on one
+    window that never grows.
 
     Each half-width is ceil(steps * bandwidth) + margin, the worst-case
     reach of all the steps, on exact (unrounded) lengths: the sizing every
@@ -112,7 +103,13 @@ def fixed_window_run(potential, plan, momenta, steps, margin, part):
         windows.append((p0 - half, p0 + half))
     lattice = RotorLattice(tuple(windows))
     engine = RotorEngine(potential, plan, lattice)
-    state = RotorState.momentum_eigenstate(lattice, momenta)
+    return engine, RotorState.momentum_eigenstate(lattice, momenta)
+
+
+def fixed_window_run(potential, plan, momenta, steps, margin, part):
+    """(moment records, purities) along the fixed_window_engine run, each
+    step observed by a plain loop."""
+    engine, state = fixed_window_engine(potential, plan, momenta, steps, margin)
     records, purities = [], []
     for t, current in engine.trajectory(state, steps):
         records.append(measure_moments(current, t))

@@ -79,6 +79,7 @@ from kickres import (
     epsilon_sample,
     epsilon_second_moment,
     measure_moments,
+    observe,
     predict_jz_moments,
     product_basis_purity,
     ProductAngleDensity,
@@ -152,32 +153,23 @@ TOP_SPEC = TopSpec(
 )
 
 
-def _entangled_run(potential, plan, steps, *, margin=16, entropy_limit=None):
-    """Evolve |0,...,0> and collect moment spreads plus bipartite entropy."""
-    momenta = (0,) * potential.rotor_count
-    lattice = RotorLattice.for_run(
-        potential, momenta, steps, margin=margin, auto_grow=True
-    )
-    engine = RotorEngine(potential, plan, lattice, auto_grow=True)
-    state = RotorState.momentum_eigenstate(lattice, momenta)
-    records = []
-    entropy = {}
-    start = time.perf_counter()
-    for t, current in engine.trajectory(state, steps):
-        records.append(measure_moments(current, t))
-        if entropy_limit is None or t <= entropy_limit:
-            entropy[t] = 1.0 - schmidt_purity(current, PART)
-    wall = time.perf_counter() - start
-    return displacement_stats(records), entropy, wall
-
-
-def _moment_run(potential, plan, steps):
-    """Moment records only (no entanglement), for the detuning scan."""
+def _moment_run(potential, plan, steps, purity=None):
+    """Evolve |0,...,0> on growing windows -> observe's (series, purities)."""
     momenta = (0,) * potential.rotor_count
     lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
     engine = RotorEngine(potential, plan, lattice, auto_grow=True)
     state = RotorState.momentum_eigenstate(lattice, momenta)
-    return [measure_moments(s, t) for t, s in engine.trajectory(state, steps)]
+    return observe(engine, state, steps, measure_moments, purity)
+
+
+def _entangled_run(potential, plan, steps):
+    """Moment series, bipartite entropy by step, and wall seconds."""
+    start = time.perf_counter()
+    series, purities = _moment_run(
+        potential, plan, steps, lambda state: schmidt_purity(state, PART)
+    )
+    wall = time.perf_counter() - start
+    return series, {t: 1.0 - p for t, p in enumerate(purities)}, wall
 
 
 def _loglog_slope(pairs):
@@ -221,11 +213,13 @@ def secondary_pair_run():
 
 @pytest.fixture(scope="module")
 def detuning_scan():
-    ideal = _moment_run(SECONDARY_PAIR, ResonancePlan(SCAN_RATIONALS), max(SCAN_HORIZONS))
+    ideal, _ = _moment_run(
+        SECONDARY_PAIR, ResonancePlan(SCAN_RATIONALS), max(SCAN_HORIZONS)
+    )
     deviations = {}
     for delta, horizon in zip(SCAN_DETUNINGS, SCAN_HORIZONS):
         plan = ResonancePlan(SCAN_RATIONALS, detunings=(delta, delta))
-        detuned = _moment_run(SECONDARY_PAIR, plan, horizon)
+        detuned, _ = _moment_run(SECONDARY_PAIR, plan, horizon)
         deviations[delta] = deviation_series(detuned, ideal[: horizon + 1])
     return deviations
 
@@ -458,13 +452,11 @@ DEEPEST_PAIR_HORIZON = 70
 @pytest.fixture(scope="module")
 def deepest_pair_long_run():
     # its own run: the 50-step gate above keeps its fixture unchanged
-    series, _, wall = _entangled_run(
-        FAST_PAIR,
-        ResonancePlan(HIGHER_ORDER_PAIRS[2]),
-        DEEPEST_PAIR_HORIZON,
-        entropy_limit=0,
+    start = time.perf_counter()
+    series, _ = _moment_run(
+        FAST_PAIR, ResonancePlan(HIGHER_ORDER_PAIRS[2]), DEEPEST_PAIR_HORIZON
     )
-    return series, wall
+    return series, time.perf_counter() - start
 
 
 def test_c05_energy_growth_exponent_deepest_pair_past_onset(

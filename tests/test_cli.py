@@ -585,6 +585,8 @@ class TestDetuneScan:
                 " '--out-dir', sys.argv[2], '--quiet']",
                 "assert kickres.cli.main(argv) == 0",
                 "assert scipy_modules() == [], scipy_modules()",
+                # one thread needs no pool, nor the logging it imports
+                "assert 'concurrent.futures' not in sys.modules",
             )
         )
         src = str(Path(kickres.__file__).resolve().parents[1])
@@ -709,11 +711,14 @@ def test_threads_flag_validated(tmp_path):
     assert code == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("command", ["predict", "classify"])
+@pytest.mark.parametrize(
+    "command", ["predict", "classify", "simulate", "top-simulate"]
+)
 def test_threads_above_one_rejected_without_parallel_work(
     tmp_path, capsys, command
 ):
-    path = write_config(tmp_path, "fig1.yaml", fig1_body(steps=2))
+    body = top_body(steps=2) if command == "top-simulate" else fig1_body(2)
+    path = write_config(tmp_path, "config.yaml", body)
     assert run(command, path, tmp_path / "a", "--threads", "2") == (
         EXIT_VALIDATION
     )

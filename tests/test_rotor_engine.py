@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,14 @@ from kickres.rotor_engine import (
     _smooth_length,
     displacement_stats,
     measure_moments,
+    observe,
 )
-from oracles import fixed_window_run, kick_matrix_quadrature, kick_variance
+from oracles import (
+    fixed_window_engine,
+    fixed_window_run,
+    kick_matrix_quadrature,
+    kick_variance,
+)
 
 
 def fig1_potential():
@@ -220,6 +227,23 @@ class TestKickAndFree:
         idx = 10 - (-12)
         assert out.amplitudes[idx] == pytest.approx(np.exp(-0.05j), abs=1e-14)
 
+    def test_step_works_in_place_on_its_own_buffers(self):
+        # kick and free rotation each hold at most two full-lattice arrays
+        # at once beyond their input, and never write into the input
+        pot = fig1_potential()
+        lat = RotorLattice(((-100, 99), (-100, 99)))
+        engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
+        state = random_state(lat, 3)
+        before = state.amplitudes.copy()
+        tracemalloc.start()
+        try:
+            engine.step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * state.amplitudes.nbytes
+        np.testing.assert_array_equal(state.amplitudes, before)
+
     def test_unitarity_random_instances(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
@@ -267,7 +291,7 @@ class TestResonantFactorization:
         lat = RotorLattice.for_run(pot, (0, 0), steps=12)
         engine = RotorEngine(pot, plan, lat)
         state = RotorState.momentum_eigenstate(lat, (0, 0))
-        fast = engine.resonant_evolve(state, 12)
+        fast = engine.dressed_evolve(state, 12)
         slow = engine.evolve(state, 12)
         assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-10
 
@@ -277,7 +301,7 @@ class TestResonantFactorization:
         lat = RotorLattice.for_run(pot, (0, 0), steps=2)
         engine = RotorEngine(pot, plan, lat)
         state = random_state(lat, 5)
-        out = engine.resonant_evolve(state, 0)
+        out = engine.dressed_evolve(state, 0)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_antiresonance_two_steps_identity(self):
@@ -289,7 +313,7 @@ class TestResonantFactorization:
         state = random_state(lat, 9)
         out = engine.evolve(state, 2)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-11)
-        fast = engine.resonant_evolve(state, 2)
+        fast = engine.dressed_evolve(state, 2)
         np.testing.assert_allclose(fast.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_resonant_rejects_detuned_plan(self):
@@ -299,7 +323,7 @@ class TestResonantFactorization:
         engine = RotorEngine(pot, plan, lat)
         state = RotorState.momentum_eigenstate(lat, (0, 0))
         with pytest.raises(ValidationError):
-            engine.resonant_evolve(state, 2)
+            engine.dressed_evolve(state, 2)
 
     def test_detuned_stepping_converges_to_resonant(self):
         pot = fig2_potential()
@@ -308,7 +332,7 @@ class TestResonantFactorization:
         exact_engine = RotorEngine(
             pot, ResonancePlan(((1, 1), (1, 2))), lat
         )
-        ideal = exact_engine.resonant_evolve(state, 8)
+        ideal = exact_engine.dressed_evolve(state, 8)
         diffs = []
         for dt in (1e-6, 1e-8):
             engine = RotorEngine(
@@ -328,9 +352,7 @@ class TestDressedFactorization:
         engine = RotorEngine(pot, plan, lat)
         state = random_state(lat, 21)
         a = engine.dressed_evolve(state, 5)
-        b = engine.resonant_evolve(state, 5)
         c = engine.evolve(state, 5)
-        np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-13)
         assert np.max(np.abs(a.amplitudes - c.amplitudes)) < 1e-10
 
     def test_third_order_pair_matches_generic(self):
@@ -535,3 +557,82 @@ class TestGrowingWindows:
             assert cached is not None
             measure_moments(current, t)
             assert current.momentum_marginals() is cached
+
+
+class TestObserve:
+    def test_matches_the_oracle_loop_on_a_fixed_lattice(self):
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        part = BipartitionSpec(2, (0,))
+        ref_records, ref_purity = fixed_window_run(
+            pot, plan, (0, 0), 30, 16, part
+        )
+        engine, state = fixed_window_engine(pot, plan, (0, 0), 30, 16)
+        series, purities = observe(
+            engine,
+            state,
+            30,
+            measure_moments,
+            lambda current: schmidt_purity(current, part),
+        )
+        # exact equality of every field, <p> and <p^2> included
+        assert series == displacement_stats(ref_records)
+        assert purities == ref_purity
+
+    def test_growing_run_matches_a_hand_loop_bitwise(self):
+        pot = fig2_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        part = BipartitionSpec(2, (0,))
+
+        def pieces():
+            lat = RotorLattice.for_run(pot, (0, 0), 40, auto_grow=True)
+            engine = RotorEngine(pot, plan, lat, auto_grow=True)
+            return engine, RotorState.momentum_eigenstate(lat, (0, 0))
+
+        engine, state = pieces()
+        records, ref_purity = [], []
+        for t, current in engine.trajectory(state, 40):
+            records.append(measure_moments(current, t))
+            ref_purity.append(schmidt_purity(current, part))
+        ref_series = displacement_stats(records)
+
+        engine, state = pieces()
+        series, purities = observe(
+            engine,
+            state,
+            40,
+            measure_moments,
+            lambda current: schmidt_purity(current, part),
+        )
+        assert engine.grow_events >= 1
+        assert repr(series) == repr(ref_series)
+        assert [p.hex() for p in purities] == [p.hex() for p in ref_purity]
+
+    def test_without_purity_returns_no_purities(self):
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        lat = RotorLattice.for_run(pot, (0, 0), 3)
+        engine = RotorEngine(pot, plan, lat)
+        state = RotorState.momentum_eigenstate(lat, (0, 0))
+        series, purities = observe(engine, state, 3, measure_moments)
+        assert purities == []
+        assert [r.t for r in series] == [0, 1, 2, 3]
+        assert series[3].spread is not None
+
+    def test_truncation_error_names_the_step(self):
+        pot = PotentialSpec(1, (cosine_term(2.0, (1,)),))
+        lat = RotorLattice(((-6, 6),))
+        plan = ResonancePlan(((1, 1),))
+        with pytest.raises(TruncationError) as hand:
+            RotorEngine(pot, plan, lat).evolve(
+                RotorState.momentum_eigenstate(lat, (0,)), 6
+            )
+        step = int(str(hand.value).split("at step ")[1].split(";")[0])
+        assert 1 <= step <= 6
+        with pytest.raises(TruncationError, match=f"at step {step};"):
+            observe(
+                RotorEngine(pot, plan, lat),
+                RotorState.momentum_eigenstate(lat, (0,)),
+                6,
+                measure_moments,
+            )

@@ -15,7 +15,7 @@ from oracles import (
 from kickres.entanglement import BipartitionSpec, product_basis_purity
 from kickres.errors import ResourceCapError, ValidationError
 from kickres.potential import ResonancePlan
-from kickres.rotor_engine import displacement_stats
+from kickres.rotor_engine import displacement_stats, observe
 from kickres.top_engine import (
     FieldTerm,
     TopEngine,
@@ -845,3 +845,35 @@ def test_fig_style_parity_split_example():
     assert abs(stats.kappa) < 1e-14
     assert abs(stats.alpha_plus) < 1e-14
     assert abs(stats.alpha_minus) < 1e-14
+
+
+def test_observe_matches_a_hand_loop_on_a_fig7_style_run():
+    # configs/fig7.yaml's model, cut to 40 steps
+    spec = TopSpec(
+        top_count=2,
+        j_tot=50,
+        plan=make_plan((1, 1), (1, 2)),
+        field_terms=(
+            FieldTerm(1e-4, (1, 0)),
+            FieldTerm(0.02, (0, 2)),
+            FieldTerm(0.005, (1, 1)),
+            FieldTerm(5e-4, (1, 2)),
+        ),
+    )
+    part = BipartitionSpec(rotor_count=2, part_a=(0,))
+    engine = TopEngine(spec)
+    records, ref_purity = [], []
+    for t, current in engine.trajectory(TopState.jz_product(spec, (0, 0)), 40):
+        records.append(engine.measure_jz_moments(current, t))
+        ref_purity.append(top_purity(current, part))
+    engine = TopEngine(spec)
+    series, purities = observe(
+        engine,
+        TopState.jz_product(spec, (0, 0)),
+        40,
+        engine.measure_jz_moments,
+        lambda current: top_purity(current, part),
+    )
+    assert repr(series) == repr(displacement_stats(records))
+    assert [p.hex() for p in purities] == [p.hex() for p in ref_purity]
+    assert 1.0 - purities[-1] > 1e-3
