@@ -49,8 +49,9 @@ SCAN = ((1e-3, 40), (5e-4, 60), (1e-4, 120))
 
 def moment_run(plan, steps):
     momenta = (0, 0)
+    # a start window: the engine grows it as the support spreads
     lattice = RotorLattice.for_run(POTENTIAL, momenta, steps, auto_grow=True)
-    engine = RotorEngine(POTENTIAL, plan, lattice, auto_grow=True)
+    engine = RotorEngine(POTENTIAL, plan, lattice)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     series, _ = observe(engine, state, steps, measure_moments)
     return series

@@ -85,8 +85,9 @@ MODELS = [
 def simulate(potential, plan, steps):
     """Evolve |0,0> and return spread records plus the entropy series."""
     momenta = (0,) * potential.rotor_count
+    # a start window: the engine grows it as the support spreads
     lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
-    engine = RotorEngine(potential, plan, lattice, auto_grow=True)
+    engine = RotorEngine(potential, plan, lattice)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     series, purities = observe(
         engine,

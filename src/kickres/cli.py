@@ -144,12 +144,6 @@ def _as_float(node, path, positive=False) -> float:
     return value
 
 
-def _as_bool(node, path) -> bool:
-    if not isinstance(node, bool):
-        raise ConfigError(path, f"expected a boolean, got {_type_name(node)}")
-    return node
-
-
 def _as_str(node, path, choices=None) -> str:
     if not isinstance(node, str):
         raise ConfigError(path, f"expected a string, got {_type_name(node)}")
@@ -189,7 +183,6 @@ class ExperimentConfig:
     tail_tolerance: float
     tail_budget: float
     window_margin: int
-    auto_grow: bool
     element_cap: int
     samples: int
     seed: int
@@ -476,7 +469,6 @@ def load_config(
         "tail_tolerance",
         "tail_budget",
         "window_margin",
-        "auto_grow",
         "element_cap",
     )
     _reject_unknown(engine, "engine", engine_known)
@@ -493,7 +485,6 @@ def load_config(
     window_margin = _as_int(
         engine.get("window_margin", 16), "engine.window_margin", minimum=0
     )
-    auto_grow = _as_bool(engine.get("auto_grow", True), "engine.auto_grow")
     element_cap = _as_int(
         engine.get("element_cap", DEFAULT_ELEMENT_CAP),
         "engine.element_cap",
@@ -591,7 +582,6 @@ def load_config(
         "tail_tolerance": tail_tolerance,
         "tail_budget": tail_budget,
         "window_margin": window_margin,
-        "auto_grow": auto_grow,
         "element_cap": element_cap,
     }
     effective["predictor"] = {"samples": samples, "seed": seed}
@@ -616,7 +606,6 @@ def load_config(
         tail_tolerance=tail_tolerance,
         tail_budget=tail_budget,
         window_margin=window_margin,
-        auto_grow=auto_grow,
         element_cap=element_cap,
         samples=samples,
         seed=seed,
@@ -754,7 +743,7 @@ def _rotor_run_pieces(cfg: ExperimentConfig):
         margin=cfg.window_margin
         + (0 if descriptor["type"] == "momentum_eigenstate" else margin_extra),
         element_cap=cfg.element_cap,
-        auto_grow=cfg.auto_grow,
+        auto_grow=True,
     )
     engine = RotorEngine(
         cfg.potential,
@@ -762,7 +751,6 @@ def _rotor_run_pieces(cfg: ExperimentConfig):
         lattice,
         tail_tol=cfg.tail_tolerance,
         tail_budget=cfg.tail_budget,
-        auto_grow=cfg.auto_grow,
     )
     if descriptor["type"] == "momentum_eigenstate":
         state = RotorState.momentum_eigenstate(lattice, descriptor["momenta"])

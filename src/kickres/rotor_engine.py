@@ -11,15 +11,15 @@ potential meets the translation-symmetry condition (which orders 1 and 2
 always do).  ``observe`` is the one loop that steps an engine and
 records each state's moments and, optionally, its purity.
 
-Windows follow the occupied support.  A growing run (``auto_grow``)
-starts on the bandwidth reach of its first ``START_STEPS`` kicks plus the
-margin; after each step, every rotor whose edge mass passes
-``GROW_TRIGGER`` (far below the ``tail_tol`` truncation check) grows by
+Windows follow the occupied support.  A run starts on the bandwidth
+reach of its first ``START_STEPS`` kicks plus the margin; after each step,
+every rotor whose edge mass passes ``GROW_TRIGGER`` (far below the
+``tail_tol`` the element cap may stop growth at) grows by
 ``GROWTH_FACTOR``, at least by its minimum pad, and the step is redone
-from the pre-step state.  A fixed run sizes its windows for the
-worst-case reach of all its steps.  Every length is rounded up to a
-7-smooth one (prime factors 2, 3, 5, 7), which numpy's FFT handles at
-full speed (Frigo & Johnson, Proc. IEEE 93(2), 2005).
+from the pre-step state.  ``dressed_evolve`` cannot grow, so its callers
+size the windows for the worst-case reach of all the steps.  Every length
+is rounded up to a 7-smooth one (prime factors 2, 3, 5, 7), which numpy's
+FFT handles at full speed (Frigo & Johnson, Proc. IEEE 93(2), 2005).
 """
 
 from __future__ import annotations
@@ -114,9 +114,10 @@ class RotorLattice:
         Each kick shifts momentum by at most the potential's per-rotor
         bandwidth (sum of |coefficient * mode|), so the padding
         ``ceil(k * bandwidth) + margin`` bounds the support k kicks reach;
-        the margin absorbs the soft Bessel tails.  A fixed run covers
-        k = ``steps``; a growing one (``auto_grow``) starts from
-        k = min(steps, START_STEPS) and widens as its edges fill.  Each
+        the margin absorbs the soft Bessel tails.  The default covers
+        k = ``steps``, the window ``dressed_evolve`` needs; with
+        ``auto_grow`` it covers k = min(steps, START_STEPS), and the
+        engine's trajectory widens it as its edges fill.  Each
         length is rounded up to a 7-smooth one around its center, unless
         that alone would pass the element cap.
         """
@@ -250,18 +251,13 @@ class RotorState:
         caller's moments share one pass.
         """
         if self._marginals is None:
-            prob = np.abs(self.amplitudes) ** 2
-            n = self.lattice.rotor_count
-            self._marginals = tuple(
-                prob.sum(axis=tuple(k for k in range(n) if k != j))
-                for j in range(n)
-            )
+            self._marginals = axis_marginals(np.abs(self.amplitudes) ** 2)
         return self._marginals
 
-    def edge_mass(self, layers: int = 2) -> tuple[float, ...]:
-        """Probability on the outermost ``layers`` cells of each window."""
+    def edge_mass(self) -> tuple[float, ...]:
+        """Probability on the outermost two cells of each window."""
         return tuple(
-            float(marg[:layers].sum() + marg[-layers:].sum())
+            float(marg[:2].sum() + marg[-2:].sum())
             for marg in self.momentum_marginals()
         )
 
@@ -280,13 +276,29 @@ class MomentRecord:
     variance: tuple[float, ...] | None = None
 
 
-def measure_moments(state: RotorState, t: int = 0) -> MomentRecord:
+def axis_marginals(prob: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each axis's marginal of the probability tensor ``prob``."""
+    n = prob.ndim
+    return tuple(
+        prob.sum(axis=tuple(k for k in range(n) if k != j)) for j in range(n)
+    )
+
+
+def marginal_moments(
+    marginals: Sequence[np.ndarray], values: Sequence[np.ndarray], t: int
+) -> MomentRecord:
+    """First and second moments of ``values[j]`` under ``marginals[j]``."""
     means, seconds = [], []
-    for j, marg in enumerate(state.momentum_marginals()):
-        l = state.lattice.momenta(j).astype(float)
-        means.append(float(np.dot(marg, l)))
-        seconds.append(float(np.dot(marg, l * l)))
+    for weights, v in zip(marginals, values, strict=True):
+        means.append(float(np.dot(weights, v)))
+        seconds.append(float(np.dot(weights, v * v)))
     return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
+
+
+def measure_moments(state: RotorState, t: int = 0) -> MomentRecord:
+    lat = state.lattice
+    values = [lat.momenta(j).astype(float) for j in range(lat.rotor_count)]
+    return marginal_moments(state.momentum_marginals(), values, t)
 
 
 def displacement_stats(series: Sequence[MomentRecord]) -> list[MomentRecord]:
@@ -332,8 +344,8 @@ def observe(
     ``measure(state, t)`` gives each step's MomentRecord and
     ``purity(state)``, when given, its bipartite purity.  Returns the
     displacement_stats series and the purities (empty without
-    ``purity``).  A TruncationError from the trajectory passes through
-    unchanged, naming its step.
+    ``purity``).  A TruncationError or ResourceCapError from the
+    trajectory passes through unchanged, naming its step.
     """
     records, purities = [], []
     for t, current in engine.trajectory(state, steps):
@@ -346,9 +358,9 @@ def observe(
 class RotorEngine:
     """Propagators for one (potential, plan) pair on a momentum lattice.
 
-    ``auto_grow=True`` lets trajectory() widen a rotor's window whenever
-    its edge mass passes GROW_TRIGGER, so the tail tolerance comes into
-    play only where the element cap stops the growth.
+    trajectory() widens a rotor's window whenever its edge mass passes
+    GROW_TRIGGER, so the tail tolerance comes into play only where the
+    element cap stops the growth.
     """
 
     def __init__(
@@ -358,7 +370,6 @@ class RotorEngine:
         lattice: RotorLattice,
         tail_tol: float = DEFAULT_TAIL_TOL,
         tail_budget: float = DEFAULT_TAIL_BUDGET,
-        auto_grow: bool = False,
     ) -> None:
         if potential.rotor_count != plan.rotor_count:
             raise ValidationError("potential and plan disagree on rotor count")
@@ -368,7 +379,6 @@ class RotorEngine:
         self.plan = plan
         self.tail_tol = float(tail_tol)
         self.tail_budget = float(tail_budget)
-        self.auto_grow = bool(auto_grow)
         self.grow_events = 0
         self._pads = [
             GROW_MARGIN + math.ceil(potential.kick_bandwidth(j))
@@ -436,7 +446,11 @@ class RotorEngine:
     def trajectory(
         self, state: RotorState, steps: int
     ) -> Iterator[tuple[int, RotorState]]:
-        """Yield (t, state) for t = 0..steps using the generic propagator."""
+        """Yield (t, state) for t = 0..steps using the generic propagator.
+
+        Raises TruncationError past ``tail_budget`` and ResourceCapError
+        where the element cap stops a needed growth, each naming the step.
+        """
         if steps < 0:
             raise ValidationError("steps must be >= 0")
         self._check_state(state)
@@ -449,7 +463,7 @@ class RotorEngine:
             # A step whose edges fill has already aliased across the window
             # boundary, so growing must redo it from the pre-step state on
             # the wider window rather than keep the tainted result.
-            while self.auto_grow:
+            while True:
                 rotors = [j for j, e in enumerate(edges) if e > trigger]
                 if not rotors:
                     break
@@ -465,14 +479,7 @@ class RotorEngine:
                 state = self._embed_wider(state, wider)
                 nxt = self.step(state)
                 edges = nxt.edge_mass()
-            tail = max(edges)
-            if tail > self.tail_tol:
-                raise TruncationError(
-                    f"tail mass {tail:.3e} exceeds tolerance "
-                    f"{self.tail_tol:.1e} at step {t}; widen the windows "
-                    "or enable auto_grow"
-                )
-            cumulative_tail += tail
+            cumulative_tail += max(edges)
             if cumulative_tail > self.tail_budget:
                 raise TruncationError(
                     f"cumulative tail mass {cumulative_tail:.3e} exceeds "

@@ -34,9 +34,12 @@ import numpy as np
 from .entanglement import BipartitionSpec, _block_purity
 from .errors import ResourceCapError, ValidationError
 from .potential import ResonancePlan
-from .rotor_engine import MomentRecord
-
-DEFAULT_TOP_ELEMENT_CAP = 1 << 26
+from .rotor_engine import (
+    DEFAULT_ELEMENT_CAP,
+    MomentRecord,
+    axis_marginals,
+    marginal_moments,
+)
 
 # equator gate: linearizing the moment laws needs the initial state far
 # from the poles
@@ -83,7 +86,7 @@ class TopSpec:
     j_tot: int
     plan: ResonancePlan
     field_terms: tuple
-    element_cap: int = DEFAULT_TOP_ELEMENT_CAP
+    element_cap: int = DEFAULT_ELEMENT_CAP
 
     def __post_init__(self) -> None:
         if self.top_count < 1:
@@ -369,24 +372,13 @@ class TopEngine:
     def measure_jz_moments(self, state: TopState, t: int = 0) -> MomentRecord:
         j = self.spec.j_tot
         m = np.arange(-j, j + 1, dtype=float)
-        return _axis_moments(np.abs(state.amplitudes) ** 2, m, t)
+        prob = np.abs(state.amplitudes) ** 2
+        return marginal_moments(axis_marginals(prob), [m] * prob.ndim, t)
 
     def measure_jx_moments(self, state: TopState, t: int = 0) -> MomentRecord:
         prob = np.abs(state._jx_amplitudes()) ** 2
-        return _axis_moments(prob, self._x_values, t)
-
-
-def _axis_moments(prob: np.ndarray, values: np.ndarray, t: int) -> MomentRecord:
-    """First and second moments of ``values`` under each axis marginal
-    of the probability tensor ``prob``."""
-    means, seconds = [], []
-    for n in range(prob.ndim):
-        weights = prob.sum(
-            axis=tuple(k for k in range(prob.ndim) if k != n)
-        )
-        means.append(float(weights @ values))
-        seconds.append(float(weights @ values**2))
-    return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
+        values = [self._x_values] * prob.ndim
+        return marginal_moments(axis_marginals(prob), values, t)
 
 
 def top_purity(state: TopState, part: BipartitionSpec) -> float:

@@ -88,14 +88,13 @@ def t_quantile(p, df):
 
 def fixed_window_engine(potential, plan, momenta, steps, margin):
     """(engine, initial state) of a run from momentum eigenstates on one
-    window that never grows.
+    window sized for the worst-case reach of all the steps.
 
-    Each half-width is ceil(steps * bandwidth) + margin, the worst-case
-    reach of all the steps, on exact (unrounded) lengths: the sizing every
-    run used before windows grew on demand.  The margin must keep the
-    edges inside the tail tolerance, or the run raises.  It steps with the
-    package's own engine: what it pins is the window policy, not the
-    propagator.
+    Each half-width is ceil(steps * bandwidth) + margin, on exact
+    (unrounded) lengths: the sizing every run used before windows grew on
+    demand.  It uses the package's own engine: what it pins is the window
+    policy, not the propagator.  Step it with fixed_window_states, not the
+    engine's trajectory, which would grow the window.
     """
     windows = []
     for j, p0 in enumerate(momenta):
@@ -106,12 +105,33 @@ def fixed_window_engine(potential, plan, momenta, steps, margin):
     return engine, RotorState.momentum_eigenstate(lattice, momenta)
 
 
+def fixed_window_states(engine, state, steps):
+    """Yield (t, state) for t = 0..steps by plain engine.step calls.
+
+    The window never grows.  A state whose edge mass passes the engine's
+    tail tolerance raises AssertionError, naming the step: the margin is
+    too small for a fixed-window reference.
+    """
+    shape = state.lattice.shape
+    yield 0, state
+    for t in range(1, steps + 1):
+        state = engine.step(state)
+        if not state.lattice.shape == engine.lattice.shape == shape:
+            raise AssertionError(f"the window changed at step {t}")
+        tail = max(state.edge_mass())
+        if tail > engine.tail_tol:
+            raise AssertionError(
+                f"tail mass {tail:.3e} passes the tolerance at step {t}"
+            )
+        yield t, state
+
+
 def fixed_window_run(potential, plan, momenta, steps, margin, part):
     """(moment records, purities) along the fixed_window_engine run, each
     step observed by a plain loop."""
     engine, state = fixed_window_engine(potential, plan, momenta, steps, margin)
     records, purities = [], []
-    for t, current in engine.trajectory(state, steps):
+    for t, current in fixed_window_states(engine, state, steps):
         records.append(measure_moments(current, t))
         purities.append(schmidt_purity(current, part))
     return records, purities

@@ -157,7 +157,7 @@ def _moment_run(potential, plan, steps, purity=None):
     """Evolve |0,...,0> on growing windows -> observe's (series, purities)."""
     momenta = (0,) * potential.rotor_count
     lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
-    engine = RotorEngine(potential, plan, lattice, auto_grow=True)
+    engine = RotorEngine(potential, plan, lattice)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     return observe(engine, state, steps, measure_moments, purity)
 
@@ -725,7 +725,7 @@ def test_c10_invariant_norm_conservation():
         lattice = RotorLattice.for_run(
             potential, (0,) * rotor_count, 3, margin=12
         )
-        engine = RotorEngine(potential, plan, lattice, auto_grow=True)
+        engine = RotorEngine(potential, plan, lattice)
         state = RotorState.momentum_eigenstate(lattice, (0,) * rotor_count)
         evolved = engine.evolve(state, 3)
         assert abs(evolved.norm() - 1.0) <= 1e-9

@@ -115,13 +115,17 @@ class TestConfigValidation:
             load_config(path, "simulate")
         assert "plan" in str(excinfo.value)
 
-    def test_unknown_field_names_full_path(self, tmp_path):
-        body = fig1_body()
-        body["engine"] = {"tail_tolerancee": 1e-10}
-        path = write_config(tmp_path, "bad.yaml", body)
-        with pytest.raises(ConfigError) as excinfo:
-            load_config(path, "simulate")
-        assert "engine.tail_tolerancee" in str(excinfo.value)
+    def test_unknown_field_names_full_path(self, tmp_path, capsys):
+        # windows always grow, so auto_grow is no engine field
+        for field, value in (("tail_tolerancee", 1e-10), ("auto_grow", True)):
+            body = fig1_body()
+            body["engine"] = {field: value}
+            path = write_config(tmp_path, "bad.yaml", body)
+            with pytest.raises(ConfigError) as excinfo:
+                load_config(path, "simulate")
+            assert f"engine.{field}" in str(excinfo.value)
+            assert run("simulate", path, tmp_path / "out") == EXIT_VALIDATION
+            assert f"engine.{field}" in capsys.readouterr().err
 
     def test_wrong_type_reports_path_and_type(self, tmp_path):
         body = fig1_body()
@@ -179,10 +183,31 @@ class TestConfigValidation:
             "momenta": [0, 0],
         }
         assert eff["bipartition"] == {"part_a": [0]}
-        assert eff["engine"]["tail_tolerance"] == 1e-10
-        assert eff["engine"]["auto_grow"] is True
+        assert eff["engine"] == {
+            "tail_tolerance": 1e-10,
+            "tail_budget": 1e-8,
+            "window_margin": 16,
+            "element_cap": 1 << 26,
+        }
         assert eff["predictor"] == {"samples": 200000, "seed": 12345}
         assert eff["plan"][0]["delta_tau"] == 0.0
+
+    def test_every_shipped_config_loads(self):
+        # a schema change must not strand a bundled config
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted(root.glob("configs/*.yaml")) + sorted(
+            root.glob("perfbench/configs/*.yaml")
+        )
+        assert paths
+        for path in paths:
+            body = yaml.safe_load(path.read_text())
+            if body["system"] == "top":
+                command = "top-simulate"
+            elif "detune_scan" in body:
+                command = "detune-scan"
+            else:
+                command = "simulate"
+            assert load_config(path, command).command == command, path
 
     def test_seed_override_lands_in_echo(self, tmp_path):
         path = write_config(tmp_path, "fig1.yaml", fig1_body())
@@ -373,28 +398,38 @@ class TestSimulate:
         path = write_config(tmp_path, "bad.yaml", {"system": "rotor"})
         assert run("simulate", path, tmp_path / "out") == EXIT_VALIDATION
 
-    def test_truncation_exit_code(self, tmp_path):
+    def test_truncation_exit_code(self, tmp_path, capsys):
         # both rotors secondary: the pi-periodic coupling accumulates
-        # coherently, so the fixed window edge sees growing tail mass
+        # coherently, and the tail mass the grown windows keep, summed
+        # over the steps, passes the budget
         body = fig1_body(steps=40)
         body["potential"]["terms"] = [{"coefficient": 1.0, "modes": [1, -1]}]
         body["plan"] = [
             {"numerator": 1, "denominator": 2},
             {"numerator": 1, "denominator": 2},
         ]
-        body["engine"] = {
-            "auto_grow": False,
-            "window_margin": 0,
-            "tail_tolerance": 1e-28,
-        }
+        body["engine"] = {"tail_budget": 1e-30}
         path = write_config(tmp_path, "tight.yaml", body)
         assert run("simulate", path, tmp_path / "out") == EXIT_TRUNCATION
+        assert "exceeds budget 1.0e-30 at step 3" in capsys.readouterr().err
 
     def test_resource_cap_exit_code(self, tmp_path):
         body = fig1_body(steps=200)
         body["engine"] = {"element_cap": 4000}
         path = write_config(tmp_path, "cap.yaml", body)
         assert run("simulate", path, tmp_path / "out") == EXIT_RESOURCE
+
+    def test_window_growth_cap_exit_code(self, tmp_path, capsys):
+        # the ballistic rotor's window must grow past the cap mid-run
+        body = one_rotor_body(steps=200)
+        body["potential"]["terms"] = [{"coefficient": 2.0, "modes": [1]}]
+        body["engine"] = {"element_cap": 200}
+        path = write_config(tmp_path, "cap.yaml", body)
+        assert run("simulate", path, tmp_path / "out") == EXIT_RESOURCE
+        assert (
+            "rotors [0] must grow past the element cap 200 at step 40"
+            in capsys.readouterr().err
+        )
 
 
 class TestPredict:

@@ -188,7 +188,7 @@ class TestSchmidtPurity:
         )
         plan = ResonancePlan(((1, 3), (1, 5)))
         lat = RotorLattice.for_run(pot, (0, 0), steps=2)
-        engine = RotorEngine(pot, plan, lat, auto_grow=True)
+        engine = RotorEngine(pot, plan, lat)
         initial = RotorState.momentum_eigenstate(lat, (0, 0))
         state = engine.evolve(initial, 6)
         assert engine.grow_events >= 1
