@@ -50,7 +50,7 @@ SCAN = ((1e-3, 40), (5e-4, 60), (1e-4, 120))
 def moment_run(plan, steps):
     momenta = (0, 0)
     # a start window: the engine grows it as the support spreads
-    lattice = RotorLattice.for_run(POTENTIAL, momenta, steps, auto_grow=True)
+    lattice = RotorLattice.start_window(POTENTIAL, momenta, steps)
     engine = RotorEngine(POTENTIAL, plan, lattice)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     series, _ = observe(engine, state, steps, measure_moments)

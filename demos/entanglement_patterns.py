@@ -64,7 +64,7 @@ COUPLINGS = [
 def entropy_series(potential, steps):
     momenta = (0, 0)
     # a start window: the engine grows it as the support spreads
-    lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
+    lattice = RotorLattice.start_window(potential, momenta, steps)
     engine = RotorEngine(potential, PLAN, lattice)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     _, purities = observe(

@@ -86,7 +86,7 @@ def simulate(potential, plan, steps):
     """Evolve |0,0> and return spread records plus the entropy series."""
     momenta = (0,) * potential.rotor_count
     # a start window: the engine grows it as the support spreads
-    lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
+    lattice = RotorLattice.start_window(potential, momenta, steps)
     engine = RotorEngine(potential, plan, lattice)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     series, purities = observe(

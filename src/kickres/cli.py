@@ -11,13 +11,18 @@ All physics parameters come from a YAML config; the only flags are
 --config, --out-dir, --seed, --threads, --quiet.  Only detune-scan uses
 --threads: it runs the ideal and detuned trajectories in parallel, and its
 output bytes do not depend on the thread count.  The other subcommands
-have no parallel work and reject values above 1.  Defaults are
-materialized into an echoed effective config so a run is reproducible
-from its own artifacts, and every CSV cell is written with 17
-significant digits so identical (config, seed) pairs give byte-identical
-files.  Each output references the run manifest by the content hash of
-the manifest's deterministic identity block (the wall clock and each rotor
-run's window growth live in a separate runtime block).
+have no parallel work and reject values above 1.
+
+Each config block has one field table below, the one place a field is
+defined: its check, default, bounds and where it is valid.  ``_fields``
+checks a block against its table; the checked block, defaults filled
+in, is also its part of the echoed effective config, so a run is
+reproducible from its own artifacts.  Every CSV cell is written with
+17 significant digits so identical (config, seed) pairs give
+byte-identical files.  Each output references the run manifest by the
+content hash of the manifest's deterministic identity block (the wall
+clock and each rotor run's window growth live in a separate runtime
+block).
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def fmt(value) -> str:
 
 
 # ----------------------------------------------------------------------
-# schema walking
+# config schema
 
 
 def _type_name(value) -> str:
@@ -154,6 +159,80 @@ def _as_str(node, path, choices=None) -> str:
     return node
 
 
+def _count(values: list, path: str, count: int) -> None:
+    if len(values) != count:
+        raise ConfigError(path, f"expected {count} entries")
+
+
+def _ints(node, path, minimum=None, count=None) -> list:
+    values = [
+        _as_int(value, f"{path}[{i}]", minimum)
+        for i, value in enumerate(_as_list(node, path))
+    ]
+    if count is not None:
+        _count(values, path, count)
+    return values
+
+
+def _centers(node, path, count) -> list:
+    _count(_as_list(node, path), path, count)
+    centers = []
+    for i, pair in enumerate(node):
+        here = f"{path}[{i}]"
+        if len(_as_list(pair, here)) != 2:
+            raise ConfigError(here, "expected [theta0, p0]")
+        centers.append(
+            [_as_float(x, f"{here}[{k}]") for k, x in enumerate(pair)]
+        )
+    return centers
+
+
+def _detunings(node, path) -> list:
+    values: list = []
+    for i, item in enumerate(_as_list(node, path)):
+        here = f"{path}[{i}]"
+        value = _as_float(item, here)
+        if value == 0.0:
+            raise ConfigError(
+                here, "0 is not a scan point: the ideal run is the reference"
+            )
+        if value < 0.0:
+            raise ConfigError(here, "must be positive")
+        if value in values:
+            raise ConfigError(
+                here,
+                f"repeats detunings[{values.index(value)}]: "
+                "each value is one scan point",
+            )
+        values.append(value)
+    if not values:
+        raise ConfigError(path, "needs at least one value")
+    return values
+
+
+def _plan(node, path) -> list:
+    if not _as_list(node, path):
+        raise ConfigError(path, "a plan needs at least one body")
+    return [
+        _fields(entry, f"{path}[{i}]", _PLAN_ENTRY, {})
+        for i, entry in enumerate(node)
+    ]
+
+
+def _expected_system(command: str) -> str:
+    return "top" if command == "top-simulate" else "rotor"
+
+
+def _system(node, path, command) -> str:
+    system = _as_str(node, path, ("rotor", "top"))
+    expected = _expected_system(command)
+    if system != expected:
+        raise ConfigError(
+            path, f"command {command} requires system: {expected}"
+        )
+    return system
+
+
 def _reject_unknown(mapping: dict, path: str, known: Sequence[str]) -> None:
     extra = sorted(set(mapping) - set(known))
     if extra:
@@ -161,6 +240,140 @@ def _reject_unknown(mapping: dict, path: str, known: Sequence[str]) -> None:
             f"{path}.{extra[0]}" if path else extra[0],
             "unknown field",
         )
+
+
+# One table per config block; an entry is
+#   (name, check, default, bounds, valid_when)
+# where ``check(value, path, **bounds)`` returns the checked value (a
+# tuple is a nested table, a one-table list a list of such mappings);
+# ``default`` is _REQUIRED, a value, or a function of the fields seen so
+# far, as is each bound; and ``valid_when`` is None or (condition,
+# message): where the condition fails the field must be absent.
+_REQUIRED = object()
+
+
+def _bodies(seen: dict) -> int:
+    return len(seen["plan"])
+
+
+def _only(key: str, value: str) -> tuple:
+    return (lambda seen: seen[key] == value, f"only valid for {key}: {value}")
+
+
+_PLAN_ENTRY = (
+    ("numerator", _as_int, _REQUIRED, {"minimum": 1}, None),
+    ("denominator", _as_int, _REQUIRED, {"minimum": 1}, None),
+    ("delta_tau", _as_float, 0.0, {}, None),
+)
+_TERM = (
+    ("coefficient", _as_float, _REQUIRED, {}, None),
+    ("modes", _ints, _REQUIRED, {"count": _bodies}, None),
+    ("kind", _as_str, "cos", {"choices": ("cos", "sin")}, None),
+    ("phase", _as_float, 0.0, {}, (
+        lambda seen: seen["kind"] == "cos",
+        "specify either kind: sin or phase, not both",
+    )),
+)
+_POTENTIAL = (("terms", [_TERM], _REQUIRED, {}, None),)
+_FIELD_TERM = (
+    ("coefficient", _as_float, _REQUIRED, {}, None),
+    ("powers", _ints, _REQUIRED, {"minimum": 0, "count": _bodies}, None),
+)
+_COHERENT = _only("type", "coherent")
+_INITIAL = (
+    ("type", _as_str, "momentum_eigenstate",
+     {"choices": ("coherent", "momentum_eigenstate")}, None),
+    ("centers", _centers, _REQUIRED, {"count": _bodies}, _COHERENT),
+    ("width", _as_float, 1.0, {"positive": True}, _COHERENT),
+    ("momenta", _ints, lambda seen: [0] * _bodies(seen),
+     {"count": _bodies}, _only("type", "momentum_eigenstate")),
+)
+_BIPARTITION = (("part_a", _ints, [0], {"minimum": 0}, None),)
+_ENGINE = (
+    ("tail_tolerance", _as_float, DEFAULT_TAIL_TOL, {"positive": True}, None),
+    ("tail_budget", _as_float, DEFAULT_TAIL_BUDGET, {"positive": True}, None),
+    ("window_margin", _as_int, 16, {"minimum": 0}, None),
+    ("element_cap", _as_int, DEFAULT_ELEMENT_CAP, {"minimum": 1}, None),
+)
+_PREDICTOR = (
+    ("samples", _as_int, DEFAULT_SAMPLES, {"minimum": 1}, None),
+    ("seed", _as_int, DEFAULT_SEED, {"minimum": 0, "maximum": MAX_SEED}, None),
+)
+_DETUNE_SCAN = (
+    ("detunings", _detunings, _REQUIRED, {}, None),
+    ("threshold", _as_float, 0.01, {"positive": True}, None),
+    ("horizons", _ints, lambda seen: [seen["steps"]] * len(seen["detunings"]),
+     {"minimum": 1}, None),
+)
+_ROOT = (
+    ("system", _system, lambda seen: _expected_system(seen["command"]),
+     {"command": lambda seen: seen["command"]}, None),
+    ("plan", _plan, _REQUIRED, {}, None),
+    ("potential", _POTENTIAL, _REQUIRED, {}, _only("system", "rotor")),
+    ("j_tot", _as_int, _REQUIRED, {"minimum": 1}, _only("system", "top")),
+    ("field_terms", [_FIELD_TERM], [], {}, _only("system", "top")),
+    ("initial", _INITIAL, {}, {}, None),
+    ("bipartition", _BIPARTITION, {}, {}, (
+        lambda seen: _bodies(seen) >= 2, "a single body has no bipartition"
+    )),
+    ("steps", _as_int, _REQUIRED, {"minimum": 1}, None),
+    ("engine", _ENGINE, {}, {}, None),
+    ("predictor", _PREDICTOR, {}, {}, None),
+    ("detune_scan", _DETUNE_SCAN, _REQUIRED, {}, (
+        lambda seen: seen["command"] == "detune-scan",
+        "only valid for the detune-scan command",
+    )),
+    ("out_dir", _as_str, lambda seen: f"runs/{seen['command']}", {}, None),
+)
+
+
+def _fields(node, path: str, table: tuple, scope: dict) -> dict:
+    """Check a mapping against its field table -> the checked mapping.
+
+    Unknown fields are rejected first.  Then, in table order, a field is
+    rejected if present where it is not valid (whatever its value),
+    reported if required and missing, and otherwise checked, its default
+    filled in when absent.  Conditions, computed defaults and bounds see
+    ``scope`` plus the fields checked before them.  The result is the
+    block's effective-config echo.
+    """
+    block = _as_mapping(node, path)
+    _reject_unknown(block, path, [entry[0] for entry in table])
+    out: dict = {}
+    seen = dict(scope)
+    for name, check, default, bounds, valid_when in table:
+        here = f"{path}.{name}" if path else name
+        if valid_when is not None and not valid_when[0](seen):
+            if name in block:
+                raise ConfigError(here, valid_when[1])
+            continue
+        if name in block:
+            value = block[name]
+        elif default is _REQUIRED:
+            raise ConfigError(here, "missing required field")
+        else:
+            value = default(seen) if callable(default) else default
+        if isinstance(check, tuple):
+            value = _fields(value, here, check, seen)
+        elif isinstance(check, list):
+            value = [
+                _fields(item, f"{here}[{i}]", check[0], seen)
+                for i, item in enumerate(_as_list(value, here))
+            ]
+        else:
+            value = check(value, here, **{
+                k: b(seen) if callable(b) else b for k, b in bounds.items()
+            })
+        out[name] = seen[name] = value
+    return out
+
+
+def _built(path: str, make, *args):
+    """``make(*args)``, with its ValidationError reported at ``path``."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -193,166 +406,7 @@ class ExperimentConfig:
     effective: dict
 
 
-def _parse_potential(node, path, body_count) -> tuple:
-    block = _as_mapping(node, path)
-    _reject_unknown(block, path, ("terms",))
-    if "terms" not in block:
-        raise ConfigError(f"{path}.terms", "missing required field")
-    raw_terms = _as_list(block["terms"], f"{path}.terms")
-    terms = []
-    echo_terms = []
-    for i, item in enumerate(raw_terms):
-        tpath = f"{path}.terms[{i}]"
-        term = _as_mapping(item, tpath)
-        _reject_unknown(term, tpath, ("coefficient", "modes", "kind", "phase"))
-        for req in ("coefficient", "modes"):
-            if req not in term:
-                raise ConfigError(f"{tpath}.{req}", "missing required field")
-        coeff = _as_float(term["coefficient"], f"{tpath}.coefficient")
-        modes = [
-            _as_int(m, f"{tpath}.modes[{k}]")
-            for k, m in enumerate(_as_list(term["modes"], f"{tpath}.modes"))
-        ]
-        if len(modes) != body_count:
-            raise ConfigError(
-                f"{tpath}.modes", f"expected {body_count} entries"
-            )
-        kind = _as_str(term.get("kind", "cos"), f"{tpath}.kind", {"cos", "sin"})
-        if "phase" in term and kind == "sin":
-            raise ConfigError(
-                f"{tpath}.phase", "specify either kind: sin or phase, not both"
-            )
-        phase = _as_float(term.get("phase", 0.0), f"{tpath}.phase")
-        try:
-            built = (
-                FourierTerm(coeff, tuple(modes), phase)
-                if kind == "cos"
-                else sine_term(coeff, modes)
-            )
-        except ValidationError as exc:
-            raise ConfigError(tpath, str(exc)) from exc
-        terms.append(built)
-        echo_terms.append(
-            {
-                "coefficient": built.coefficient,
-                "modes": list(built.modes),
-                "phase": built.phase,
-            }
-        )
-    try:
-        spec = PotentialSpec(rotor_count=body_count, terms=tuple(terms))
-    except ValidationError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    return spec, {"terms": echo_terms}
-
-
-def _parse_field_terms(node, path, body_count) -> tuple:
-    raw = _as_list(node, path)
-    terms = []
-    echo = []
-    for i, item in enumerate(raw):
-        tpath = f"{path}[{i}]"
-        term = _as_mapping(item, tpath)
-        _reject_unknown(term, tpath, ("coefficient", "powers"))
-        for req in ("coefficient", "powers"):
-            if req not in term:
-                raise ConfigError(f"{tpath}.{req}", "missing required field")
-        coeff = _as_float(term["coefficient"], f"{tpath}.coefficient")
-        powers = [
-            _as_int(k, f"{tpath}.powers[{n}]", minimum=0)
-            for n, k in enumerate(_as_list(term["powers"], f"{tpath}.powers"))
-        ]
-        if len(powers) != body_count:
-            raise ConfigError(
-                f"{tpath}.powers", f"expected {body_count} entries"
-            )
-        try:
-            terms.append(FieldTerm(coeff, tuple(powers)))
-        except ValidationError as exc:
-            raise ConfigError(tpath, str(exc)) from exc
-        echo.append({"coefficient": coeff, "powers": list(powers)})
-    return tuple(terms), echo
-
-
-def _parse_plan(node, path) -> tuple:
-    raw = _as_list(node, path)
-    if not raw:
-        raise ConfigError(path, "a plan needs at least one body")
-    rationals, detunings, echo = [], [], []
-    for i, item in enumerate(raw):
-        ppath = f"{path}[{i}]"
-        entry = _as_mapping(item, ppath)
-        _reject_unknown(
-            entry, ppath, ("numerator", "denominator", "delta_tau")
-        )
-        for req in ("numerator", "denominator"):
-            if req not in entry:
-                raise ConfigError(f"{ppath}.{req}", "missing required field")
-        r = _as_int(entry["numerator"], f"{ppath}.numerator", minimum=1)
-        s = _as_int(entry["denominator"], f"{ppath}.denominator", minimum=1)
-        d = _as_float(entry.get("delta_tau", 0.0), f"{ppath}.delta_tau")
-        rationals.append((r, s))
-        detunings.append(d)
-        echo.append({"numerator": r, "denominator": s, "delta_tau": d})
-    try:
-        plan = ResonancePlan(tuple(rationals), tuple(detunings))
-    except ValidationError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    return plan, echo
-
-
-def _parse_initial(node, path, body_count) -> tuple:
-    block = _as_mapping(node, path)
-    known = ("type", "momenta", "centers", "width")
-    _reject_unknown(block, path, known)
-    kind = _as_str(
-        block.get("type", "momentum_eigenstate"),
-        f"{path}.type",
-        {"momentum_eigenstate", "coherent"},
-    )
-    if kind == "momentum_eigenstate":
-        momenta = [
-            _as_int(m, f"{path}.momenta[{i}]")
-            for i, m in enumerate(
-                _as_list(block.get("momenta", [0] * body_count),
-                         f"{path}.momenta")
-            )
-        ]
-        if len(momenta) != body_count:
-            raise ConfigError(f"{path}.momenta", f"expected {body_count} entries")
-        for extra in ("centers", "width"):
-            if extra in block:
-                raise ConfigError(
-                    f"{path}.{extra}",
-                    "only valid for type: coherent",
-                )
-        descriptor = {"type": kind, "momenta": momenta}
-        return descriptor, descriptor
-    if "centers" not in block:
-        raise ConfigError(f"{path}.centers", "missing required field")
-    raw_centers = _as_list(block["centers"], f"{path}.centers")
-    if len(raw_centers) != body_count:
-        raise ConfigError(f"{path}.centers", f"expected {body_count} entries")
-    centers = []
-    for i, pair in enumerate(raw_centers):
-        cp = f"{path}.centers[{i}]"
-        pair = _as_list(pair, cp)
-        if len(pair) != 2:
-            raise ConfigError(cp, "expected [theta0, p0]")
-        centers.append(
-            (_as_float(pair[0], f"{cp}[0]"), _as_float(pair[1], f"{cp}[1]"))
-        )
-    width = _as_float(block.get("width", 1.0), f"{path}.width", positive=True)
-    if "momenta" in block:
-        raise ConfigError(
-            f"{path}.momenta", "only valid for type: momentum_eigenstate"
-        )
-    descriptor = {
-        "type": kind,
-        "centers": [[a, b] for a, b in centers],
-        "width": width,
-    }
-    return descriptor, descriptor
+_NO_SCAN = {"detunings": (), "threshold": 0.01, "horizons": ()}
 
 
 def load_config(
@@ -361,7 +415,10 @@ def load_config(
     seed_override: int | None = None,
     out_dir_override: Path | None = None,
 ) -> ExperimentConfig:
-    """Parse and strictly validate a YAML experiment config."""
+    """Parse and strictly validate a YAML experiment config.
+
+    The field tables check each field; the rules here tie fields together.
+    """
     try:
         text = Path(config_path).read_text()
     except OSError as exc:
@@ -371,184 +428,55 @@ def load_config(
     except yaml.YAMLError as exc:
         raise ConfigError(str(config_path), f"invalid YAML: {exc}")
     root = _as_mapping(raw, "<root>")
-
-    known = (
-        "system",
-        "potential",
-        "field_terms",
-        "j_tot",
-        "plan",
-        "initial",
-        "bipartition",
-        "steps",
-        "engine",
-        "predictor",
-        "detune_scan",
-        "out_dir",
+    if out_dir_override is not None:
+        root = {**root, "out_dir": str(out_dir_override)}
+    eff = _fields(root, "", _ROOT, {"command": command})
+    body_count = len(eff["plan"])
+    plan = ResonancePlan(
+        tuple((e["numerator"], e["denominator"]) for e in eff["plan"]),
+        tuple(e["delta_tau"] for e in eff["plan"]),
     )
-    _reject_unknown(root, "", known)
-
-    expected_system = "top" if command == "top-simulate" else "rotor"
-    system = _as_str(
-        root.get("system", expected_system), "system", {"rotor", "top"}
-    )
-    if system != expected_system:
-        raise ConfigError(
-            "system", f"command {command} requires system: {expected_system}"
-        )
-
-    if "plan" not in root:
-        raise ConfigError("plan", "missing required field")
-    plan, plan_echo = _parse_plan(root["plan"], "plan")
-    body_count = plan.rotor_count
 
     potential = None
-    potential_echo = None
-    field_terms: tuple = ()
-    field_echo = None
-    j_tot = None
-    if system == "rotor":
-        if "potential" not in root:
-            raise ConfigError("potential", "missing required field")
-        if "field_terms" in root or "j_tot" in root:
-            key = "field_terms" if "field_terms" in root else "j_tot"
-            raise ConfigError(key, "only valid for system: top")
-        potential, potential_echo = _parse_potential(
-            root["potential"], "potential", body_count
-        )
-    else:
-        if "potential" in root:
-            raise ConfigError("potential", "only valid for system: rotor")
-        if "j_tot" not in root:
-            raise ConfigError("j_tot", "missing required field")
-        j_tot = _as_int(root["j_tot"], "j_tot", minimum=1)
-        field_terms, field_echo = _parse_field_terms(
-            root.get("field_terms", []), "field_terms", body_count
-        )
-
-    initial, initial_echo = _parse_initial(
-        root.get("initial", {"type": "momentum_eigenstate"}),
-        "initial",
-        body_count,
-    )
-    if system == "top" and initial["type"] != "momentum_eigenstate":
+    if "potential" in eff:
+        terms = []
+        for i, term in enumerate(eff["potential"]["terms"]):
+            here = f"potential.terms[{i}]"
+            args = (term["coefficient"], tuple(term["modes"]))
+            terms.append(
+                _built(here, FourierTerm, *args, term["phase"])
+                if term["kind"] == "cos"
+                else _built(here, sine_term, *args)
+            )
+        potential = PotentialSpec(rotor_count=body_count, terms=tuple(terms))
+        eff["potential"] = {
+            "terms": [
+                {"coefficient": t.coefficient, "modes": list(t.modes),
+                 "phase": t.phase}
+                for t in terms
+            ]
+        }
+    field_terms = []
+    for i, term in enumerate(eff.get("field_terms", ())):
+        args = (term["coefficient"], tuple(term["powers"]))
+        field_terms.append(_built(f"field_terms[{i}]", FieldTerm, *args))
+    if eff["system"] == "top" and eff["initial"]["type"] == "coherent":
         raise ConfigError(
             "initial.type",
             "tops support only momentum_eigenstate (J_z product states)",
         )
-
     part = None
-    if body_count >= 2:
-        part_block = _as_mapping(
-            root.get("bipartition", {"part_a": [0]}), "bipartition"
+    if "bipartition" in eff:
+        part_a = tuple(eff["bipartition"]["part_a"])
+        part = _built(
+            "bipartition.part_a", BipartitionSpec, body_count, part_a
         )
-        _reject_unknown(part_block, "bipartition", ("part_a",))
-        part_a = [
-            _as_int(j, f"bipartition.part_a[{i}]", minimum=0)
-            for i, j in enumerate(
-                _as_list(part_block.get("part_a", [0]), "bipartition.part_a")
-            )
-        ]
-        try:
-            part = BipartitionSpec(
-                rotor_count=body_count, part_a=tuple(part_a)
-            )
-        except ValidationError as exc:
-            raise ConfigError("bipartition.part_a", str(exc)) from exc
-    elif "bipartition" in root:
-        raise ConfigError(
-            "bipartition", "a single body has no bipartition"
-        )
-
-    if "steps" not in root:
-        raise ConfigError("steps", "missing required field")
-    steps = _as_int(root["steps"], "steps", minimum=1)
-
-    engine = _as_mapping(root.get("engine", {}), "engine")
-    engine_known = (
-        "tail_tolerance",
-        "tail_budget",
-        "window_margin",
-        "element_cap",
-    )
-    _reject_unknown(engine, "engine", engine_known)
-    tail_tolerance = _as_float(
-        engine.get("tail_tolerance", DEFAULT_TAIL_TOL),
-        "engine.tail_tolerance",
-        positive=True,
-    )
-    tail_budget = _as_float(
-        engine.get("tail_budget", DEFAULT_TAIL_BUDGET),
-        "engine.tail_budget",
-        positive=True,
-    )
-    window_margin = _as_int(
-        engine.get("window_margin", 16), "engine.window_margin", minimum=0
-    )
-    element_cap = _as_int(
-        engine.get("element_cap", DEFAULT_ELEMENT_CAP),
-        "engine.element_cap",
-        minimum=1,
-    )
-
-    pred = _as_mapping(root.get("predictor", {}), "predictor")
-    _reject_unknown(pred, "predictor", ("samples", "seed"))
-    samples = _as_int(
-        pred.get("samples", DEFAULT_SAMPLES), "predictor.samples", minimum=1
-    )
-    seed = _as_int(
-        pred.get("seed", DEFAULT_SEED),
-        "predictor.seed",
-        minimum=0,
-        maximum=MAX_SEED,
-    )
     if seed_override is not None:
-        seed = seed_override
+        eff["predictor"]["seed"] = seed_override
 
-    detunings: tuple = ()
-    threshold = 0.01
-    horizons: tuple = ()
-    if command == "detune-scan":
-        if "detune_scan" not in root:
-            raise ConfigError("detune_scan", "missing required field")
-        scan = _as_mapping(root["detune_scan"], "detune_scan")
-        _reject_unknown(
-            scan, "detune_scan", ("detunings", "threshold", "horizons")
-        )
-        if "detunings" not in scan:
-            raise ConfigError("detune_scan.detunings", "missing required field")
-        raw_d = _as_list(scan["detunings"], "detune_scan.detunings")
-        if not raw_d:
-            raise ConfigError("detune_scan.detunings", "needs at least one value")
-        values = []
-        for i, d in enumerate(raw_d):
-            value = _as_float(d, f"detune_scan.detunings[{i}]")
-            if value == 0.0:
-                raise ConfigError(
-                    f"detune_scan.detunings[{i}]",
-                    "0 is not a scan point: the ideal run is the reference",
-                )
-            if value < 0.0:
-                raise ConfigError(
-                    f"detune_scan.detunings[{i}]", "must be positive"
-                )
-            if value in values:
-                raise ConfigError(
-                    f"detune_scan.detunings[{i}]",
-                    f"repeats detunings[{values.index(value)}]: "
-                    "each value is one scan point",
-                )
-            values.append(value)
-        detunings = tuple(values)
-        threshold = _as_float(
-            scan.get("threshold", 0.01), "detune_scan.threshold", positive=True
-        )
-        raw_h = scan.get("horizons", [steps] * len(detunings))
-        horizons = tuple(
-            _as_int(h, f"detune_scan.horizons[{i}]", minimum=1)
-            for i, h in enumerate(_as_list(raw_h, "detune_scan.horizons"))
-        )
-        if len(horizons) != len(detunings):
+    scan = eff.get("detune_scan", _NO_SCAN)
+    if scan is not _NO_SCAN:
+        if len(scan["horizons"]) != len(scan["detunings"]):
             raise ConfigError(
                 "detune_scan.horizons", "expected one horizon per detuning"
             )
@@ -557,63 +485,26 @@ def load_config(
                 "plan",
                 "detune-scan needs an exact base plan (all delta_tau = 0)",
             )
-    elif "detune_scan" in root:
-        raise ConfigError(
-            "detune_scan", "only valid for the detune-scan command"
-        )
-
-    out_dir = Path(
-        out_dir_override
-        if out_dir_override is not None
-        else _as_str(root.get("out_dir", f"runs/{command}"), "out_dir")
-    )
-
-    effective: dict = {"system": system, "plan": plan_echo}
-    if system == "rotor":
-        effective["potential"] = potential_echo
-    else:
-        effective["j_tot"] = j_tot
-        effective["field_terms"] = field_echo
-    effective["initial"] = initial_echo
-    if part is not None:
-        effective["bipartition"] = {"part_a": list(part_a)}
-    effective["steps"] = steps
-    effective["engine"] = {
-        "tail_tolerance": tail_tolerance,
-        "tail_budget": tail_budget,
-        "window_margin": window_margin,
-        "element_cap": element_cap,
-    }
-    effective["predictor"] = {"samples": samples, "seed": seed}
-    if command == "detune-scan":
-        effective["detune_scan"] = {
-            "detunings": list(detunings),
-            "threshold": threshold,
-            "horizons": list(horizons),
-        }
-    effective["out_dir"] = str(out_dir)
+    out_dir = Path(eff["out_dir"])
+    eff["out_dir"] = str(out_dir)
 
     return ExperimentConfig(
         command=command,
-        system=system,
-        steps=steps,
+        system=eff["system"],
+        steps=eff["steps"],
         potential=potential,
         plan=plan,
-        j_tot=j_tot,
-        field_terms=field_terms,
-        initial=initial,
+        j_tot=eff.get("j_tot"),
+        field_terms=tuple(field_terms),
+        initial=eff["initial"],
         part=part,
-        tail_tolerance=tail_tolerance,
-        tail_budget=tail_budget,
-        window_margin=window_margin,
-        element_cap=element_cap,
-        samples=samples,
-        seed=seed,
-        detunings=detunings,
-        threshold=threshold,
-        horizons=horizons,
+        **eff["engine"],
+        **eff["predictor"],
+        detunings=tuple(scan["detunings"]),
+        threshold=scan["threshold"],
+        horizons=tuple(scan["horizons"]),
         out_dir=out_dir,
-        effective=effective,
+        effective=eff,
     )
 
 
@@ -736,14 +627,13 @@ def _rotor_run_pieces(cfg: ExperimentConfig):
     else:
         sizing = [int(round(p0)) for _, p0 in descriptor["centers"]]
         margin_extra = int(math.ceil(6.0 * descriptor["width"])) + 2
-    lattice = RotorLattice.for_run(
+    lattice = RotorLattice.start_window(
         cfg.potential,
         sizing,
         cfg.steps,
         margin=cfg.window_margin
         + (0 if descriptor["type"] == "momentum_eigenstate" else margin_extra),
         element_cap=cfg.element_cap,
-        auto_grow=True,
     )
     engine = RotorEngine(
         cfg.potential,

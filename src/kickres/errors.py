@@ -12,16 +12,10 @@ class KickresError(Exception):
 class ValidationError(KickresError):
     """Malformed specification, configuration, or argument."""
 
-    exit_code = 2
-
 
 class TruncationError(KickresError):
     """Momentum-window tail mass exceeded the configured tolerance."""
 
-    exit_code = 3
-
 
 class ResourceCapError(KickresError):
     """A lattice or state would exceed the configured memory cap."""
-
-    exit_code = 4

@@ -107,26 +107,22 @@ class RotorLattice:
         steps: int,
         margin: int = 16,
         element_cap: int = DEFAULT_ELEMENT_CAP,
-        auto_grow: bool = False,
     ) -> "RotorLattice":
         """Windows for a ``steps``-kick run from the given centers.
 
         Each kick shifts momentum by at most the potential's per-rotor
         bandwidth (sum of |coefficient * mode|), so the padding
         ``ceil(k * bandwidth) + margin`` bounds the support k kicks reach;
-        the margin absorbs the soft Bessel tails.  The default covers
-        k = ``steps``, the window ``dressed_evolve`` needs; with
-        ``auto_grow`` it covers k = min(steps, START_STEPS), and the
-        engine's trajectory widens it as its edges fill.  Each
+        the margin absorbs the soft Bessel tails.  The windows cover
+        k = ``steps``, the worst case that ``dressed_evolve`` needs.  Each
         length is rounded up to a 7-smooth one around its center, unless
         that alone would pass the element cap.
         """
         if len(initial_momenta) != potential.rotor_count:
             raise ValidationError("need one initial momentum per rotor")
-        reach = min(steps, START_STEPS) if auto_grow else steps
         windows = []
         for j in range(potential.rotor_count):
-            half = math.ceil(reach * potential.kick_bandwidth(j)) + margin
+            half = math.ceil(steps * potential.kick_bandwidth(j)) + margin
             p0 = int(initial_momenta[j])
             windows.append((p0 - half, p0 + half))
         exact = cls(tuple(windows), element_cap)
@@ -134,6 +130,19 @@ class RotorLattice:
         if math.prod(smooth) > element_cap:
             return exact
         return exact.resized(smooth)
+
+    @classmethod
+    def start_window(
+        cls, potential: PotentialSpec, initial_momenta, steps: int, **sizing
+    ) -> "RotorLattice":
+        """First windows of a growing ``steps``-kick run.
+
+        ``for_run`` over min(steps, START_STEPS) kicks, with its ``margin``
+        and ``element_cap`` keywords; the engine's trajectory widens the
+        windows as their edges fill.
+        """
+        reach = min(steps, START_STEPS)
+        return cls.for_run(potential, initial_momenta, reach, **sizing)
 
     @property
     def rotor_count(self) -> int:

@@ -156,7 +156,7 @@ TOP_SPEC = TopSpec(
 def _moment_run(potential, plan, steps, purity=None):
     """Evolve |0,...,0> on growing windows -> observe's (series, purities)."""
     momenta = (0,) * potential.rotor_count
-    lattice = RotorLattice.for_run(potential, momenta, steps, auto_grow=True)
+    lattice = RotorLattice.start_window(potential, momenta, steps)
     engine = RotorEngine(potential, plan, lattice)
     state = RotorState.momentum_eigenstate(lattice, momenta)
     return observe(engine, state, steps, measure_moments, purity)

@@ -1,8 +1,10 @@
 """End-to-end tests of the config-driven experiment runner."""
 
+import copy
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -192,8 +194,9 @@ class TestConfigValidation:
         assert eff["predictor"] == {"samples": 200000, "seed": 12345}
         assert eff["plan"][0]["delta_tau"] == 0.0
 
-    def test_every_shipped_config_loads(self):
-        # a schema change must not strand a bundled config
+    def test_every_shipped_config_loads(self, tmp_path):
+        # a schema change must not strand a bundled config, and the
+        # effective-config echo of each loads back to the same config
         root = Path(__file__).resolve().parents[1]
         paths = sorted(root.glob("configs/*.yaml")) + sorted(
             root.glob("perfbench/configs/*.yaml")
@@ -202,12 +205,23 @@ class TestConfigValidation:
         for path in paths:
             body = yaml.safe_load(path.read_text())
             if body["system"] == "top":
-                command = "top-simulate"
+                commands = ("top-simulate",)
             elif "detune_scan" in body:
-                command = "detune-scan"
+                commands = ("detune-scan",)
             else:
-                command = "simulate"
-            assert load_config(path, command).command == command, path
+                commands = ("simulate", "predict", "classify")
+            for command in commands:
+                cfg = load_config(path, command)
+                assert cfg.command == command, path
+                echo = tmp_path / "effective_config.yaml"
+                echo.write_text(
+                    yaml.safe_dump(
+                        cfg.effective, sort_keys=True, default_flow_style=False
+                    )
+                )
+                again = load_config(echo, command)
+                assert again.effective == cfg.effective, (path, command)
+                assert again == cfg, (path, command)
 
     def test_seed_override_lands_in_echo(self, tmp_path):
         path = write_config(tmp_path, "fig1.yaml", fig1_body())
@@ -274,6 +288,315 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as excinfo:
             load_config(path, "top-simulate")
         assert "initial.type" in str(excinfo.value)
+
+
+DROP = object()
+
+
+def edited(body, edits):
+    """Copy of ``body`` with each dotted ``a.b[0].c`` path set (or DROPped)."""
+    body = copy.deepcopy(body)
+    for dotted, value in edits.items():
+        keys = [
+            int(key) if key.isdigit() else key
+            for key in re.findall(r"[^.\[\]]+", dotted)
+        ]
+        node = body
+        for key in keys[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    return body
+
+
+def scan_body():
+    return fig1_body(detune_scan={"detunings": [1e-3, 2e-3]})
+
+
+def coherent_body():
+    return fig1_body(
+        initial={"type": "coherent", "centers": [[0.0, 0.0], [1.0, 2.0]]}
+    )
+
+
+NOT_FOUND = object()
+BAD_YAML = "plan: [1\n"
+
+# (base body, command, edits, error path, full message): one fault each,
+# covering every ConfigError the config code raises.  A field that is not
+# valid where it appears is reported as such even when its value is also
+# of the wrong type.
+SINGLE_FAULTS = [
+    (NOT_FOUND, "simulate", {}, None, "cannot read config: {oserror}"),
+    (BAD_YAML, "simulate", {}, None, "invalid YAML: {yamlerror}"),
+    (lambda: [1], "simulate", {}, "<root>", "expected a mapping, got list"),
+    (fig1_body, "simulate", {"extra": 1}, "extra", "unknown field"),
+    (fig1_body, "simulate", {"engine": {"tail_tolerancee": 1e-10}},
+     "engine.tail_tolerancee", "unknown field"),
+    (fig1_body, "simulate", {"plan[0].period": 2}, "plan[0].period",
+     "unknown field"),
+    (fig1_body, "simulate", {"potential.scale": 2}, "potential.scale",
+     "unknown field"),
+    (fig1_body, "simulate", {"potential.terms[1].amplitude": 2},
+     "potential.terms[1].amplitude", "unknown field"),
+    (fig1_body, "simulate", {"initial.phase": 0.0}, "initial.phase",
+     "unknown field"),
+    (fig1_body, "simulate", {"bipartition.part_b": [1]},
+     "bipartition.part_b", "unknown field"),
+    (fig1_body, "simulate", {"predictor": {"method": "mc"}},
+     "predictor.method", "unknown field"),
+    (scan_body, "detune-scan", {"detune_scan.method": "x"},
+     "detune_scan.method", "unknown field"),
+    (top_body, "top-simulate", {"field_terms[0].modes": [1, 0]},
+     "field_terms[0].modes", "unknown field"),
+    (fig1_body, "simulate", {"system": "spin"}, "system",
+     "must be one of ['rotor', 'top'], got 'spin'"),
+    (fig1_body, "simulate", {"system": 3}, "system",
+     "expected a string, got int"),
+    (top_body, "simulate", {}, "system",
+     "command simulate requires system: rotor"),
+    (fig1_body, "top-simulate", {}, "system",
+     "command top-simulate requires system: top"),
+    (fig1_body, "simulate", {"plan": DROP}, "plan", "missing required field"),
+    (fig1_body, "simulate", {"plan": {}}, "plan", "expected a list, got dict"),
+    (fig1_body, "simulate", {"plan": []}, "plan",
+     "a plan needs at least one body"),
+    (fig1_body, "simulate", {"plan[0]": 1}, "plan[0]",
+     "expected a mapping, got int"),
+    (fig1_body, "simulate", {"plan[0].numerator": DROP}, "plan[0].numerator",
+     "missing required field"),
+    (fig1_body, "simulate", {"plan[1].denominator": DROP},
+     "plan[1].denominator", "missing required field"),
+    (fig1_body, "simulate", {"plan[1].denominator": 0},
+     "plan[1].denominator", "must be >= 1, got 0"),
+    (fig1_body, "simulate", {"plan[0].numerator": 1.5}, "plan[0].numerator",
+     "expected an integer, got float"),
+    (fig1_body, "simulate", {"plan[0].numerator": True}, "plan[0].numerator",
+     "expected an integer, got bool"),
+    (fig1_body, "simulate", {"plan[0].delta_tau": "x"}, "plan[0].delta_tau",
+     "expected a number, got str"),
+    (fig1_body, "simulate", {"plan[0].delta_tau": math.nan},
+     "plan[0].delta_tau", "must be finite"),
+    (fig1_body, "simulate", {"potential": DROP}, "potential",
+     "missing required field"),
+    (fig1_body, "simulate", {"potential": []}, "potential",
+     "expected a mapping, got list"),
+    (fig1_body, "simulate", {"potential.terms": DROP}, "potential.terms",
+     "missing required field"),
+    (fig1_body, "simulate", {"potential.terms": 1}, "potential.terms",
+     "expected a list, got int"),
+    (fig1_body, "simulate", {"potential.terms[0]": "cos"},
+     "potential.terms[0]", "expected a mapping, got str"),
+    (fig1_body, "simulate", {"potential.terms[0].coefficient": DROP},
+     "potential.terms[0].coefficient", "missing required field"),
+    (fig1_body, "simulate", {"potential.terms[2].modes": DROP},
+     "potential.terms[2].modes", "missing required field"),
+    (fig1_body, "simulate", {"potential.terms[0].coefficient": "big"},
+     "potential.terms[0].coefficient", "expected a number, got str"),
+    (fig1_body, "simulate", {"potential.terms[0].coefficient": math.inf},
+     "potential.terms[0].coefficient", "must be finite"),
+    (fig1_body, "simulate", {"potential.terms[0].modes": [1]},
+     "potential.terms[0].modes", "expected 2 entries"),
+    (fig1_body, "simulate", {"potential.terms[0].modes": "1 0"},
+     "potential.terms[0].modes", "expected a list, got str"),
+    (fig1_body, "simulate", {"potential.terms[0].modes[1]": 0.5},
+     "potential.terms[0].modes[1]", "expected an integer, got float"),
+    (fig1_body, "simulate", {"potential.terms[0].kind": "tan"},
+     "potential.terms[0].kind", "must be one of ['cos', 'sin'], got 'tan'"),
+    (fig1_body, "simulate", {"potential.terms[0].kind": 1},
+     "potential.terms[0].kind", "expected a string, got int"),
+    (fig1_body, "simulate",
+     {"potential.terms[0].kind": "sin", "potential.terms[0].phase": 0.1},
+     "potential.terms[0].phase",
+     "specify either kind: sin or phase, not both"),
+    (fig1_body, "simulate",
+     {"potential.terms[0].kind": "sin", "potential.terms[0].phase": "x"},
+     "potential.terms[0].phase",
+     "specify either kind: sin or phase, not both"),
+    (fig1_body, "simulate", {"potential.terms[0].phase": "x"},
+     "potential.terms[0].phase", "expected a number, got str"),
+    (fig1_body, "simulate", {"potential.terms[1].modes": [0, 0]},
+     "potential.terms[1]", "constant terms (all modes zero) are not allowed"),
+    (fig1_body, "simulate",
+     {"potential.terms[1].modes": [0, 0], "potential.terms[1].kind": "sin"},
+     "potential.terms[1]", "constant terms (all modes zero) are not allowed"),
+    (fig1_body, "simulate", {"field_terms": []}, "field_terms",
+     "only valid for system: top"),
+    (fig1_body, "simulate", {"field_terms": 5}, "field_terms",
+     "only valid for system: top"),
+    (fig1_body, "simulate", {"j_tot": "big"}, "j_tot",
+     "only valid for system: top"),
+    (top_body, "top-simulate", {"potential": 5}, "potential",
+     "only valid for system: rotor"),
+    (top_body, "top-simulate", {"j_tot": DROP}, "j_tot",
+     "missing required field"),
+    (top_body, "top-simulate", {"j_tot": 0}, "j_tot", "must be >= 1, got 0"),
+    (top_body, "top-simulate", {"j_tot": 2.5}, "j_tot",
+     "expected an integer, got float"),
+    (top_body, "top-simulate", {"field_terms": {}}, "field_terms",
+     "expected a list, got dict"),
+    (top_body, "top-simulate", {"field_terms[1]": 2}, "field_terms[1]",
+     "expected a mapping, got int"),
+    (top_body, "top-simulate", {"field_terms[0].coefficient": DROP},
+     "field_terms[0].coefficient", "missing required field"),
+    (top_body, "top-simulate", {"field_terms[0].powers": DROP},
+     "field_terms[0].powers", "missing required field"),
+    (top_body, "top-simulate", {"field_terms[0].coefficient": None},
+     "field_terms[0].coefficient", "expected a number, got NoneType"),
+    (top_body, "top-simulate", {"field_terms[2].powers": [1]},
+     "field_terms[2].powers", "expected 2 entries"),
+    (top_body, "top-simulate", {"field_terms[0].powers[0]": -1},
+     "field_terms[0].powers[0]", "must be >= 0, got -1"),
+    (top_body, "top-simulate", {"field_terms[0].powers": [0, 0]},
+     "field_terms[0]",
+     "each field term must involve at least one spin operator"),
+    (top_body, "top-simulate", {"field_terms[0].coefficient": 0.0},
+     "field_terms[0]", "field coefficients must be finite and nonzero"),
+    (fig1_body, "simulate", {"initial": []}, "initial",
+     "expected a mapping, got list"),
+    (fig1_body, "simulate", {"initial.type": "gaussian"}, "initial.type",
+     "must be one of ['coherent', 'momentum_eigenstate'], got 'gaussian'"),
+    (fig1_body, "simulate", {"initial.momenta": [0]}, "initial.momenta",
+     "expected 2 entries"),
+    (fig1_body, "simulate", {"initial.momenta": 0}, "initial.momenta",
+     "expected a list, got int"),
+    (fig1_body, "simulate", {"initial.momenta[0]": "a"}, "initial.momenta[0]",
+     "expected an integer, got str"),
+    (fig1_body, "simulate", {"initial.width": 1.0}, "initial.width",
+     "only valid for type: coherent"),
+    (fig1_body, "simulate", {"initial.centers": "x"}, "initial.centers",
+     "only valid for type: coherent"),
+    (coherent_body, "simulate", {"initial.centers": DROP}, "initial.centers",
+     "missing required field"),
+    (coherent_body, "simulate", {"initial.centers": 0.0}, "initial.centers",
+     "expected a list, got float"),
+    (coherent_body, "simulate", {"initial.centers": [[0.0, 0.0]]},
+     "initial.centers", "expected 2 entries"),
+    (coherent_body, "simulate", {"initial.centers[1]": [0.0]},
+     "initial.centers[1]", "expected [theta0, p0]"),
+    (coherent_body, "simulate", {"initial.centers[0]": 5},
+     "initial.centers[0]", "expected a list, got int"),
+    (coherent_body, "simulate", {"initial.centers[0][1]": "x"},
+     "initial.centers[0][1]", "expected a number, got str"),
+    (coherent_body, "simulate", {"initial.width": 0}, "initial.width",
+     "must be > 0, got 0.0"),
+    (coherent_body, "simulate", {"initial.width": -1}, "initial.width",
+     "must be > 0, got -1.0"),
+    (coherent_body, "simulate", {"initial.momenta": "x"}, "initial.momenta",
+     "only valid for type: momentum_eigenstate"),
+    (top_body, "top-simulate",
+     {"initial": {"type": "coherent", "centers": [[0.0, 0.0]] * 2}},
+     "initial.type",
+     "tops support only momentum_eigenstate (J_z product states)"),
+    (fig1_body, "simulate", {"bipartition": [0]}, "bipartition",
+     "expected a mapping, got list"),
+    (fig1_body, "simulate", {"bipartition.part_a": 0}, "bipartition.part_a",
+     "expected a list, got int"),
+    (fig1_body, "simulate", {"bipartition.part_a": [-1]},
+     "bipartition.part_a[0]", "must be >= 0, got -1"),
+    (fig1_body, "simulate", {"bipartition.part_a": [0, 0]},
+     "bipartition.part_a", "part_a contains repeated indices"),
+    (fig1_body, "simulate", {"bipartition.part_a": []}, "bipartition.part_a",
+     "part_a must be nonempty"),
+    (fig1_body, "simulate", {"bipartition.part_a": [0, 1]},
+     "bipartition.part_a",
+     "part_a must be a proper subset of the rotor indices"),
+    (fig1_body, "simulate", {"bipartition.part_a": [5]},
+     "bipartition.part_a", "rotor index 5 outside 0..1"),
+    (one_rotor_body, "simulate", {"bipartition": "x"}, "bipartition",
+     "a single body has no bipartition"),
+    (fig1_body, "simulate", {"steps": DROP}, "steps",
+     "missing required field"),
+    (fig1_body, "simulate", {"steps": 0}, "steps", "must be >= 1, got 0"),
+    (fig1_body, "simulate", {"steps": "10"}, "steps",
+     "expected an integer, got str"),
+    (fig1_body, "simulate", {"engine": 1}, "engine",
+     "expected a mapping, got int"),
+    (fig1_body, "simulate", {"engine": {"tail_tolerance": 0}},
+     "engine.tail_tolerance", "must be > 0, got 0.0"),
+    (fig1_body, "simulate", {"engine": {"tail_tolerance": "x"}},
+     "engine.tail_tolerance", "expected a number, got str"),
+    (fig1_body, "simulate", {"engine": {"tail_budget": -1}},
+     "engine.tail_budget", "must be > 0, got -1.0"),
+    (fig1_body, "simulate", {"engine": {"window_margin": -1}},
+     "engine.window_margin", "must be >= 0, got -1"),
+    (fig1_body, "simulate", {"engine": {"element_cap": 0}},
+     "engine.element_cap", "must be >= 1, got 0"),
+    (fig1_body, "simulate", {"predictor": "x"}, "predictor",
+     "expected a mapping, got str"),
+    (fig1_body, "simulate", {"predictor": {"samples": 0}},
+     "predictor.samples", "must be >= 1, got 0"),
+    (fig1_body, "simulate", {"predictor": {"seed": -1}}, "predictor.seed",
+     "must be >= 0, got -1"),
+    (fig1_body, "simulate", {"predictor": {"seed": 2**64}}, "predictor.seed",
+     "must be <= 18446744073709551615, got 18446744073709551616"),
+    (scan_body, "simulate", {}, "detune_scan",
+     "only valid for the detune-scan command"),
+    (scan_body, "predict", {"detune_scan": 5}, "detune_scan",
+     "only valid for the detune-scan command"),
+    (fig1_body, "detune-scan", {}, "detune_scan", "missing required field"),
+    (scan_body, "detune-scan", {"detune_scan": []}, "detune_scan",
+     "expected a mapping, got list"),
+    (scan_body, "detune-scan", {"detune_scan.detunings": DROP},
+     "detune_scan.detunings", "missing required field"),
+    (scan_body, "detune-scan", {"detune_scan.detunings": 1e-3},
+     "detune_scan.detunings", "expected a list, got float"),
+    (scan_body, "detune-scan", {"detune_scan.detunings": []},
+     "detune_scan.detunings", "needs at least one value"),
+    (scan_body, "detune-scan", {"detune_scan.detunings[1]": "a"},
+     "detune_scan.detunings[1]", "expected a number, got str"),
+    (scan_body, "detune-scan", {"detune_scan.detunings[1]": 0.0},
+     "detune_scan.detunings[1]",
+     "0 is not a scan point: the ideal run is the reference"),
+    (scan_body, "detune-scan", {"detune_scan.detunings[0]": -1e-3},
+     "detune_scan.detunings[0]", "must be positive"),
+    (scan_body, "detune-scan", {"detune_scan.detunings[1]": 1e-3},
+     "detune_scan.detunings[1]",
+     "repeats detunings[0]: each value is one scan point"),
+    (scan_body, "detune-scan", {"detune_scan.threshold": 0},
+     "detune_scan.threshold", "must be > 0, got 0.0"),
+    (scan_body, "detune-scan", {"detune_scan.horizons": [10]},
+     "detune_scan.horizons", "expected one horizon per detuning"),
+    (scan_body, "detune-scan", {"detune_scan.horizons": [10, 0]},
+     "detune_scan.horizons[1]", "must be >= 1, got 0"),
+    (scan_body, "detune-scan", {"detune_scan.horizons": 10},
+     "detune_scan.horizons", "expected a list, got int"),
+    (scan_body, "detune-scan", {"plan[1].delta_tau": 1e-4}, "plan",
+     "detune-scan needs an exact base plan (all delta_tau = 0)"),
+    (fig1_body, "simulate", {"out_dir": 5}, "out_dir",
+     "expected a string, got int"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, command, edits, where, message",
+    SINGLE_FAULTS,
+    ids=[f"{i}-{case[3]}" for i, case in enumerate(SINGLE_FAULTS)],
+)
+def test_single_fault_names_path_and_message(
+    tmp_path, base, command, edits, where, message
+):
+    path = tmp_path / "config.yaml"
+    if base is NOT_FOUND:
+        try:
+            path.read_text()
+        except OSError as exc:
+            message = message.format(oserror=exc)
+    elif base is BAD_YAML:
+        path.write_text(base)
+        try:
+            yaml.safe_load(base)
+        except yaml.YAMLError as exc:
+            message = message.format(yamlerror=exc)
+    else:
+        path.write_text(yaml.safe_dump(edited(base(), edits)))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path, command)
+    where = str(path) if where is None else where
+    assert excinfo.value.path == where
+    assert str(excinfo.value) == f"config error at {where}: {message}"
 
 
 class TestSimulate:

@@ -177,7 +177,7 @@ class TestSchmidtPurity:
             b = schmidt_purity(state, part.swapped())
             assert abs(a - b) < 1e-12
 
-    def test_evolved_auto_grown_fig4_state(self):
+    def test_evolved_grown_fig4_state(self):
         pot = PotentialSpec(
             2,
             (

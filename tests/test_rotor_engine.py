@@ -101,14 +101,10 @@ class TestLattice:
         assert lat.windows == ((-27, 28), (-29, 30))
         # A growing run starts on the first 4 kicks: half-widths 5 + 16
         # (length 43), rounded up to 45.
-        grow = RotorLattice.for_run(
-            fig1_potential(), (3, -2), steps=10, auto_grow=True
-        )
+        grow = RotorLattice.start_window(fig1_potential(), (3, -2), steps=10)
         assert grow.windows == ((3 - 22, 3 + 22), (-2 - 22, -2 + 22))
         # A run shorter than the start horizon covers its own reach.
-        short = RotorLattice.for_run(
-            fig1_potential(), (0, 0), steps=2, auto_grow=True
-        )
+        short = RotorLattice.start_window(fig1_potential(), (0, 0), steps=2)
         assert short.shape == (_smooth_length(2 * 19 + 1),) * 2
 
     def test_for_run_keeps_exact_lengths_under_a_tight_cap(self):
@@ -432,7 +428,7 @@ class TestTruncationHandling:
                 lo, hi = wider.windows[0]
                 assert lo <= -100 and hi >= 100 and abs(lo + hi) <= 1
 
-    def test_auto_grow_recovers(self):
+    def test_window_growth_recovers(self):
         pot = PotentialSpec(1, (cosine_term(2.0, (1,)),))
         plan = ResonancePlan(((1, 1),))
         lat = RotorLattice(((-6, 6),))
@@ -520,7 +516,7 @@ class TestGrowingWindows:
         ref_records, ref_purity = fixed_window_run(
             potential, plan, (0, 0), steps, margin, part
         )
-        lat = RotorLattice.for_run(potential, (0, 0), steps, auto_grow=True)
+        lat = RotorLattice.start_window(potential, (0, 0), steps)
         engine = RotorEngine(potential, plan, lat)
         state = RotorState.momentum_eigenstate(lat, (0, 0))
         records, purity = [], []
@@ -541,7 +537,7 @@ class TestGrowingWindows:
         # the secondary-resonance rotor of the scan model stays bounded
         pot = fig2_potential()
         plan = ResonancePlan(((1, 1), (1, 2)))
-        lat = RotorLattice.for_run(pot, (0, 0), 40, auto_grow=True)
+        lat = RotorLattice.start_window(pot, (0, 0), 40)
         engine = RotorEngine(pot, plan, lat)
         engine.evolve(RotorState.momentum_eigenstate(lat, (0, 0)), 40)
         assert engine.lattice.shape[0] > lat.shape[0]
@@ -553,7 +549,7 @@ class TestGrowingWindows:
         # measure_moments reuses them
         pot = fig1_potential()
         plan = ResonancePlan(((1, 1), (1, 2)))
-        lat = RotorLattice.for_run(pot, (0, 0), 6, auto_grow=True)
+        lat = RotorLattice.start_window(pot, (0, 0), 6)
         engine = RotorEngine(pot, plan, lat)
         state = RotorState.momentum_eigenstate(lat, (0, 0))
         for t, current in engine.trajectory(state, 6):
@@ -592,7 +588,7 @@ class TestObserve:
         part = BipartitionSpec(2, (0,))
 
         def pieces():
-            lat = RotorLattice.for_run(pot, (0, 0), 40, auto_grow=True)
+            lat = RotorLattice.start_window(pot, (0, 0), 40)
             engine = RotorEngine(pot, plan, lat)
             return engine, RotorState.momentum_eigenstate(lat, (0, 0))
 
