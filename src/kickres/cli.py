@@ -74,6 +74,7 @@ from .rotor_engine import (
     RotorEngine,
     RotorLattice,
     RotorState,
+    _coherent_packet,
     measure_moments,
     observe,
 )
@@ -472,7 +473,12 @@ def load_config(
             "bipartition.part_a", BipartitionSpec, body_count, part_a
         )
     if seed_override is not None:
-        eff["predictor"]["seed"] = seed_override
+        eff["predictor"] = _fields(
+            {**eff["predictor"], "seed": seed_override},
+            "predictor",
+            _PREDICTOR,
+            {},
+        )
 
     scan = eff.get("detune_scan", _NO_SCAN)
     if scan is not _NO_SCAN:
@@ -716,10 +722,7 @@ def _initial_density(cfg: ExperimentConfig) -> ProductAngleDensity:
         quanta = np.arange(
             int(math.floor(p0)) - reach, int(math.ceil(p0)) + reach + 1
         )
-        amps = np.exp(-((quanta - p0) ** 2) / (4.0 * width**2)) * np.exp(
-            -1j * quanta * theta0
-        )
-        factors.append(amps / np.linalg.norm(amps))
+        factors.append(_coherent_packet(quanta, theta0, p0, width))
     return ProductAngleDensity.from_factors(factors)
 
 

@@ -64,9 +64,13 @@ class FourierTerm:
         if first < 0:
             modes = tuple(-m for m in modes)
             phase = -phase
+        phase %= TWO_PI
+        if phase == TWO_PI:
+            # a negative phase within half an ulp of 0 rounds up to 2pi
+            phase = 0.0
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "phase", phase % TWO_PI)
+        object.__setattr__(self, "phase", phase)
 
 
 def cosine_term(coefficient: float, modes: Sequence[int]) -> FourierTerm:

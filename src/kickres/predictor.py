@@ -8,11 +8,15 @@ robustness diagnostics (relative kinetic-energy deviation, agreement
 time, and the power-law fit of agreement time versus detuning).
 
 Averages over the initial state enter through a product angular density.
-Because every averaged quantity here is a trigonometric polynomial of
-the angles, all first and second moments are evaluated exactly via the
-characteristic sequence chi_j(n) = <exp(i n theta_j)> of each factor;
-Monte-Carlo sampling is used only for the non-polynomial entropy
-averages (and as a cross-check), with reported standard errors.
+Both families of averages are moments of cosine series: the kicks
+-dV/dtheta_j of the even and odd potential parts, and the four-block
+difference eps, written as one series over doubled (unprimed, primed)
+angles.  One kernel, _cos_mean and _cos_product_mean, takes every first
+and second moment exactly from the characteristic sequence
+chi_j(n) = <exp(i n theta_j)> of each factor.  Monte-Carlo sampling is
+used only for the non-polynomial entropy averages (and as a
+cross-check), with reported standard errors; the draw evaluates the same
+four-block series.
 """
 
 from __future__ import annotations
@@ -161,56 +165,31 @@ class ProductAngleDensity:
 # exact trigonometric averages
 
 
-def _sin_mean(density: ProductAngleDensity, term: FourierTerm) -> float:
-    # <sin(m . theta + phase)>
-    value = np.exp(1j * term.phase) * density.char_vector(term.modes)
-    return float(np.imag(value))
-
-
-def _sin_pair_mean(
-    density: ProductAngleDensity, one: FourierTerm, two: FourierTerm
-) -> float:
-    # <sin(m1 . theta + f1) sin(m2 . theta + f2)>
-    diff_modes = tuple(a - b for a, b in zip(one.modes, two.modes))
-    sum_modes = tuple(a + b for a, b in zip(one.modes, two.modes))
-    diff = np.exp(1j * (one.phase - two.phase)) * density.char_vector(
-        diff_modes
-    )
-    total = np.exp(1j * (one.phase + two.phase)) * density.char_vector(
-        sum_modes
-    )
-    return 0.5 * float(np.real(diff) - np.real(total))
-
-
-def _impulse_mean(
-    density: ProductAngleDensity, spec: PotentialSpec, rotor: int
-) -> float:
-    # <-dV/dtheta_rotor> = sum_t c_t m_{t,rotor} <sin(...)>
+def _cos_mean(density: ProductAngleDensity, spec: PotentialSpec) -> float:
+    """Exact <sum_k c_k cos(m_k . theta + phi_k)> over the density."""
     total = 0.0
     for term in spec.terms:
-        weight = term.coefficient * term.modes[rotor]
-        if weight != 0.0:
-            total += weight * _sin_mean(density, term)
+        value = np.exp(1j * term.phase) * density.char_vector(term.modes)
+        total += term.coefficient * float(np.real(value))
     return total
 
 
-def _impulse_second(
-    density: ProductAngleDensity,
-    left: PotentialSpec,
-    right: PotentialSpec,
-    rotor: int,
+def _cos_product_mean(
+    density: ProductAngleDensity, left: PotentialSpec, right: PotentialSpec
 ) -> float:
-    # <(dV_left/dtheta_rotor)(dV_right/dtheta_rotor)>
+    """Exact <left(theta) right(theta)> over the density.
+
+    Each pair of terms uses cos a cos b = [cos(a - b) + cos(a + b)] / 2.
+    """
     total = 0.0
     for one in left.terms:
-        w1 = one.coefficient * one.modes[rotor]
-        if w1 == 0.0:
-            continue
         for two in right.terms:
-            w2 = two.coefficient * two.modes[rotor]
-            if w2 == 0.0:
-                continue
-            total += w1 * w2 * _sin_pair_mean(density, one, two)
+            halves = 0.0
+            for sign in (-1, 1):
+                modes = [a + sign * b for a, b in zip(one.modes, two.modes)]
+                value = np.exp(1j * (one.phase + sign * two.phase))
+                halves += float(np.real(value * density.char_vector(modes)))
+            total += 0.5 * one.coefficient * two.coefficient * halves
     return total
 
 
@@ -257,6 +236,25 @@ class WavepacketParams:
         return len(self.alpha_plus)
 
 
+def _impulse(spec: PotentialSpec, rotor: int) -> PotentialSpec:
+    """The kick -dV/dtheta_rotor as a cosine series.
+
+    c cos(m . theta + phi) contributes c m_rotor cos(m . theta + phi - pi/2);
+    terms without the rotor get coefficient 0 and drop out.
+    """
+    return PotentialSpec(
+        spec.rotor_count,
+        tuple(
+            FourierTerm(
+                t.coefficient * t.modes[rotor],
+                t.modes,
+                t.phase - 0.5 * math.pi,
+            )
+            for t in spec.terms
+        ),
+    )
+
+
 def wavepacket_params(
     potential: PotentialSpec,
     shift_set: frozenset,
@@ -274,31 +272,19 @@ def wavepacket_params(
         initial = ProductAngleDensity.uniform(potential.rotor_count)
     if initial.rotor_count != potential.rotor_count:
         raise ValidationError("density rotor count mismatch")
-    a_plus, a_minus, l_plus, l_minus, cross, classes = (
-        [],
-        [],
-        [],
-        [],
-        [],
-        [],
-    )
+    rows = []
     for j in range(potential.rotor_count):
         eff = effective_potential(potential, j)
-        even, odd = decompose(eff, shift_set)
-        a_plus.append(_impulse_mean(initial, even, j))
-        a_minus.append(_impulse_mean(initial, odd, j))
-        l_plus.append(_impulse_second(initial, even, even, j))
-        l_minus.append(_impulse_second(initial, odd, odd, j))
-        cross.append(_impulse_second(initial, even, odd, j))
-        classes.append(classify(eff, shift_set))
-    return WavepacketParams(
-        alpha_plus=tuple(a_plus),
-        alpha_minus=tuple(a_minus),
-        lambda_plus=tuple(l_plus),
-        lambda_minus=tuple(l_minus),
-        kappa=tuple(cross),
-        symmetry=tuple(classes),
-    )
+        even, odd = (_impulse(part, j) for part in decompose(eff, shift_set))
+        rows.append((
+            _cos_mean(initial, even),
+            _cos_mean(initial, odd),
+            _cos_product_mean(initial, even, even),
+            _cos_product_mean(initial, odd, odd),
+            _cos_product_mean(initial, even, odd),
+            classify(eff, shift_set),
+        ))
+    return WavepacketParams(*(tuple(column) for column in zip(*rows)))
 
 
 def predict_moments(params: WavepacketParams, t: int):
@@ -332,56 +318,24 @@ def predict_moments(params: WavepacketParams, t: int):
 _FOUR_BLOCKS = ((0, 0, 1.0), (1, 1, 1.0), (1, 0, -1.0), (0, 1, -1.0))
 
 
-def _four_block_atoms(
-    spec: PotentialSpec, part: BipartitionSpec
-) -> list:
-    """Expand a potential into signed cosines over doubled coordinates.
+def _four_block(spec: PotentialSpec, part: BipartitionSpec) -> PotentialSpec:
+    """eps = V(A,B) + V(A',B') - V(A',B) - V(A,B') as one cosine series.
 
-    Coordinates are indexed (rotor, copy) with copy 0 the unprimed and
-    copy 1 the primed block; each atom is (coefficient, doubled modes,
-    phase).
+    The series runs over 2N doubled angles: rotor j's unprimed angle is
+    angle 2j and its primed angle is angle 2j + 1, so each term's first
+    nonzero mode stays first and positive.
     """
     in_a = set(part.part_a)
-    atoms = []
+    terms = []
     for a_copy, b_copy, sign in _FOUR_BLOCKS:
         for term in spec.terms:
-            doubled = np.zeros((spec.rotor_count, 2), dtype=int)
+            modes = [0] * (2 * spec.rotor_count)
             for j, m in enumerate(term.modes):
-                copy = a_copy if j in in_a else b_copy
-                doubled[j, copy] = m
-            atoms.append((sign * term.coefficient, doubled, term.phase))
-    return atoms
-
-
-def _doubled_char(
-    density: ProductAngleDensity, doubled: np.ndarray
-) -> complex:
-    out = 1.0 + 0.0j
-    for j in range(doubled.shape[0]):
-        out *= density.char(j, doubled[j, 0])
-        if out == 0.0j:
-            return 0.0j
-        out *= density.char(j, doubled[j, 1])
-        if out == 0.0j:
-            return 0.0j
-    return out
-
-
-def _four_block_product_mean(
-    density: ProductAngleDensity, atoms_x: list, atoms_y: list
-) -> float:
-    """Exact <eps_x eps_y> over independent unprimed/primed blocks."""
-    total = 0.0
-    for cx, mx, fx in atoms_x:
-        for cy, my, fy in atoms_y:
-            diff = np.exp(1j * (fx - fy)) * _doubled_char(
-                density, mx - my
+                modes[2 * j + (a_copy if j in in_a else b_copy)] = m
+            terms.append(
+                FourierTerm(sign * term.coefficient, modes, term.phase)
             )
-            summed = np.exp(1j * (fx + fy)) * _doubled_char(
-                density, mx + my
-            )
-            total += 0.5 * cx * cy * float(np.real(diff) + np.real(summed))
-    return total
+    return PotentialSpec(2 * spec.rotor_count, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -415,42 +369,6 @@ class EpsilonMoments:
     @property
     def eps_sq(self) -> float:
         return self.eps_plus_sq + 2 * self.eps_cross + self.eps_minus_sq
-
-
-def _sample_epsilon_blocks(
-    v_plus: PotentialSpec,
-    v_minus: PotentialSpec,
-    initial: ProductAngleDensity,
-    part: BipartitionSpec,
-    sample_count: int,
-    seed,
-):
-    """Draw the four blocks and return per-sample eps_plus, eps_minus."""
-    rng = np.random.default_rng(seed)
-    n = initial.rotor_count
-    plain = initial.sample(rng, sample_count)
-    primed = initial.sample(rng, sample_count)
-    in_a = np.array(
-        [j in set(part.part_a) for j in range(n)], dtype=bool
-    )
-
-    def assemble(a_copy: int, b_copy: int) -> list:
-        columns = []
-        for j in range(n):
-            copy = a_copy if in_a[j] else b_copy
-            source = plain if copy == 0 else primed
-            columns.append(source[:, j])
-        return columns
-
-    def four_block(spec: PotentialSpec) -> np.ndarray:
-        if spec.is_zero:
-            return np.zeros(sample_count)
-        total = np.zeros(sample_count)
-        for a_copy, b_copy, sign in _FOUR_BLOCKS:
-            total += sign * spec.evaluate(assemble(a_copy, b_copy))
-        return total
-
-    return four_block(v_plus), four_block(v_minus)
 
 
 def _check_interaction_inputs(
@@ -520,19 +438,33 @@ def epsilon_sample(
     """
     _check_interaction_inputs(v_i, initial, part, sample_count)
     v_plus, v_minus = decompose(v_i, shift_set)
-    eps_plus, eps_minus = _sample_epsilon_blocks(
-        v_plus, v_minus, initial, part, sample_count, seed
-    )
-    eps_plus.flags.writeable = False
-    eps_minus.flags.writeable = False
+    rng = np.random.default_rng(seed)
+    plain = initial.sample(rng, sample_count)
+    primed = initial.sample(rng, sample_count)
+    # the doubled angles of _four_block, one column each
+    columns = [
+        block[:, j]
+        for j in range(initial.rotor_count)
+        for block in (plain, primed)
+    ]
+    eps = []
+    for v in (v_plus, v_minus):
+        series = _four_block(v, part)
+        values = (
+            np.zeros(sample_count)
+            if series.is_zero
+            else series.evaluate(columns)
+        )
+        values.flags.writeable = False
+        eps.append(values)
     return EpsilonSample(
         v_plus=v_plus,
         v_minus=v_minus,
         initial=initial,
         part=part,
         sample_count=sample_count,
-        eps_plus=eps_plus,
-        eps_minus=eps_minus,
+        eps_plus=eps[0],
+        eps_minus=eps[1],
     )
 
 
@@ -543,12 +475,15 @@ def epsilon_moments(sample: EpsilonSample) -> EpsilonMoments:
     in `sample` supplies s_odd = 1 - <cos(eps_plus + eps_minus)>, the
     first moments and standard errors for every reported field.
     """
-    initial = sample.initial
-    atoms_plus = _four_block_atoms(sample.v_plus, sample.part)
-    atoms_minus = _four_block_atoms(sample.v_minus, sample.part)
-    plus_sq = _four_block_product_mean(initial, atoms_plus, atoms_plus)
-    minus_sq = _four_block_product_mean(initial, atoms_minus, atoms_minus)
-    cross = _four_block_product_mean(initial, atoms_plus, atoms_minus)
+    # the doubled angles of _four_block: each rotor's factor twice
+    doubled = ProductAngleDensity.from_factors(
+        [factor for factor in sample.initial.factors for _ in range(2)]
+    )
+    series_plus = _four_block(sample.v_plus, sample.part)
+    series_minus = _four_block(sample.v_minus, sample.part)
+    plus_sq = _cos_product_mean(doubled, series_plus, series_plus)
+    minus_sq = _cos_product_mean(doubled, series_minus, series_minus)
+    cross = _cos_product_mean(doubled, series_plus, series_minus)
     eps_sq = plus_sq + 2 * cross + minus_sq
 
     eps_plus, eps_minus = sample.eps_plus, sample.eps_minus

@@ -176,6 +176,21 @@ class RotorLattice:
         return RotorLattice(tuple(windows), self.element_cap)
 
 
+def _coherent_packet(
+    momenta: np.ndarray, theta0: float, p0: float, width: float
+) -> np.ndarray:
+    """Normalized exp(-(l - p0)^2 / (4 width^2)) * exp(-i l theta0) over l.
+
+    The meaning of ``initial.type: coherent`` for one rotor: the rotor
+    state and the predictor's angular density both build it here.
+    """
+    l = np.asarray(momenta, dtype=float)
+    g = np.exp(-((l - p0) ** 2) / (4.0 * width**2)) * np.exp(
+        -1j * l * theta0
+    )
+    return g / np.linalg.norm(g)
+
+
 class RotorState:
     """Normalized momentum amplitude tensor over a lattice."""
 
@@ -237,11 +252,9 @@ class RotorState:
                     f"rotor {j} window [{lo}, {hi}] too small for the "
                     f"12-sigma support of a packet at p0={p0}, width={width}"
                 )
-            l = lattice.momenta(j).astype(float)
-            g = np.exp(-((l - p0) ** 2) / (4.0 * width**2)) * np.exp(
-                -1j * l * theta0
+            factors.append(
+                _coherent_packet(lattice.momenta(j), theta0, p0, width)
             )
-            factors.append(g / np.linalg.norm(g))
         amps = factors[0]
         for g in factors[1:]:
             amps = np.multiply.outer(amps, g)

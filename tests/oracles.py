@@ -13,7 +13,12 @@ import numpy as np
 from scipy.special import jv
 
 from kickres.entanglement import schmidt_purity
-from kickres.potential import FourierTerm, PotentialSpec
+from kickres.potential import (
+    FourierTerm,
+    PotentialSpec,
+    decompose,
+    effective_potential,
+)
 from kickres.rotor_engine import (
     RotorEngine,
     RotorLattice,
@@ -193,6 +198,127 @@ def slin_curve_reference(sample, times):
             (t, float(1.0 - np.mean(samples)), float(np.std(samples)) / root)
         )
     return out
+
+
+def _sin_mean(density, term):
+    # <sin(m . theta + phase)>
+    value = np.exp(1j * term.phase) * density.char_vector(term.modes)
+    return float(np.imag(value))
+
+
+def _sin_pair_mean(density, one, two):
+    # <sin(m1 . theta + f1) sin(m2 . theta + f2)>
+    diff_modes = tuple(a - b for a, b in zip(one.modes, two.modes))
+    sum_modes = tuple(a + b for a, b in zip(one.modes, two.modes))
+    diff = np.exp(1j * (one.phase - two.phase)) * density.char_vector(
+        diff_modes
+    )
+    total = np.exp(1j * (one.phase + two.phase)) * density.char_vector(
+        sum_modes
+    )
+    return 0.5 * float(np.real(diff) - np.real(total))
+
+
+def _impulse_mean(density, spec, rotor):
+    # <-dV/dtheta_rotor> = sum_t c_t m_{t,rotor} <sin(...)>
+    total = 0.0
+    for term in spec.terms:
+        weight = term.coefficient * term.modes[rotor]
+        if weight != 0.0:
+            total += weight * _sin_mean(density, term)
+    return total
+
+
+def _impulse_second(density, left, right, rotor):
+    # <(dV_left/dtheta_rotor)(dV_right/dtheta_rotor)>
+    total = 0.0
+    for one in left.terms:
+        w1 = one.coefficient * one.modes[rotor]
+        if w1 == 0.0:
+            continue
+        for two in right.terms:
+            w2 = two.coefficient * two.modes[rotor]
+            if w2 == 0.0:
+                continue
+            total += w1 * w2 * _sin_pair_mean(density, one, two)
+    return total
+
+
+def wavepacket_reference(potential, shift_set, density):
+    """(alpha_plus, alpha_minus, lambda_plus, lambda_minus, kappa), one
+    tuple per field over the rotors, from per-term sine averages of the
+    potential's derivative: the kernels the cosine-series moments of
+    ``wavepacket_params`` replaced."""
+    rows = []
+    for j in range(potential.rotor_count):
+        even, odd = decompose(effective_potential(potential, j), shift_set)
+        rows.append(
+            (
+                _impulse_mean(density, even, j),
+                _impulse_mean(density, odd, j),
+                _impulse_second(density, even, even, j),
+                _impulse_second(density, odd, odd, j),
+                _impulse_second(density, even, odd, j),
+            )
+        )
+    return tuple(zip(*rows))
+
+
+# (A-side copy, B-side copy, sign) of the four-block combination, copy 0
+# unprimed and copy 1 primed
+_REFERENCE_BLOCKS = ((0, 0, 1.0), (1, 1, 1.0), (1, 0, -1.0), (0, 1, -1.0))
+
+
+def _four_block_atoms(spec, part):
+    # signed cosines over (rotor, copy) coordinates:
+    # (coefficient, doubled modes, phase)
+    in_a = set(part.part_a)
+    atoms = []
+    for a_copy, b_copy, sign in _REFERENCE_BLOCKS:
+        for term in spec.terms:
+            doubled = np.zeros((spec.rotor_count, 2), dtype=int)
+            for j, m in enumerate(term.modes):
+                copy = a_copy if j in in_a else b_copy
+                doubled[j, copy] = m
+            atoms.append((sign * term.coefficient, doubled, term.phase))
+    return atoms
+
+
+def _doubled_char(density, doubled):
+    out = 1.0 + 0.0j
+    for j in range(doubled.shape[0]):
+        out *= density.char(j, doubled[j, 0])
+        if out == 0.0j:
+            return 0.0j
+        out *= density.char(j, doubled[j, 1])
+        if out == 0.0j:
+            return 0.0j
+    return out
+
+
+def _four_block_product_mean(density, atoms_x, atoms_y):
+    # exact <eps_x eps_y> over independent unprimed/primed blocks
+    total = 0.0
+    for cx, mx, fx in atoms_x:
+        for cy, my, fy in atoms_y:
+            diff = np.exp(1j * (fx - fy)) * _doubled_char(density, mx - my)
+            summed = np.exp(1j * (fx + fy)) * _doubled_char(density, mx + my)
+            total += 0.5 * cx * cy * float(np.real(diff) + np.real(summed))
+    return total
+
+
+def epsilon_second_moments_reference(sample):
+    """(eps_plus_sq, eps_minus_sq, eps_cross) of an EpsilonSample's parity
+    parts from per-block atoms over (rotor, copy) coordinates: the kernels
+    the doubled-angle cosine series of ``epsilon_moments`` replaced."""
+    density = sample.initial
+    plus = _four_block_atoms(sample.v_plus, sample.part)
+    minus = _four_block_atoms(sample.v_minus, sample.part)
+    return (
+        _four_block_product_mean(density, plus, plus),
+        _four_block_product_mean(density, minus, minus),
+        _four_block_product_mean(density, plus, minus),
+    )
 
 
 def spin_matrices(j):

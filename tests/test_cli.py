@@ -164,6 +164,22 @@ class TestConfigValidation:
         assert echoed[1]["phase"] == pytest.approx(1.5 * math.pi)
         assert all("kind" not in t for t in echoed)
 
+    def test_tiny_negative_phase_echo_reloads_to_same_hash(self, tmp_path):
+        body = fig1_body(steps=4)
+        body["potential"]["terms"][2]["phase"] = -1e-17
+        path = write_config(tmp_path, "fig1.yaml", body)
+        cfg = load_config(path, "simulate")
+        assert cfg.effective["potential"]["terms"][2]["phase"] == 0.0
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", path, out1) == EXIT_OK
+        echo = out1 / "effective_config.yaml"
+        assert run("simulate", echo, out2) == EXIT_OK
+        hashes = [
+            yaml.safe_load((out / "manifest.yaml").read_text())["content_hash"]
+            for out in (out1, out2)
+        ]
+        assert hashes[0] == hashes[1]
+
     def test_term_phase_conflicts_with_sin_kind(self, tmp_path):
         body = fig1_body()
         body["potential"]["terms"][0]["kind"] = "sin"
@@ -228,6 +244,13 @@ class TestConfigValidation:
         cfg = load_config(path, "simulate", seed_override=777)
         assert cfg.seed == 777
         assert cfg.effective["predictor"]["seed"] == 777
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_override_range_checked(self, tmp_path, seed):
+        path = write_config(tmp_path, "fig1.yaml", fig1_body())
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path, "simulate", seed_override=seed)
+        assert excinfo.value.path == "predictor.seed"
 
     def test_zero_detuning_rejected(self, tmp_path):
         body = fig1_body()
@@ -813,8 +836,9 @@ class TestPredict:
 
     def test_one_draw_per_run(self, tmp_path, monkeypatch):
         # the epsilon moments and the entropy curve share one four-block
-        # draw: two angle samples (plain and primed) and, on this
-        # antisymmetric coupling, four evaluations of the odd part
+        # draw: two angle samples (plain and primed) and one evaluation per
+        # nonzero parity part, here the odd part of an antisymmetric
+        # coupling
         calls = {"sample": 0, "evaluate": 0}
 
         def counted(cls, name, key):
@@ -832,7 +856,7 @@ class TestPredict:
         body["predictor"] = {"samples": 20000, "seed": 5}
         path = write_config(tmp_path, "fig1.yaml", body)
         assert run("predict", path, tmp_path / "out") == EXIT_OK
-        assert calls == {"sample": 2, "evaluate": 4}
+        assert calls == {"sample": 2, "evaluate": 1}
 
     def test_empty_interaction_predict(self, tmp_path):
         body = fig1_body(steps=4)

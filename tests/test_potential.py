@@ -63,6 +63,11 @@ class TestFourierTerm:
         assert math.isclose(a.phase, TWO_PI - 0.3)
         assert a == FourierTerm(0.5, (1, -2), -0.3)
 
+    def test_tiny_negative_phase_wraps_to_zero(self):
+        # -1e-17 % 2pi rounds to 2pi itself, outside [0, 2pi)
+        assert FourierTerm(1.0, (1,), -1e-17).phase == 0.0
+        assert FourierTerm(1.0, (-1,), 1e-17).phase == 0.0
+
     def test_leading_zeros_skipped(self):
         assert FourierTerm(1.0, (0, -2, 1)).modes == (0, 2, -1)
 
@@ -107,6 +112,12 @@ class TestPotentialSpec:
         )
         assert len(spec.terms) == 1
         assert spec.terms[0].coefficient == 1.5
+
+    def test_merges_tiny_negative_phase_with_zero(self):
+        spec = PotentialSpec(
+            1, (cosine_term(1.0, (1,)), FourierTerm(0.5, (1,), -1e-17))
+        )
+        assert spec.terms == (cosine_term(1.5, (1,)),)
 
     def test_cancellation_gives_zero(self):
         spec = PotentialSpec(1, (cosine_term(1.0, (1,)), cosine_term(-1.0, (1,))))

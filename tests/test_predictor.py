@@ -6,6 +6,7 @@ import pytest
 from kickres.entanglement import BipartitionSpec, schmidt_purity
 from kickres.errors import ValidationError
 from kickres.potential import (
+    FourierTerm,
     PotentialSpec,
     ResonancePlan,
     SymmetryClass,
@@ -34,6 +35,7 @@ from kickres.rotor_engine import (
     RotorEngine,
     RotorLattice,
     RotorState,
+    _coherent_packet,
     displacement_stats,
     measure_moments,
 )
@@ -41,10 +43,12 @@ from kickres.rotor_engine import (
 from oracles import (
     S_ODD_TENTH,
     S_ODD_UNIT,
+    epsilon_second_moments_reference,
     linregress_fit,
     slin_curve_reference,
     t_quantile,
     uniform_cos_moment,
+    wavepacket_reference,
 )
 
 
@@ -85,6 +89,85 @@ PLAN_MIXED = ResonancePlan(((1, 1), (1, 2)))  # principal + secondary
 PLAN_BOTH = ResonancePlan(((1, 2), (1, 2)))  # both secondary
 PART = BipartitionSpec(2, (0,))
 UNIFORM = ProductAngleDensity.uniform(2)
+
+
+def coherent_factor(theta0, p0, width):
+    quanta = np.arange(math.floor(p0) - 8, math.ceil(p0) + 9)
+    return _coherent_packet(quanta, theta0, p0, width)
+
+
+def random_case(seed, coherent):
+    """(potential, plan, bipartition, density) on 2-3 rotors.
+
+    Random terms with modes in -2..2 and random phases, plus one coupling
+    of rotors 0 and 1 so the interaction is never empty; resonance orders
+    1 and 2 at random; uniform or per-rotor coherent angles.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    terms = [FourierTerm(rng.normal(), (1, -1) + (0,) * (n - 2), 0.3)]
+    for _ in range(int(rng.integers(2, 6))):
+        modes = tuple(int(m) for m in rng.integers(-2, 3, size=n))
+        if any(modes):
+            terms.append(
+                FourierTerm(rng.normal(), modes, rng.uniform(0.0, 2 * np.pi))
+            )
+    plan = ResonancePlan(tuple((1, int(s)) for s in rng.integers(1, 3, n)))
+    part = BipartitionSpec(n, (0,) if n == 2 else (0, 2))
+    density = ProductAngleDensity.uniform(n)
+    if coherent:
+        density = ProductAngleDensity.from_factors(
+            [
+                coherent_factor(
+                    rng.uniform(-np.pi, np.pi),
+                    rng.uniform(-2, 2),
+                    rng.uniform(0.4, 1.5),
+                )
+                for _ in range(n)
+            ]
+        )
+    return PotentialSpec(n, tuple(terms)), plan, part, density
+
+
+class TestExactKernels:
+    # the cosine-series moments against the per-term sine and per-block
+    # atom kernels they replaced; near-zero values are compared at 1e-13
+    # of the quantity's scale (the kick bandwidth, squared for second
+    # moments) since their relative error is not meaningful
+    @pytest.mark.parametrize("coherent", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_wavepacket_params_match_oracle(self, seed, coherent):
+        pot, plan, _, density = random_case(seed, coherent)
+        wp = wavepacket_params(pot, plan.shift_set, density)
+        want = wavepacket_reference(pot, plan.shift_set, density)
+        got = (
+            wp.alpha_plus,
+            wp.alpha_minus,
+            wp.lambda_plus,
+            wp.lambda_minus,
+            wp.kappa,
+        )
+        for field, (values, expected) in enumerate(zip(got, want)):
+            power = 1 if field < 2 else 2
+            for j, (value, ref) in enumerate(zip(values, expected)):
+                scale = pot.kick_bandwidth(j) ** power
+                assert value == pytest.approx(
+                    ref, rel=1e-13, abs=1e-13 * scale
+                ), (field, j)
+
+    @pytest.mark.parametrize("coherent", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_epsilon_moments_match_oracle(self, seed, coherent):
+        pot, plan, part, density = random_case(seed, coherent)
+        _, _, v_i = split_interaction(pot, part.part_a)
+        sample = epsilon_sample(
+            v_i, plan.shift_set, density, part, 10_000, seed
+        )
+        em = epsilon_moments(sample)
+        scale = (4 * sum(abs(t.coefficient) for t in v_i.terms)) ** 2
+        got = (em.eps_plus_sq, em.eps_minus_sq, em.eps_cross)
+        for value, ref in zip(got, epsilon_second_moments_reference(sample)):
+            assert value == pytest.approx(ref, rel=1e-13, abs=1e-13 * scale)
 
 
 class TestProductAngleDensity:
@@ -330,6 +413,31 @@ class TestEpsilonMoments:
         em = epsilon_moments(sample)
         assert abs(em.eps_plus_mean) < 4 * em.std_errors["eps_plus_mean"]
         assert abs(em.eps_minus_mean) < 4 * em.std_errors["eps_minus_mean"]
+
+    def test_coherent_density_matches_draw_and_oracle(self):
+        # a non-uniform rotor 0 weights the four blocks unevenly and makes
+        # the cross moment nonzero; the exact moments still agree with the
+        # same draw's sample means
+        _, _, v_i = split_interaction(fig2_potential(True), (0,))
+        density = ProductAngleDensity.from_factors(
+            [coherent_factor(0.4, 0.0, 0.7), None]
+        )
+        sample = epsilon_sample(
+            v_i, PLAN_BOTH.shift_set, density, PART, 200_000, 13
+        )
+        em = epsilon_moments(sample)
+        plus, minus = sample.eps_plus, sample.eps_minus
+        draws = {
+            "eps_plus_sq": (em.eps_plus_sq, plus**2),
+            "eps_minus_sq": (em.eps_minus_sq, minus**2),
+            "eps_cross": (em.eps_cross, plus * minus),
+        }
+        for name, (exact, samples) in draws.items():
+            assert abs(exact - np.mean(samples)) < 4 * em.std_errors[name]
+        assert abs(em.eps_cross) > 10 * em.std_errors["eps_cross"]
+        assert (em.eps_plus_sq, em.eps_minus_sq, em.eps_cross) == (
+            pytest.approx(epsilon_second_moments_reference(sample), rel=1e-13)
+        )
 
     def test_sample_floor(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
