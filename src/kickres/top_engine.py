@@ -16,10 +16,13 @@ Each top's twist is taken into the same frame once, when the engine is
 built: at exact principal resonance it is skipped, at exact secondary
 resonance the pi-rotation maps J_x to -J_x and becomes a signed reversal
 of that axis (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and any
-other rational or a detuning keeps the dense matrix W^T T W.  A state's
-J_z-basis amplitudes are rotated back from the J_x frame, one
-single-top transform per axis, only when they are read; no matrix
-exponentials are taken at run time.
+other rational or a detuning keeps the dense matrix W^T T W.  The J_z
+moments and the bipartite purity are read in the J_x frame too, so a run
+never rotates back: J_z is tridiagonal over the J_x eigenbasis, and the
+purity is invariant under the local change of frame W x ... x W.  A
+state's J_z-basis amplitudes are rotated back, one single-top transform
+per axis, only when a caller reads them; no matrix exponentials are
+taken at run time.
 """
 
 from __future__ import annotations
@@ -156,7 +159,8 @@ class TopState:
     """Normalized amplitude tensor over the product J_z eigenbasis.
 
     States made by TopEngine hold their amplitudes over the product J_x
-    eigenbasis instead; ``amplitudes`` rotates them back on first read.
+    eigenbasis instead, where the engine also reads their J_z moments and
+    purity; ``amplitudes`` rotates them back on first read.
     A state built from J_z amplitudes is rotated into the J_x frame on
     first use by the engine.  Either copy is kept once made: a state's
     amplitudes are not changed after construction.
@@ -233,11 +237,15 @@ class TopState:
             amps = np.tensordot(amps, arr, axes=0)
         return cls(spec, amps)
 
+    def _held_amplitudes(self) -> np.ndarray:
+        """The amplitudes in a frame already held, J_z first: enough for
+        any quantity that a local change of frame leaves unchanged."""
+        return self._jz if self._jz is not None else self._jx
+
     def norm(self) -> float:
-        # Either frame gives the norm (the change of frame is unitary).
         # One contiguous pass; np.linalg.norm splits a complex array into
         # two strided ones.
-        amps = self._jz if self._jz is not None else self._jx
+        amps = self._held_amplitudes()
         return math.sqrt(np.vdot(amps, amps).real)
 
 
@@ -286,6 +294,34 @@ class TopEngine:
             self._jx_frame_twist(n, basis) for n in range(spec.top_count)
         )
         self._field_phase = np.exp(-1j * self._field_diagonal())
+        # Each top's J_z band, shaped to broadcast over the (before, dim,
+        # 2 * after) float view of its axis.  The last axis's band is
+        # repeated over each (re, im) pair, so numpy runs one contiguous
+        # loop there rather than dim - 1 loops of length 2.
+        band = self._jx_frame_jz_band(basis)[:, None]
+        last = spec.top_count - 1
+        self._jz_bands = tuple(
+            np.repeat(band, 2, axis=1) if n == last else band
+            for n in range(spec.top_count)
+        )
+
+    def _jx_frame_jz_band(self, basis: np.ndarray) -> np.ndarray:
+        """Off-diagonal of one top's J_z over its J_x eigenbasis.
+
+        A quarter turn about y takes J_x to J_z, so W^T J_z W is
+        tridiagonal with a zero diagonal and band magnitudes
+        sqrt(j(j+1) - k(k+1)) / 2 for k = -j..j-1.  The magnitudes are
+        taken exactly; only the signs, which follow eigh's choice of
+        column signs, are read off the dense product.
+        """
+        j = self.spec.j_tot
+        k = np.arange(-j, j, dtype=float)
+        real = basis.real
+        rotated = real.T @ (np.arange(-j, j + 1)[:, None] * real)
+        return np.copysign(
+            0.5 * np.sqrt(j * (j + 1) - k * (k + 1)),
+            np.diagonal(rotated, 1),
+        )
 
     def _jx_frame_twist(self, n: int, basis: np.ndarray) -> tuple:
         """(form, operand) of top n's twist over its J_x eigenbasis.
@@ -370,10 +406,25 @@ class TopEngine:
     # observables
 
     def measure_jz_moments(self, state: TopState, t: int = 0) -> MomentRecord:
-        j = self.spec.j_tot
-        m = np.arange(-j, j + 1, dtype=float)
-        prob = np.abs(state.amplitudes) ** 2
-        return marginal_moments(axis_marginals(prob), [m] * prob.ndim, t)
+        """<J_nz> and <J_nz^2> of every top, read in the J_x frame.
+
+        B = J_nz psi is two shifted products along axis n with the real
+        band; <J_nz> = Re <psi|B> and <J_nz^2> = ||B||^2, which cannot go
+        negative.  Both are taken over a float view of the amplitudes with
+        elementwise products and sums only, so their bits do not depend
+        on the BLAS thread count.
+        """
+        amps = state._jx_amplitudes()
+        dim = self.spec.dimension
+        means, seconds = [], []
+        for n, band in enumerate(self._jz_bands):
+            psi = amps.reshape(dim**n, dim, -1).view(float)
+            applied = np.zeros_like(psi)
+            applied[:, 1:] = band * psi[:, :-1]
+            applied[:, :-1] += band * psi[:, 1:]
+            means.append(float((psi * applied).sum()))
+            seconds.append(float((applied * applied).sum()))
+        return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
 
     def measure_jx_moments(self, state: TopState, t: int = 0) -> MomentRecord:
         prob = np.abs(state._jx_amplitudes()) ** 2
@@ -382,10 +433,17 @@ class TopEngine:
 
 
 def top_purity(state: TopState, part: BipartitionSpec) -> float:
-    """Tr(rho_A^2) of a pure top state over a block of tops."""
+    """Tr(rho_A^2) of a pure top state over a block of tops.
+
+    Read in whichever frame the state holds, so an engine-made state is
+    read in the J_x frame: ||M M^dagger||_F^2 is unchanged by the local
+    change of frame W x ... x W.
+    """
     if part.rotor_count != state.spec.top_count:
         raise ValidationError("bipartition top count mismatch")
-    return _block_purity(state.amplitudes, part, state.spec.element_cap)
+    return _block_purity(
+        state._held_amplitudes(), part, state.spec.element_cap
+    )
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,8 @@ from kickres.rotor_engine import (
     RotorEngine,
     RotorLattice,
     RotorState,
+    axis_marginals,
+    marginal_moments,
     measure_moments,
 )
 from kickres.top_engine import build_spin_ops
@@ -373,3 +375,13 @@ def jz_frame_top_run(engine, amplitudes, steps):
             amps = _top_axis_transform(amps, rot, n)
         out.append(amps)
     return out
+
+
+def jz_moments_reference(state, t=0):
+    """<J_z> and <J_z^2> of every top from the J_z-basis amplitudes: the
+    back-rotation, |a|^2 and per-axis marginals that the tridiagonal
+    J_x-frame kernel of ``TopEngine.measure_jz_moments`` replaced."""
+    j = state.spec.j_tot
+    m = np.arange(-j, j + 1, dtype=float)
+    prob = np.abs(state.amplitudes) ** 2
+    return marginal_moments(axis_marginals(prob), [m] * prob.ndim, t)

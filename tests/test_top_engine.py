@@ -8,6 +8,7 @@ from oracles import (
     block_matrix,
     dense_purity,
     jz_frame_top_run,
+    jz_moments_reference,
     spin_matrices,
     svd_purity,
 )
@@ -310,32 +311,35 @@ FIG7_SPEC = TopSpec(
 )
 
 
+def assert_jz_moments_match(record, reference, j):
+    # <J_z> scales with j and is noise-sized on these runs; <J_z^2> is
+    # compared relative to its value
+    for n, (mean, second) in enumerate(zip(reference.mean, reference.second)):
+        assert abs(record.mean[n] - mean) <= 1e-12 * j
+        assert abs(record.second[n] - second) <= 1e-12 * max(second, j)
+
+
 def assert_matches_jz_frame_oracle(spec, state, steps, part):
     """Amplitudes, J_z moments and purity along the engine's J_x-frame
-    trajectory against the J_z-frame stepping in tests/oracles."""
+    trajectory against the J_z-frame stepping in tests/oracles.  Moments
+    and purity are read before the amplitudes are rotated back, so they
+    come from the J_x frame."""
     engine = TopEngine(spec)
     reference = jz_frame_top_run(engine, state.amplitudes, steps)
-    j = spec.j_tot
-    m = np.arange(-j, j + 1, dtype=float)
     for (t, current), amps in zip(
         engine.trajectory(state, steps), reference
     ):
+        assert t == 0 or current._jz is None
+        record = engine.measure_jz_moments(current, t)
+        purity = top_purity(current, part)
         gap = np.max(np.abs(current.amplitudes - amps))
         assert gap <= 1e-12, f"amplitudes off by {gap:.3g} at t={t}"
-        record = engine.measure_jz_moments(current, t)
-        prob = np.abs(amps) ** 2
-        for n in range(spec.top_count):
-            others = tuple(k for k in range(spec.top_count) if k != n)
-            weights = prob.sum(axis=others)
-            # <J_z> scales with j and is noise-sized on these runs;
-            # <J_z^2> is compared relative to its value
-            assert abs(record.mean[n] - weights @ m) <= 1e-12 * j
-            second = weights @ m**2
-            assert abs(record.second[n] - second) <= 1e-12 * max(
-                second, j
-            )
-        purity = top_purity(TopState(spec, amps), part)
-        assert abs(top_purity(current, part) - purity) <= 1e-12
+        oracle = TopState(spec, amps)
+        assert_jz_moments_match(
+            record, jz_moments_reference(oracle, t), spec.j_tot
+        )
+        expected = svd_purity(block_matrix(amps, spec.shape, part.part_a))
+        assert abs(purity - expected) <= 1e-12
     assert t == steps
 
 
@@ -417,6 +421,87 @@ class TestJxFramePropagation:
         amps = stepped.amplitudes
         assert stepped.amplitudes is amps
         assert abs(stepped.norm() - 1.0) < 1e-12
+
+
+TWIST_FORMS = {"skip": (1, 1), "reverse": (1, 2), "dense": (1, 3)}
+
+
+class TestJzMomentsInJxFrame:
+    @pytest.mark.parametrize("form", sorted(TWIST_FORMS))
+    @pytest.mark.parametrize("j", [1, 2, 12, 50])
+    @pytest.mark.parametrize("top_count", [1, 2, 3])
+    def test_moments_match_back_rotation_oracle(self, top_count, j, form):
+        # a chain of linear and pair terms couples every top
+        tops = range(top_count)
+        terms = [
+            FieldTerm(0.3 + 0.1 * n, tuple(int(k == n) for k in tops))
+            for n in tops
+        ] + [
+            FieldTerm(0.2, tuple(int(k in (n, n + 1)) for k in tops))
+            for n in tops[:-1]
+        ]
+        spec = TopSpec(
+            top_count=top_count,
+            j_tot=j,
+            plan=make_plan(*[TWIST_FORMS[form]] * top_count),
+            field_terms=tuple(terms),
+        )
+        engine = TopEngine(spec)
+        assert {f for f, _ in engine._twist_x} == {form}
+        # t = 0 holds J_z amplitudes, t = 1 only J_x ones
+        for t, state in engine.trajectory(random_state(spec, 7 + j), 1):
+            record = engine.measure_jz_moments(state, t)
+            assert_jz_moments_match(record, jz_moments_reference(state, t), j)
+
+    @pytest.mark.parametrize("j", [1, 2, 12, 50])
+    def test_second_moment_nonnegative_on_jz_eigenstates(self, j):
+        spec = TopSpec(
+            top_count=2, j_tot=j, plan=make_plan((1, 1), (1, 2)),
+            field_terms=(),
+        )
+        engine = TopEngine(spec)
+        for m in sorted({-j, -1, 0, 1, j // 2, j}):
+            state = TopState.jz_product(spec, (m, 0))
+            record = engine.measure_jz_moments(state)
+            # ||J_z psi||^2: exact zeros come out as tiny non-negative
+            # roundoff, never below zero
+            assert min(record.second) >= 0.0
+            assert abs(record.mean[0] - m) <= 1e-12 * j
+            assert abs(record.mean[1]) <= 1e-12 * j
+            assert abs(record.second[0] - m * m) <= 1e-12 * max(m * m, j)
+            assert record.second[1] <= 1e-12 * j
+
+    @pytest.mark.parametrize("j", [1, 2, 12, 50])
+    def test_band_matches_closed_form(self, j):
+        spec = TopSpec(
+            top_count=2, j_tot=j, plan=make_plan((1, 1), (1, 1)),
+            field_terms=(),
+        )
+        engine = TopEngine(spec)
+        k = np.arange(-j, j, dtype=float)
+        magnitude = 0.5 * np.sqrt(j * (j + 1) - k * (k + 1))
+        _, j_z = build_spin_ops(j)
+        _, basis = spec._jx_eigenbasis
+        rotated = basis.T @ j_z @ basis
+        for band in engine._jz_bands:
+            for column in band.T:
+                assert np.array_equal(np.abs(column), magnitude)
+                tridiagonal = np.diag(column, 1) + np.diag(column, -1)
+                assert np.max(np.abs(rotated - tridiagonal)) <= 1e-12 * j
+
+    def test_observe_run_never_rotates_back(self):
+        engine = TopEngine(FIG7_SPEC)
+        part = BipartitionSpec(rotor_count=2, part_a=(0,))
+        initial = TopState.jz_product(FIG7_SPEC, (0, 0))
+        seen = []
+
+        def purity(state):
+            seen.append(state)
+            return top_purity(state, part)
+
+        observe(engine, initial, 20, engine.measure_jz_moments, purity)
+        assert len(seen) == 21 and seen[0] is initial
+        assert all(state._jz is None for state in seen[1:])
 
 
 class TestConservation:
