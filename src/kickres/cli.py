@@ -56,6 +56,7 @@ from .potential import (
     term_text,
 )
 from .predictor import (
+    MIN_SAMPLE_COUNT,
     ProductAngleDensity,
     RobustnessResult,
     classify_regimes,
@@ -297,7 +298,8 @@ _ENGINE = (
     ("element_cap", _as_int, DEFAULT_ELEMENT_CAP, {"minimum": 1}, None),
 )
 _PREDICTOR = (
-    ("samples", _as_int, DEFAULT_SAMPLES, {"minimum": 1}, None),
+    ("samples", _as_int, DEFAULT_SAMPLES, {"minimum": MIN_SAMPLE_COUNT},
+     None),
     ("seed", _as_int, DEFAULT_SEED, {"minimum": 0, "maximum": MAX_SEED}, None),
 )
 _DETUNE_SCAN = (

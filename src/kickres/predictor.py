@@ -152,12 +152,11 @@ class ProductAngleDensity:
             grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
             quanta = np.arange(factor.size)
             wave = np.exp(1j * np.outer(grid, quanta)) @ factor
-            density = np.abs(wave) ** 2
-            cdf = np.cumsum(density)
+            cdf = np.concatenate(([0.0], np.cumsum(np.abs(wave) ** 2)))
             cdf /= cdf[-1]
-            out[:, j] = np.interp(
-                rng.uniform(size=count), cdf, grid
-            )
+            # the density is constant over the cell centred on each angle
+            edges = np.append(grid, TWO_PI) - 0.5 * grid[1]
+            out[:, j] = np.interp(rng.uniform(size=count), cdf, edges)
         return out
 
 
@@ -535,14 +534,18 @@ def slin_exact(
     draw in `sample`, so the curve carries common random numbers and its
     t = 1 value is epsilon_moments(sample).s_odd.
 
-    Row t is cos(t eps_plus + [t odd] eps_minus), so it depends on t only
-    through the key (0 if v_plus is zero else t, 0 if v_minus is zero
-    else t mod 2); each key is evaluated once and its value and standard
-    error reused for every step that shares it.  This is exact: a zero
-    part's samples are exactly 0.0, t * 0.0 == 0.0 and x + 0.0 == x (up to
-    the sign of a zero, which cos ignores), so every step gets the bytes
-    it would get on its own.  On an antisymmetric coupling the whole curve
-    is two rows.  Returns one SlinEstimate per entry of `times`, in order.
+    Row t depends on t only through the key (0 if v_plus is zero else t,
+    0 if v_minus is zero else t mod 2), so each key is evaluated once; on
+    an antisymmetric coupling the whole curve is two rows.  Keys of one
+    parity form a chain of stride s (2 if v_minus is nonzero, else 1).  A
+    key whose predecessor k - s was not asked for takes a fresh cos, with
+    the bytes it would get on its own; the next key rotates that row's
+    exp(i(k eps_plus + p eps_minus)) by exp(i s eps_plus), one complex
+    multiply per sample (Numerical Recipes, 3rd ed., 5.4).  So the t = 0
+    and t = 1 rows and an eps_plus == 0 curve are exact, and a rotated row
+    carries roundoff that grows along the chain (at most 7e-16 on the mean
+    at t <= 200, 4e-14 at t = 10^4, over the tests' random couplings).
+    Returns one SlinEstimate per entry of `times`, in order.
     """
     times = tuple(times)
     for t in times:
@@ -552,31 +555,49 @@ def slin_exact(
             raise ValidationError("t must be >= 0")
     plus_zero = sample.v_plus.is_zero
     minus_zero = sample.v_minus.is_zero
+    stride = 1 if minus_zero else 2
     root = math.sqrt(sample.sample_count)
+    keys = [
+        (0 if plus_zero else t, 0 if minus_zero else t % 2)
+        for t in map(int, times)
+    ]
+    wanted = set(keys)
     # one reused row buffer: a (len(times), sample_count) array would
     # dominate the run's memory
     row = np.empty(sample.sample_count)
+    z = w = None
     rows = {}
-    estimates = []
-    for t in map(int, times):
-        key = (0 if plus_zero else t, 0 if minus_zero else t % 2)
-        if key not in rows:
-            np.multiply(sample.eps_plus, key[0], out=row)
-            if key[1]:
+    for k, p in sorted(wanted, key=lambda key: (key[1], key[0])):
+        if (k - stride, p) in rows:
+            np.multiply(z, w, out=z)
+            np.copyto(row, z.real)
+        else:
+            np.multiply(sample.eps_plus, k, out=row)
+            if p:
                 np.add(row, sample.eps_minus, out=row)
-            np.cos(row, out=row)
-            mean, spread = _mean_and_spread(row, overwrite=True)
-            rows[key] = (1.0 - mean, spread / root)
-        value, std_error = rows[key]
-        estimates.append(
-            SlinEstimate(
-                t=t,
-                value=value,
-                std_error=std_error,
-                sample_count=sample.sample_count,
-            )
+            if (k + stride, p) in wanted:
+                if z is None:
+                    z = np.empty(sample.sample_count, dtype=complex)
+                    w = np.empty(sample.sample_count, dtype=complex)
+                    np.multiply(sample.eps_plus, stride, out=w.real)
+                    np.sin(w.real, out=w.imag)
+                    np.cos(w.real, out=w.real)
+                np.sin(row, out=z.imag)
+                np.cos(row, out=row)
+                np.copyto(z.real, row)
+            else:
+                np.cos(row, out=row)
+        mean, spread = _mean_and_spread(row, overwrite=True)
+        rows[k, p] = (1.0 - mean, spread / root)
+    return tuple(
+        SlinEstimate(
+            t=t,
+            value=rows[key][0],
+            std_error=rows[key][1],
+            sample_count=sample.sample_count,
         )
-    return tuple(estimates)
+        for t, key in zip(map(int, times), keys)
+    )
 
 
 def crossover_time(moments: EpsilonMoments) -> float:

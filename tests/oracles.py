@@ -187,8 +187,8 @@ def svd_purity(matrix):
 
 def slin_curve_reference(sample, times):
     """(t, s_lin, std_error) per step from one four-block draw, the per-step
-    loop that slin_exact's row reuse replaced: a fresh cos, mean and
-    np.std over the whole sample at every t."""
+    loop that slin_exact's row reuse and phase rotation replaced: a fresh
+    cos, mean and np.std over the whole sample at every t."""
     root = math.sqrt(sample.sample_count)
     out = []
     for t in times:

@@ -550,7 +550,7 @@ SINGLE_FAULTS = [
     (fig1_body, "simulate", {"predictor": "x"}, "predictor",
      "expected a mapping, got str"),
     (fig1_body, "simulate", {"predictor": {"samples": 0}},
-     "predictor.samples", "must be >= 1, got 0"),
+     "predictor.samples", "must be >= 10000, got 0"),
     (fig1_body, "simulate", {"predictor": {"seed": -1}}, "predictor.seed",
      "must be >= 0, got -1"),
     (fig1_body, "simulate", {"predictor": {"seed": 2**64}}, "predictor.seed",
@@ -590,6 +590,9 @@ SINGLE_FAULTS = [
      "detune-scan needs an exact base plan (all delta_tau = 0)"),
     (fig1_body, "simulate", {"out_dir": 5}, "out_dir",
      "expected a string, got int"),
+    # below the predictor's Monte-Carlo floor: named at load, before a draw
+    (fig1_body, "predict", {"predictor": {"samples": 100}},
+     "predictor.samples", "must be >= 10000, got 100"),
 ]
 
 

@@ -52,6 +52,30 @@ from oracles import (
 )
 
 
+# slin_exact's rotated rows against slin_curve_reference, 20k samples,
+# t <= 200: the worst differences over random_case seeds 0-23, uniform
+# and coherent, were 6.7e-16 on value and 4.3e-18 on std_error
+ROTATION_VALUE_TOL = 2e-15
+ROTATION_ERROR_TOL = 2e-17
+
+
+def assert_close_to_reference(sample, got, want, value_tol, error_tol):
+    """slin_exact's (t, value, std_error) rows against the oracle's.
+
+    A row that slin_exact rotates from the step one stride earlier is
+    compared within the bounds; every other row must match exactly.
+    """
+    stride = 1 if sample.v_minus.is_zero else 2
+    asked = {t for t, _, _ in want}
+    for row, (t, value, std_error) in zip(got, want, strict=True):
+        assert row[0] == t
+        if sample.v_plus.is_zero or t - stride not in asked:
+            assert row[1:] == (value, std_error), t
+        else:
+            assert abs(row[1] - value) <= value_tol, t
+            assert abs(row[2] - std_error) <= error_tol, t
+
+
 def fig1_potential():
     return PotentialSpec(
         2,
@@ -199,6 +223,22 @@ class TestProductAngleDensity:
         assert abs(np.mean(np.sin(draws))) - abs(
             float(np.imag(dens.char(0, 1)))
         ) == pytest.approx(0.0, abs=5e-3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_factor_sampling_is_unbiased(self, n):
+        # an off-centre, narrow packet: a sampler that maps each grid
+        # cell's mass onto the cell's left edge shifts <exp(i n theta)> by
+        # about n dtheta / 2 and misses chi(n) by 8-10 standard errors here
+        dens = ProductAngleDensity.from_factors(
+            [coherent_factor(-2.0, 1.2, 3.0)]
+        )
+        draws = dens.sample(np.random.default_rng(21), 4_000_000)[:, 0]
+        want = dens.char(0, n)
+        root = math.sqrt(draws.size)
+        for part, exact in ((np.cos, want.real), (np.sin, want.imag)):
+            values = part(n * draws)
+            gap = abs(float(np.mean(values)) - exact)
+            assert gap < 4 * float(np.std(values)) / root
 
     def test_rejects_unnormalized_factor(self):
         with pytest.raises(ValidationError):
@@ -546,7 +586,12 @@ class TestSlinExact:
             (est.t, est.value, est.std_error)
             for est in slin_exact(sample, times)
         ]
-        assert got == slin_curve_reference(sample, times)
+        want = slin_curve_reference(sample, times)
+        assert got[3] == got[7] and got[0] == got[8]
+        assert got[:2] == want[:2]
+        assert_close_to_reference(
+            sample, got, want, ROTATION_VALUE_TOL, ROTATION_ERROR_TOL
+        )
 
     def test_generator_times_are_read_once(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
@@ -608,6 +653,88 @@ class TestSlinExact:
             (est,) = slin_exact(sample, (t,))
             band = max(3 * est.std_error, 1e-10)
             assert abs(s_lin - est.value) <= band
+
+
+class TestSlinRotation:
+    # slin_exact rotates exp(i(t eps_plus + p eps_minus)) along each parity
+    # chain; the per-step cos loop it replaced is the oracle
+    @pytest.mark.parametrize("coherent", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_curve_matches_per_step_reference(self, seed, coherent):
+        pot, plan, part, density = random_case(seed, coherent)
+        _, _, v_i = split_interaction(pot, part.part_a)
+        sample = epsilon_sample(
+            v_i, plan.shift_set, density, part, 20_000, seed
+        )
+        times = range(201)
+        got = [
+            (est.t, est.value, est.std_error)
+            for est in slin_exact(sample, times)
+        ]
+        want = slin_curve_reference(sample, times)
+        assert got[:2] == want[:2]
+        assert_close_to_reference(
+            sample, got, want, ROTATION_VALUE_TOL, ROTATION_ERROR_TOL
+        )
+        em = epsilon_moments(sample)
+        assert got[1][1:] == (em.s_odd, em.std_errors["s_odd"])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_unordered_times(self, seed):
+        # gaps, repeats and shuffled order: a step whose chain
+        # predecessor is not asked for gets a fresh cos
+        pot, plan, part, density = random_case(seed, seed % 2 == 1)
+        _, _, v_i = split_interaction(pot, part.part_a)
+        sample = epsilon_sample(
+            v_i, plan.shift_set, density, part, 20_000, seed
+        )
+        rng = np.random.default_rng(seed)
+        times = [int(t) for t in rng.choice(120, size=70)]
+        got = [
+            (est.t, est.value, est.std_error)
+            for est in slin_exact(sample, times)
+        ]
+        assert_close_to_reference(
+            sample,
+            got,
+            slin_curve_reference(sample, times),
+            ROTATION_VALUE_TOL,
+            ROTATION_ERROR_TOL,
+        )
+
+    @pytest.mark.parametrize("coherent", [False, True])
+    def test_eps_plus_zero_curve_is_exact(self, coherent):
+        _, _, v_i = split_interaction(fig1_potential(), (0,))
+        density = UNIFORM
+        if coherent:
+            density = ProductAngleDensity.from_factors(
+                [coherent_factor(0.4, 0.3, 0.7), coherent_factor(-1, 1, 1)]
+            )
+        sample = epsilon_sample(
+            v_i, PLAN_MIXED.shift_set, density, PART, 20_000, 3
+        )
+        assert sample.v_plus.is_zero
+        times = range(201)
+        got = [
+            (est.t, est.value, est.std_error)
+            for est in slin_exact(sample, times)
+        ]
+        assert got == slin_curve_reference(sample, times)
+
+    def test_long_curve(self):
+        # roundoff grows along a chain; the oracle's own argument t eps_plus
+        # also rounds, by up to half an ulp of |t eps_plus| ~ 10^4
+        pot, plan, part, density = random_case(3, False)
+        _, _, v_i = split_interaction(pot, part.part_a)
+        sample = epsilon_sample(
+            v_i, plan.shift_set, density, part, 10_000, 3
+        )
+        assert not sample.v_plus.is_zero
+        curve = slin_exact(sample, range(10_001))
+        times = [*range(0, 10_001, 50), *range(9_990, 10_001)]
+        for t, value, std_error in slin_curve_reference(sample, times):
+            assert abs(curve[t].value - value) <= 1e-13, t
+            assert abs(curve[t].std_error - std_error) <= 1e-15, t
 
 
 class TestClassifyRegimes:
