@@ -580,7 +580,8 @@ def _write_outputs(
     out.mkdir(parents=True, exist_ok=True)
     stamp = f"# manifest_sha256: {content_hash}\n"
     for name, text in files.items():
-        (out / name).write_text(stamp + text)
+        with (out / name).open("w") as handle:
+            handle.writelines((stamp, text))
     (out / "manifest.yaml").write_text(_canonical_yaml(manifest))
     (out / "effective_config.yaml").write_text(
         _canonical_yaml(cfg.effective)

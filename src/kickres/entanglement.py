@@ -5,16 +5,17 @@ state; the linear entropy is S_lin = 1 - mu2.  With the amplitude tensor
 reshaped to a matrix M, the reduced density matrix of the smaller side is
 the Gram matrix G = M M^dagger, and mu2 = ||G||_F^2 (the sum of fourth
 powers of the Schmidt coefficients, without a decomposition).  Forming G
-costs O(d_small^2 d_large).  A separate fast path covers states expanded
-in a tensor-product eigenbasis of the one-cycle map, where the purity
-reduces to a double contraction over quasienergy phase matrices.
+costs O(d_small^2 d_large); for a rotor state only the occupied box of
+the momentum window enters it.  epsilon_second_moment gives the <eps^2>
+that sets the short-time curvature of S_lin for a product state expanded
+in a tensor-product eigenbasis of the one-cycle map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,51 +62,86 @@ class BipartitionSpec:
         return BipartitionSpec(self.rotor_count, self.part_b)
 
 
+# Probability at or below which an end run of a rotor's momentum marginal
+# is left out of schmidt_purity's Gram product.  Dropping rows and columns
+# of M that hold eps_A and eps_B lowers the purity by at most 2 eps_A +
+# 2 eps_B <= 4 N BOX_FLOOR for N rotors, far below the product's roundoff.
+BOX_FLOOR = 1e-24
+
+
+def _occupied_box(marginals: Sequence[np.ndarray]) -> tuple[slice, ...]:
+    """One slice per axis that drops the two end runs of that axis's
+    marginal whose cumulative probability is at most BOX_FLOOR."""
+
+    def run(marg: np.ndarray) -> int:
+        return int(np.searchsorted(np.cumsum(marg), BOX_FLOOR, side="right"))
+
+    return tuple(slice(run(m), m.size - run(m[::-1])) for m in marginals)
+
+
+def _gram_workspace(
+    shape: tuple[int, ...], lengths: tuple[int, ...], part: BipartitionSpec
+) -> int:
+    """Elements the Gram product over a box of ``lengths`` in a C-ordered
+    tensor of ``shape`` allocates: the conjugate copy of M, the Gram matrix,
+    one temporary, and a copy of M unless the reshape is a view, which
+    needs each side's axes adjacent and untrimmed after the side's first.
+    """
+    dim_a = math.prod(lengths[j] for j in part.part_a)
+    dim_b = math.prod(lengths[j] for j in part.part_b)
+    view = all(
+        b == a + 1 and lengths[b] == shape[b]
+        for axes in (part.part_a, part.part_b)
+        for a, b in zip(axes, axes[1:])
+    )
+    return (1 if view else 2) * dim_a * dim_b + 2 * min(dim_a, dim_b) ** 2
+
+
 def _block_purity(
-    amplitudes: np.ndarray, part: BipartitionSpec, element_cap: int
+    amplitudes: np.ndarray,
+    part: BipartitionSpec,
+    element_cap: int,
+    marginals: Callable[[], Sequence[np.ndarray]] | None = None,
 ) -> float:
     """Tr(rho_A^2) of a pure amplitude tensor over the axes in part_a.
 
     The tensor is permuted so the block's axes (in ascending order) come
     first and reshaped to a dim_A x dim_B matrix M, turned so the smaller
     side is the row side.  The purity is ||M M^dagger||_F^2: the reduced
-    density matrix of the smaller side, squared and traced.  The workspace
-    (the permuted copy of M when a block's axes are not adjacent, the
-    conjugate copy of M, the Gram matrix and one temporary) is checked
-    against ``element_cap`` before anything is allocated.
+    density matrix of the smaller side, squared and traced.  Given
+    ``marginals`` (each axis's probability), M spans the _occupied_box,
+    and the cap, checked first on the whole tensor's shape before any
+    allocation, also covers the box's copy of M when it trims inner axes.
     """
     shape = amplitudes.shape
-    dim_a = int(np.prod([shape[j] for j in part.part_a]))
-    dim_b = int(np.prod([shape[j] for j in part.part_b]))
-    small = min(dim_a, dim_b)
-    # The reshape below is a view only when each side's axes are adjacent.
-    adjacent = all(
-        b == a + 1
-        for axes in (part.part_a, part.part_b)
-        for a, b in zip(axes, axes[1:])
-    )
-    copies = 1 if adjacent else 2
-    workspace = copies * dim_a * dim_b + 2 * small * small
+    workspace = _gram_workspace(shape, shape, part)
+    if marginals is not None and workspace <= element_cap:
+        amplitudes = amplitudes[_occupied_box(marginals())]
+        in_box = _gram_workspace(shape, amplitudes.shape, part)
+        workspace = max(workspace, in_box)
     if workspace > element_cap:
         raise ResourceCapError(
             f"purity workspace {workspace} exceeds the "
             f"element cap {element_cap}"
         )
+    dim_a = math.prod(amplitudes.shape[j] for j in part.part_a)
     order = part.part_a + part.part_b
-    matrix = np.transpose(amplitudes, order).reshape(dim_a, dim_b)
-    if dim_a > dim_b:
+    matrix = np.transpose(amplitudes, order).reshape(dim_a, -1)
+    if matrix.shape[0] > matrix.shape[1]:
         matrix = matrix.T
     gram = matrix @ matrix.conj().T
     return float(np.vdot(gram, gram).real)
 
 
 def schmidt_purity(state: RotorState, part: BipartitionSpec) -> float:
-    """Tr(rho_A^2) for one block of rotors of a pure lattice state."""
+    """Tr(rho_A^2) for one block of rotors of a pure lattice state, over
+    the occupied box of its momentum window (see BOX_FLOOR)."""
     if part.rotor_count != state.lattice.rotor_count:
         raise ValidationError(
             "bipartition rotor count does not match the state"
         )
-    return _block_purity(state.amplitudes, part, state.lattice.element_cap)
+    cap = state.lattice.element_cap
+    return _block_purity(state.amplitudes, part, cap, state.momentum_marginals)
 
 
 def _coefficient_weights(values: Sequence[complex], label: str) -> np.ndarray:
@@ -119,42 +155,6 @@ def _coefficient_weights(values: Sequence[complex], label: str) -> np.ndarray:
             f"{label} must be normalized (sum of squares = {total:.3e})"
         )
     return weights
-
-
-def product_basis_purity(
-    phi_a: Sequence[complex],
-    chi_b: Sequence[complex],
-    energies: np.ndarray,
-    t: float,
-) -> float:
-    """Purity of a product state expanded in a product eigenbasis.
-
-    With weights v_a = |phi_a|^2, w_b = |chi_b|^2 and quasienergies E_ab,
-    the purity after t cycles is
-
-        mu2(t) = sum v_a w_b v_a' w_b' cos(t * (E_ab + E_a'b'
-                                              - E_a'b - E_ab'))
-
-    evaluated as v^T |P diag(w) P*|^2 v with P = exp(i t E), which costs
-    O(d_A^2 d_B) instead of the quartic sum.  The contraction is oriented
-    so the squared dimension is the smaller one.
-    """
-    v = _coefficient_weights(phi_a, "phi_a")
-    w = _coefficient_weights(chi_b, "chi_b")
-    grid = np.asarray(energies, dtype=float)
-    if grid.ndim != 2 or grid.shape != (v.size, w.size):
-        raise ValidationError(
-            "energies must be a (len(phi_a), len(chi_b)) real matrix"
-        )
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("energies must be finite")
-    if not math.isfinite(float(t)):
-        raise ValidationError("t must be finite")
-    if v.size > w.size:
-        v, w, grid = w, v, grid.T
-    phases = np.exp(1j * float(t) * grid)
-    mixed = (phases * w) @ phases.conj().T
-    return float(np.real(v @ (np.abs(mixed) ** 2) @ v))
 
 
 def epsilon_second_moment(

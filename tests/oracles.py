@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.special import jv
 
-from kickres.entanglement import schmidt_purity
+from kickres.entanglement import _coefficient_weights, schmidt_purity
+from kickres.errors import ValidationError
 from kickres.potential import (
     FourierTerm,
     PotentialSpec,
@@ -183,6 +184,48 @@ def svd_purity(matrix):
     kernel the Gram-matrix purity replaced."""
     singular = np.linalg.svd(matrix, compute_uv=False)
     return float(np.sum(singular**4))
+
+
+def window_purity(amplitudes, part_a):
+    """Tr(rho_A^2) as ||M M^dagger||_F^2 with M the block matrix of the whole
+    amplitude tensor, turned so the smaller side is the row side: the
+    full-window Gram product that schmidt_purity's occupied box replaced."""
+    matrix = block_matrix(amplitudes, amplitudes.shape, part_a)
+    if matrix.shape[0] > matrix.shape[1]:
+        matrix = matrix.T
+    gram = matrix @ matrix.conj().T
+    return float(np.vdot(gram, gram).real)
+
+
+def product_basis_purity(phi_a, chi_b, energies, t):
+    """Purity of a product state expanded in a product eigenbasis.
+
+    With weights v_a = |phi_a|^2, w_b = |chi_b|^2 and quasienergies E_ab,
+    the purity after t cycles is
+
+        mu2(t) = sum v_a w_b v_a' w_b' cos(t * (E_ab + E_a'b'
+                                              - E_a'b - E_ab'))
+
+    evaluated as v^T |P diag(w) P*|^2 v with P = exp(i t E), which costs
+    O(d_A^2 d_B) instead of the quartic sum.  The contraction is oriented
+    so the squared dimension is the smaller one.
+    """
+    v = _coefficient_weights(phi_a, "phi_a")
+    w = _coefficient_weights(chi_b, "chi_b")
+    grid = np.asarray(energies, dtype=float)
+    if grid.ndim != 2 or grid.shape != (v.size, w.size):
+        raise ValidationError(
+            "energies must be a (len(phi_a), len(chi_b)) real matrix"
+        )
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("energies must be finite")
+    if not math.isfinite(float(t)):
+        raise ValidationError("t must be finite")
+    if v.size > w.size:
+        v, w, grid = w, v, grid.T
+    phases = np.exp(1j * float(t) * grid)
+    mixed = (phases * w) @ phases.conj().T
+    return float(np.real(v @ (np.abs(mixed) ** 2) @ v))
 
 
 def slin_curve_reference(sample, times):

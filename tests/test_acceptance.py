@@ -56,7 +56,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import S_ODD_UNIT, uniform_cos_moment
+from oracles import S_ODD_UNIT, product_basis_purity, uniform_cos_moment
 
 from kickres import (
     BipartitionSpec,
@@ -81,7 +81,6 @@ from kickres import (
     measure_moments,
     observe,
     predict_jz_moments,
-    product_basis_purity,
     ProductAngleDensity,
     saturation_time,
     satisfies_resonance_symmetry,

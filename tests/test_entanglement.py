@@ -1,19 +1,32 @@
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kickres.cli import _rotor_run_pieces, load_config
 from kickres.entanglement import (
+    BOX_FLOOR,
     BipartitionSpec,
+    _occupied_box,
     epsilon_second_moment,
-    product_basis_purity,
     schmidt_purity,
 )
 from kickres.errors import ResourceCapError, ValidationError
 from kickres.potential import PotentialSpec, ResonancePlan, cosine_term
 from kickres.rotor_engine import RotorEngine, RotorLattice, RotorState
 
-from oracles import S_ODD_UNIT, block_matrix, dense_purity, svd_purity
+from oracles import (
+    S_ODD_UNIT,
+    block_matrix,
+    dense_purity,
+    product_basis_purity,
+    svd_purity,
+    window_purity,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_lattice_state(lattice, seed, concentrated=False):
@@ -103,13 +116,21 @@ class TestBipartition:
             BipartitionSpec(1, (0,))
 
 
-def assert_pinned_to_oracles(state, block):
-    """schmidt_purity against the SVD and dense partial-trace oracles."""
+def assert_box_pinned(state, block):
+    """schmidt_purity against the full-window Gram product and the SVD."""
     lat = state.lattice
-    psi = state.amplitudes.ravel()
     mine = schmidt_purity(state, BipartitionSpec(lat.rotor_count, block))
-    assert abs(mine - svd_purity(block_matrix(psi, lat.shape, block))) <= 1e-12
-    assert abs(mine - dense_purity(psi, lat.shape, block)) <= 1e-12
+    assert abs(mine - window_purity(state.amplitudes, block)) <= 1e-14
+    matrix = block_matrix(state.amplitudes, lat.shape, block)
+    assert abs(mine - svd_purity(matrix)) <= 1e-12
+    return mine
+
+
+def assert_pinned_to_oracles(state, block):
+    """assert_box_pinned, and against the dense partial-trace oracle."""
+    mine = assert_box_pinned(state, block)
+    psi = state.amplitudes.ravel()
+    assert abs(mine - dense_purity(psi, state.lattice.shape, block)) <= 1e-12
     return mine
 
 
@@ -168,6 +189,30 @@ class TestSchmidtPurity:
             roomy = RotorLattice(lat.windows, element_cap=int(1.05 * peak))
             schmidt_purity(RotorState(roomy, state.amplitudes), part)
 
+    def test_workspace_counts_the_box_copy(self):
+        # Block (0, 1) of a 3-body tensor reshapes to M as a view, but
+        # once the box trims the middle axis the two axes no longer merge
+        # in memory and M is a copy: the cap must count it.
+        lat = RotorLattice(((0, 39), (0, 29), (0, 49)), element_cap=10**6)
+        amps = random_lattice_state(lat, 12).amplitudes
+        amps[:, :2] = amps[:, -2:] = 0.0
+        state = RotorState(lat, amps / np.linalg.norm(amps))
+        assert _occupied_box(state.momentum_marginals())[1] == slice(2, 28)
+        part = BipartitionSpec(3, (0, 1))
+        tracemalloc.start()
+        try:
+            schmidt_purity(state, part)
+            peak = tracemalloc.get_traced_memory()[1] // 16
+        finally:
+            tracemalloc.stop()
+        # more than the window's one conjugate copy: the box was copied
+        assert peak > 1.5 * state.amplitudes.size
+        tight = RotorLattice(lat.windows, element_cap=peak - 1)
+        with pytest.raises(ResourceCapError, match="purity workspace"):
+            schmidt_purity(RotorState(tight, state.amplitudes), part)
+        roomy = RotorLattice(lat.windows, element_cap=int(1.05 * peak))
+        schmidt_purity(RotorState(roomy, state.amplitudes), part)
+
     def test_subsystem_symmetry(self):
         lat = RotorLattice(((-4, 4), (-3, 3), (-2, 2)))
         for seed in range(6):
@@ -210,6 +255,99 @@ class TestSchmidtPurity:
         state = RotorState(lat, amps / np.linalg.norm(amps))
         mu2 = assert_pinned_to_oracles(state, (0,))
         assert 1e-11 < 1.0 - mu2 < 1e-9
+
+
+def config_trajectory(path):
+    """(part, trajectory) of a bundled rotor config's simulate run."""
+    cfg = load_config(path, "simulate")
+    engine, state = _rotor_run_pieces(cfg)
+    return cfg.part, engine.trajectory(state, cfg.steps)
+
+
+def exact_purity(amplitudes):
+    """Tr(rho_A^2) of a real 2-rotor amplitude matrix, rows as block A, in
+    exact rational arithmetic on the float values."""
+    rows = [[Fraction(float(x)) for x in row] for row in amplitudes.real]
+    gram = [[sum(x * y for x, y in zip(r, q)) for q in rows] for r in rows]
+    return sum(g * g for row in gram for g in row)
+
+
+class TestOccupiedBox:
+    @pytest.mark.parametrize(
+        "config", ["perfbench/configs/fig4_head.yaml", "configs/fig1.yaml"]
+    )
+    def test_pinned_along_config_run(self, config):
+        part, trajectory = config_trajectory(ROOT / config)
+        for _, state in trajectory:
+            assert_box_pinned(state, part.part_a)
+        box = _occupied_box(state.momentum_marginals())
+        lengths = [s.stop - s.start for s in box]
+        assert all(n < m for n, m in zip(lengths, state.lattice.shape))
+
+    @pytest.mark.parametrize(
+        "core",
+        [
+            (slice(2, 9), slice(1, 10), slice(None)),
+            (slice(None), slice(3, 7), slice(0, 11)),
+            (slice(4, 5), slice(None), slice(5, 14)),
+        ],
+    )
+    def test_zero_padded_three_rotor_states(self, core):
+        lat = RotorLattice(((0, 11), (0, 9), (0, 13)))
+        rng = np.random.default_rng(31)
+        amps = np.zeros(lat.shape, dtype=complex)
+        shape = amps[core].shape
+        amps[core] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        state = RotorState(lat, amps / np.linalg.norm(amps))
+        box = _occupied_box(state.momentum_marginals())
+        assert state.amplitudes[box].shape == shape
+        for block in [(0,), (1,), (0, 2), (0, 1)]:
+            assert_box_pinned(state, block)
+
+    def test_mass_above_the_floor_is_kept(self):
+        # A 9 x 13 window: a product core in rows 3..5 and columns 4..8,
+        # plus 1e-12 of probability in edge row 0 along the core's column
+        # profile and in edge column 12 along its row profile.  Dropping
+        # either moves the purity by ~2e-12; so would a higher floor, or
+        # an axis trimmed by the other axis's marginal.
+        lat = RotorLattice(((-4, 4), (-6, 6)))
+        rng = np.random.default_rng(8)
+        u = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v = rng.normal(size=5) + 1j * rng.normal(size=5)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        amps = np.zeros(lat.shape, dtype=complex)
+        amps[3:6, 4:9] = np.outer(u, v)
+        amps[0, 4:9] = 1e-6 * v
+        amps[3:6, 12] = 1e-6 * u
+        state = RotorState(lat, amps / np.linalg.norm(amps))
+        full = window_purity(state.amplitudes, (0,))
+        core = state.amplitudes[3:6, 4:9]
+        assert abs(window_purity(core, (0,)) - full) > 1e-12
+        for block in [(0,), (1,)]:
+            part = BipartitionSpec(2, block)
+            assert abs(schmidt_purity(state, part) - full) <= 1e-14
+
+    def test_mass_under_the_floor_moves_purity_within_bound(self):
+        # 0.9 BOX_FLOOR at each of the four window ends, each on a cell
+        # that overlaps the core: the box drops all four, and the exact
+        # purities of window and box differ by 0 <= delta <= 4 N floor.
+        lat = RotorLattice(((0, 6), (0, 7)))
+        rng = np.random.default_rng(9)
+        amps = np.zeros(lat.shape, dtype=complex)
+        amps[1:6, 1:7] = rng.normal(size=(5, 6))
+        amps /= np.linalg.norm(amps)
+        planted = np.sqrt(0.9 * BOX_FLOOR)
+        for cell in [(0, 3), (6, 4), (2, 0), (3, 7)]:
+            amps[cell] = planted
+        state = RotorState(lat, amps)
+        box = _occupied_box(state.momentum_marginals())
+        assert box == (slice(1, 6), slice(1, 7))
+        window = exact_purity(state.amplitudes)
+        inside = exact_purity(state.amplitudes[box])
+        delta = window - inside
+        assert 0 < delta <= 4 * 2 * Fraction(BOX_FLOOR)
+        part = BipartitionSpec(2, (0,))
+        assert abs(schmidt_purity(state, part) - float(inside)) <= 1e-15
 
 
 def two_rotor_setup(xi):

@@ -9,11 +9,12 @@ from oracles import (
     dense_purity,
     jz_frame_top_run,
     jz_moments_reference,
+    product_basis_purity,
     spin_matrices,
     svd_purity,
 )
 
-from kickres.entanglement import BipartitionSpec, product_basis_purity
+from kickres.entanglement import BipartitionSpec
 from kickres.errors import ResourceCapError, ValidationError
 from kickres.potential import ResonancePlan
 from kickres.rotor_engine import displacement_stats, observe
