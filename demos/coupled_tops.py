@@ -27,7 +27,7 @@ from kickres import (
     TopSpec,
     TopState,
     displacement_stats,
-    predict_jz_moments,
+    predict_moments,
     saturation_time,
     top_params,
     top_purity,
@@ -51,12 +51,12 @@ STEPS = 400
 def main() -> None:
     equator = np.zeros(SPEC.dimension, dtype=complex)
     equator[J_TOT] = 1.0  # J_z = 0 amplitude within one top's multiplet
-    stats = [top_params(SPEC, n, [equator, equator]) for n in (0, 1)]
-    t_sat = [saturation_time(SPEC, s.lambda_plus) for s in stats]
-    for n, s in enumerate(stats):
+    params = top_params(SPEC, [equator, equator])
+    t_sat = [saturation_time(SPEC, lp) for lp in params.lambda_plus]
+    for n in (0, 1):
         print(
-            f"top {n + 1}: lambda+ = {s.lambda_plus:.6g},"
-            f" lambda- = {s.lambda_minus:.6g},"
+            f"top {n + 1}: lambda+ = {params.lambda_plus[n]:.6g},"
+            f" lambda- = {params.lambda_minus[n]:.6g},"
             f" saturation time ~ {t_sat[n]:.0f} kicks"
         )
 
@@ -74,11 +74,9 @@ def main() -> None:
           f" {'t/t_sat2':>9s} {'sim/law 2':>10s}")
     for t in (8, 20, 40, 100, 200, 400):
         rec = series[t]
-        ratios, fractions = [], []
-        for n in (0, 1):
-            _, law = predict_jz_moments(stats[n], t)
-            ratios.append(rec.spread[n] / law)
-            fractions.append(t / t_sat[n])
+        _, law = predict_moments(params, t)
+        ratios = [rec.spread[n] / law[n] for n in (0, 1)]
+        fractions = [t / t_sat[n] for n in (0, 1)]
         print(
             f"{t:4d} {fractions[0]:9.3f} {ratios[0]:10.4f}"
             f" {fractions[1]:9.3f} {ratios[1]:10.4f}"

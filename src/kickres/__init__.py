@@ -18,11 +18,9 @@ from .potential import (
     PotentialSpec,
     ResonancePlan,
     SymmetryClass,
-    accumulated_potential,
     classify,
     cosine_term,
     decompose,
-    effective_potential,
     satisfies_resonance_symmetry,
     sine_term,
     split_interaction,
@@ -46,13 +44,8 @@ from .entanglement import (
 from .top_engine import (
     FieldTerm,
     TopEngine,
-    TopKickStats,
     TopSpec,
     TopState,
-    build_spin_ops,
-    predict_jz_moments,
-    saturation_time,
-    top_params,
     top_purity,
 )
 from .predictor import (
@@ -71,8 +64,10 @@ from .predictor import (
     epsilon_moments,
     epsilon_sample,
     predict_moments,
+    saturation_time,
     scaling_fit,
     slin_exact,
+    top_params,
     wavepacket_params,
 )
 
@@ -87,11 +82,9 @@ __all__ = [
     "PotentialSpec",
     "ResonancePlan",
     "SymmetryClass",
-    "accumulated_potential",
     "classify",
     "cosine_term",
     "decompose",
-    "effective_potential",
     "satisfies_resonance_symmetry",
     "sine_term",
     "split_interaction",
@@ -109,13 +102,8 @@ __all__ = [
     "schmidt_purity",
     "FieldTerm",
     "TopEngine",
-    "TopKickStats",
     "TopSpec",
     "TopState",
-    "build_spin_ops",
-    "predict_jz_moments",
-    "saturation_time",
-    "top_params",
     "top_purity",
     "EpsilonMoments",
     "EpsilonSample",
@@ -132,8 +120,10 @@ __all__ = [
     "epsilon_moments",
     "epsilon_sample",
     "predict_moments",
+    "saturation_time",
     "scaling_fit",
     "slin_exact",
+    "top_params",
     "wavepacket_params",
     "__version__",
 ]

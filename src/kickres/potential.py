@@ -206,16 +206,21 @@ def decompose(
     )
 
 
-def classify(spec: PotentialSpec, shift_set: Iterable[int]) -> SymmetryClass:
-    """Symmetry class of the whole series under the half-turn shift."""
-    if spec.is_zero:
+def _parity_class(parities: Iterable[int]) -> SymmetryClass:
+    """Class of a series whose terms have these shift parities."""
+    parities = set(parities)
+    if not parities:
         return SymmetryClass.ZERO
-    parities = {term_parity(t, shift_set) for t in spec.terms}
     if parities == {0}:
         return SymmetryClass.SYMMETRIC
     if parities == {1}:
         return SymmetryClass.ANTISYMMETRIC
     return SymmetryClass.ASYMMETRIC
+
+
+def classify(spec: PotentialSpec, shift_set: Iterable[int]) -> SymmetryClass:
+    """Symmetry class of the whole series under the half-turn shift."""
+    return _parity_class(term_parity(t, shift_set) for t in spec.terms)
 
 
 def effective_potential(spec: PotentialSpec, rotor: int) -> PotentialSpec:

@@ -1,11 +1,12 @@
-"""Closed-form predictions for resonantly kicked coupled rotors.
+"""Closed-form predictions for resonantly kicked coupled rotors and tops.
 
 This module carries the analytic side of the package: per-rotor kick
-statistics and the resulting exact moment laws, the four-block epsilon
-statistics behind the linear-entropy closed forms, the regime
-classification table with its selection rule, and the detuning
-robustness diagnostics (relative kinetic-energy deviation, agreement
-time, and the power-law fit of agreement time versus detuning).
+statistics and the resulting exact moment laws, which also carry the
+linearized J_z laws of kicked tops near the equator (top_params), the
+four-block epsilon statistics behind the linear-entropy closed forms,
+the regime classification table with its selection rule, and the
+detuning robustness diagnostics (relative kinetic-energy deviation,
+agreement time, and the power-law fit of agreement time versus detuning).
 
 Averages over the initial state enter through a product angular density.
 Both families of averages are moments of cosine series: the kicks
@@ -34,6 +35,7 @@ from .potential import (
     PotentialSpec,
     ResonancePlan,
     SymmetryClass,
+    _parity_class,
     classify,
     decompose,
     effective_potential,
@@ -41,6 +43,7 @@ from .potential import (
     split_interaction,
 )
 from .rotor_engine import MomentRecord
+from .top_engine import TopSpec, build_spin_ops
 
 TWO_PI = 2.0 * math.pi
 
@@ -198,7 +201,7 @@ def _cos_product_mean(
 
 @dataclass(frozen=True)
 class WavepacketParams:
-    """Per-rotor kick statistics driving the exact moment laws."""
+    """Per-body kick statistics driving the exact moment laws."""
 
     alpha_plus: tuple
     alpha_minus: tuple
@@ -218,14 +221,19 @@ class WavepacketParams:
         )
         if any(len(f) != n for f in fields):
             raise ValidationError("per-rotor fields must share length")
+        # roundoff allowances scale with the squares: a top's lambda at
+        # j = 50 is of order 10^3
         for j in range(n):
             lp, lm = self.lambda_plus[j], self.lambda_minus[j]
             ap, am = self.alpha_plus[j], self.alpha_minus[j]
-            if lp < ap**2 - 1e-12 or lm < am**2 - 1e-12:
+            if lp < ap**2 - 1e-12 * max(1.0, lp) or (
+                lm < am**2 - 1e-12 * max(1.0, lm)
+            ):
                 raise ValidationError(
                     "squared impulse below squared mean impulse"
                 )
-            if self.kappa[j] ** 2 > lp * lm + 1e-12:
+            bound = lp * lm
+            if self.kappa[j] ** 2 > bound + 1e-12 * max(1.0, bound):
                 raise ValidationError(
                     "cross impulse violates the Cauchy-Schwarz bound"
                 )
@@ -306,6 +314,146 @@ def predict_moments(params: WavepacketParams, t: int):
         displacement.append(d)
         spread.append(s)
     return tuple(displacement), tuple(spread)
+
+
+# --------------------------------------------------------------------
+# kicked tops
+
+# equator gate: linearizing the moment laws needs the initial state far
+# from the poles
+EQUATOR_MEAN_FRACTION = 0.05
+EQUATOR_SECOND_FRACTION = 0.05
+
+
+def _single_top_expectations(
+    factors: Sequence[np.ndarray],
+    matrices: Sequence,
+) -> complex:
+    """<prod_n A_n> over a product state; matrices[n] may be None."""
+    out = 1.0 + 0.0j
+    for factor, matrix in zip(factors, matrices):
+        if matrix is None:
+            continue
+        out *= complex(np.vdot(factor, matrix @ factor))
+    return out
+
+
+def _check_equator(factors: Sequence[np.ndarray], j: int) -> None:
+    m = np.arange(-j, j + 1, dtype=float)
+    for n, factor in enumerate(factors):
+        prob = np.abs(factor) ** 2
+        mean = float(prob @ m)
+        second = float(prob @ m**2)
+        if abs(mean) > EQUATOR_MEAN_FRACTION * j or second > (
+            EQUATOR_SECOND_FRACTION * j * j
+        ):
+            raise ValidationError(
+                f"top {n} starts too far from the equator for the "
+                f"linearized moment laws (<J_z> = {mean:.3g}, "
+                f"<J_z^2> = {second:.3g})"
+            )
+
+
+def top_params(
+    spec: TopSpec,
+    initial_factors: Sequence[np.ndarray],
+) -> WavepacketParams:
+    """Displacement-operator statistics of every top near the equator.
+
+    The field terms acting on each top are split by their parity under
+    the pi-rotation of the secondary tops; the displacement operators are
+    D_+- = -+i [J_nz, H_nf+-] and the returned statistics are their first
+    and second moments in the initial product state, with kappa the
+    symmetrized cross moment.  D_- has the opposite sign to the rotor's
+    because the twist acts first, so predict_moments gives a top's odd
+    steps t alpha_+ - alpha_- and t^2 lambda_+ - 2 t kappa + lambda_- in
+    the moments of -i [J_nz, H_nf-].  The symmetry column names the
+    parity blocks acting on each top, as classify does for a rotor.
+    """
+    if len(initial_factors) != spec.top_count:
+        raise ValidationError("one initial factor required per top")
+    factors = []
+    for factor in initial_factors:
+        arr = np.asarray(factor, dtype=complex).ravel()
+        if arr.size != spec.dimension:
+            raise ValidationError("initial factor dimension mismatch")
+        factors.append(arr / np.linalg.norm(arr))
+    _check_equator(factors, spec.j_tot)
+
+    j_x, j_z = build_spin_ops(spec.j_tot)
+    powers_cache = {0: np.eye(spec.dimension, dtype=complex)}
+
+    def x_power(k: int) -> np.ndarray:
+        if k not in powers_cache:
+            powers_cache[k] = j_x @ x_power(k - 1)
+        return powers_cache[k]
+
+    def first_moment(block) -> float:
+        total = 0.0 + 0.0j
+        for scale, matrices in block:
+            total += scale * _single_top_expectations(factors, matrices)
+        return float(np.real(total))
+
+    def second_moment(block_a, block_b) -> float:
+        total = 0.0 + 0.0j
+        for sa, ma in block_a:
+            for sb, mb in block_b:
+                paired = []
+                for one, two in zip(ma, mb):
+                    if one is None and two is None:
+                        paired.append(None)
+                    elif one is None:
+                        paired.append(two)
+                    elif two is None:
+                        paired.append(one)
+                    else:
+                        paired.append(one @ two)
+                total += sa * sb * _single_top_expectations(
+                    factors, paired
+                )
+        return float(np.real(total))
+
+    rows = []
+    for top in range(spec.top_count):
+        # parity -> list of (scale, per-top matrices) of the displacement
+        blocks = {0: [], 1: []}
+        for term in spec.field_terms:
+            if term.powers[top] == 0:
+                continue
+            scale = term.coefficient * float(spec.j_tot) ** (
+                1 - term.total_power
+            )
+            parity = spec.field_parity(term)
+            matrices = []
+            for n, k in enumerate(term.powers):
+                if n == top:
+                    base = x_power(k)
+                    matrices.append(-1j * (j_z @ base - base @ j_z))
+                elif k >= 1:
+                    matrices.append(x_power(k))
+                else:
+                    matrices.append(None)
+            blocks[parity].append((-scale if parity else scale, matrices))
+        plus, minus = blocks[0], blocks[1]
+        rows.append((
+            first_moment(plus),
+            first_moment(minus),
+            second_moment(plus, plus),
+            second_moment(minus, minus),
+            # symmetrized cross moment <{D+, D-}> / 2
+            0.5 * (second_moment(plus, minus) + second_moment(minus, plus)),
+            _parity_class(p for p in blocks if blocks[p]),
+        ))
+    return WavepacketParams(*(tuple(column) for column in zip(*rows)))
+
+
+def saturation_time(spec: TopSpec, lambda_plus: float) -> float:
+    """Step count at which ballistic spreading reaches the poles."""
+    if lambda_plus <= 0.0:
+        raise ValidationError(
+            "saturation time undefined without quadratic growth"
+        )
+    return spec.j_tot / math.sqrt(lambda_plus)
 
 
 # --------------------------------------------------------------------

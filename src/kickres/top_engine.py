@@ -44,11 +44,6 @@ from .rotor_engine import (
     marginal_moments,
 )
 
-# equator gate: linearizing the moment laws needs the initial state far
-# from the poles
-EQUATOR_MEAN_FRACTION = 0.05
-EQUATOR_SECOND_FRACTION = 0.05
-
 
 @dataclass(frozen=True)
 class FieldTerm:
@@ -444,187 +439,3 @@ def top_purity(state: TopState, part: BipartitionSpec) -> float:
     return _block_purity(
         state._held_amplitudes(), part, state.spec.element_cap
     )
-
-
-# ----------------------------------------------------------------------
-# linearized predictor
-
-
-@dataclass(frozen=True)
-class TopKickStats:
-    """Per-top displacement-operator statistics for the moment laws."""
-
-    alpha_plus: float
-    alpha_minus: float
-    lambda_plus: float
-    lambda_minus: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if (
-            self.lambda_plus < self.alpha_plus**2 - 1e-9
-            or self.lambda_minus < self.alpha_minus**2 - 1e-9
-        ):
-            raise ValidationError(
-                "squared displacement below squared mean"
-            )
-        bound = self.lambda_plus * self.lambda_minus
-        if self.kappa**2 > bound + 1e-9 * max(1.0, bound):
-            raise ValidationError(
-                "cross term violates the Cauchy-Schwarz bound"
-            )
-
-
-def _single_top_expectations(
-    factors: Sequence[np.ndarray],
-    matrices: Sequence,
-) -> complex:
-    """<prod_n A_n> over a product state; matrices[n] may be None."""
-    out = 1.0 + 0.0j
-    for factor, matrix in zip(factors, matrices):
-        if matrix is None:
-            continue
-        out *= complex(np.vdot(factor, matrix @ factor))
-    return out
-
-
-def _check_equator(
-    factors: Sequence[np.ndarray], j_tot: int
-) -> None:
-    j = j_tot
-    m = np.arange(-j, j + 1, dtype=float)
-    for n, factor in enumerate(factors):
-        prob = np.abs(factor) ** 2
-        mean = float(prob @ m)
-        second = float(prob @ m**2)
-        if abs(mean) > EQUATOR_MEAN_FRACTION * j or second > (
-            EQUATOR_SECOND_FRACTION * j * j
-        ):
-            raise ValidationError(
-                f"top {n} starts too far from the equator for the "
-                f"linearized moment laws (<J_z> = {mean:.3g}, "
-                f"<J_z^2> = {second:.3g})"
-            )
-
-
-def top_params(
-    spec: TopSpec,
-    top: int,
-    initial_factors: Sequence[np.ndarray],
-) -> TopKickStats:
-    """Displacement-operator statistics of one top near the equator.
-
-    The field terms acting on the chosen top are split by their parity
-    under the pi-rotation of the secondary tops; the displacement
-    operators are D_+- = -i [J_nz, H_nf+-] and the returned statistics
-    are their first and second moments in the initial product state,
-    with kappa the symmetrized cross moment.
-    """
-    if top < 0 or top >= spec.top_count:
-        raise ValidationError("top index out of range")
-    if len(initial_factors) != spec.top_count:
-        raise ValidationError("one initial factor required per top")
-    factors = []
-    for factor in initial_factors:
-        arr = np.asarray(factor, dtype=complex).ravel()
-        if arr.size != spec.dimension:
-            raise ValidationError("initial factor dimension mismatch")
-        factors.append(arr / np.linalg.norm(arr))
-    _check_equator(factors, spec.j_tot)
-
-    j_x, j_z = build_spin_ops(spec.j_tot)
-    powers_cache = {0: np.eye(spec.dimension, dtype=complex)}
-
-    def x_power(k: int) -> np.ndarray:
-        if k not in powers_cache:
-            powers_cache[k] = j_x @ x_power(k - 1)
-        return powers_cache[k]
-
-    # matrix factor lists for each parity block of the displacement
-    blocks = {0: [], 1: []}  # parity -> list of (scale, per-top matrices)
-    for term in spec.field_terms:
-        if term.powers[top] == 0:
-            continue
-        scale = term.coefficient * float(spec.j_tot) ** (
-            1 - term.total_power
-        )
-        matrices = []
-        for n, k in enumerate(term.powers):
-            if n == top:
-                base = x_power(k)
-                matrices.append(-1j * (j_z @ base - base @ j_z))
-            elif k >= 1:
-                matrices.append(x_power(k))
-            else:
-                matrices.append(None)
-        blocks[spec.field_parity(term)].append((scale, matrices))
-
-    def first_moment(block) -> float:
-        total = 0.0 + 0.0j
-        for scale, matrices in block:
-            total += scale * _single_top_expectations(factors, matrices)
-        return float(np.real(total))
-
-    def second_moment(block_a, block_b) -> float:
-        total = 0.0 + 0.0j
-        for sa, ma in block_a:
-            for sb, mb in block_b:
-                paired = []
-                for one, two in zip(ma, mb):
-                    if one is None and two is None:
-                        paired.append(None)
-                    elif one is None:
-                        paired.append(two)
-                    elif two is None:
-                        paired.append(one)
-                    else:
-                        paired.append(one @ two)
-                total += sa * sb * _single_top_expectations(
-                    factors, paired
-                )
-        return float(np.real(total))
-
-    plus, minus = blocks[0], blocks[1]
-    alpha_plus = first_moment(plus)
-    alpha_minus = first_moment(minus)
-    lambda_plus = second_moment(plus, plus)
-    lambda_minus = second_moment(minus, minus)
-    # symmetrized cross moment <{D+, D-}> / 2
-    kappa = 0.5 * (
-        second_moment(plus, minus) + second_moment(minus, plus)
-    )
-    return TopKickStats(
-        alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
-        lambda_plus=lambda_plus,
-        lambda_minus=lambda_minus,
-        kappa=kappa,
-    )
-
-
-def predict_jz_moments(stats: TopKickStats, t: int):
-    """Linearized displacement and squared spread of J_z at step t.
-
-    Even steps: D = t alpha_plus, sigma^2 = t^2 lambda_plus.  Odd steps
-    subtract the odd-block offsets: D = t alpha_plus - alpha_minus and
-    sigma^2 = t^2 lambda_plus - 2 t kappa + lambda_minus (the twist-first
-    ordering flips the sign of the odd contributions relative to the
-    rotor case).
-    """
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    d = t * stats.alpha_plus
-    s = t * t * stats.lambda_plus
-    if t % 2 == 1:
-        d -= stats.alpha_minus
-        s += -2 * t * stats.kappa + stats.lambda_minus
-    return d, s
-
-
-def saturation_time(spec: TopSpec, lambda_plus: float) -> float:
-    """Step count at which ballistic spreading reaches the poles."""
-    if lambda_plus <= 0.0:
-        raise ValidationError(
-            "saturation time undefined without quadratic growth"
-        )
-    return spec.j_tot / math.sqrt(lambda_plus)

@@ -80,7 +80,7 @@ from kickres import (
     epsilon_second_moment,
     measure_moments,
     observe,
-    predict_jz_moments,
+    predict_moments,
     ProductAngleDensity,
     saturation_time,
     satisfies_resonance_symmetry,
@@ -229,9 +229,9 @@ def coupled_top_run():
     dim = TOP_SPEC.dimension
     factor = np.zeros(dim, dtype=complex)
     factor[TOP_SPEC.j_tot] = 1.0
-    stats = [top_params(TOP_SPEC, n, [factor, factor]) for n in (0, 1)]
+    params = top_params(TOP_SPEC, [factor, factor])
     windows = [
-        int(0.3 * saturation_time(TOP_SPEC, s.lambda_plus)) for s in stats
+        int(0.3 * saturation_time(TOP_SPEC, lp)) for lp in params.lambda_plus
     ]
     horizon = max(windows)
     part = BipartitionSpec(2, (0,))
@@ -248,7 +248,7 @@ def coupled_top_run():
             entropy[t] = 1.0 - top_purity(state, part)
     wall = time.perf_counter() - start
     return {
-        "stats": stats,
+        "params": params,
         "windows": windows,
         "series": displacement_stats(jz_records),
         "jx": jx_records,
@@ -581,10 +581,10 @@ def test_c08_top_spread_prediction_full_window(coupled_top_run):
     assert run["wall"] < 60.0
     worst = [0.0, 0.0]
     for rec in run["series"][1:]:
+        _, predicted = predict_moments(run["params"], rec.t)
         for n in (0, 1):
             if rec.t <= run["windows"][n]:
-                _, predicted = predict_jz_moments(run["stats"][n], rec.t)
-                rel = abs(rec.spread[n] - predicted) / predicted
+                rel = abs(rec.spread[n] - predicted[n]) / predicted[n]
                 worst[n] = max(worst[n], rel)
     assert max(worst) <= 0.05, (
         f"worst relative spread deviations {worst[0]:.4f} / {worst[1]:.4f} "
@@ -598,13 +598,15 @@ def test_c08_top_spread_prediction_full_window(coupled_top_run):
 def test_c08_top_spread_prediction_core_window(coupled_top_run):
     run = coupled_top_run
     worst = [0.0, 0.0]
+    cores = [
+        0.2 * saturation_time(TOP_SPEC, lp)
+        for lp in run["params"].lambda_plus
+    ]
     for rec in run["series"][1:]:
+        _, predicted = predict_moments(run["params"], rec.t)
         for n in (0, 1):
-            stats = run["stats"][n]
-            core = 0.2 * saturation_time(TOP_SPEC, stats.lambda_plus)
-            if rec.t <= core:
-                _, predicted = predict_jz_moments(stats, rec.t)
-                rel = abs(rec.spread[n] - predicted) / predicted
+            if rec.t <= cores[n]:
+                rel = abs(rec.spread[n] - predicted[n]) / predicted[n]
                 worst[n] = max(worst[n], rel)
     assert max(worst) <= 0.05
 

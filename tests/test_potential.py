@@ -15,17 +15,16 @@ from kickres import (
     ResonancePlan,
     SymmetryClass,
     ValidationError,
-    accumulated_potential,
     classify,
     cosine_term,
     decompose,
-    effective_potential,
     satisfies_resonance_symmetry,
     sine_term,
     split_interaction,
     term_parity,
     term_text,
 )
+from kickres.potential import accumulated_potential, effective_potential
 from oracles import shifted
 
 TWO_PI = 2.0 * math.pi

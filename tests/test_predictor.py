@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from kickres.predictor import (
     predict_moments,
     scaling_fit,
     slin_exact,
+    top_params,
     wavepacket_params,
 )
 from kickres.rotor_engine import (
@@ -39,6 +41,7 @@ from kickres.rotor_engine import (
     displacement_stats,
     measure_moments,
 )
+from kickres.top_engine import FieldTerm, TopSpec, build_spin_ops
 
 from oracles import (
     S_ODD_TENTH,
@@ -316,6 +319,28 @@ class TestWavepacketParams:
                 kappa=(0.2,),  # kappa^2 > l+ l-
                 symmetry=(SymmetryClass.SYMMETRIC,),
             )
+
+    def test_tolerance_scales_with_the_squares(self):
+        # top 2 sits in a J_x eigenstate, so top 1's D_- is a multiple
+        # of its D_+ and kappa^2 = lambda_+ lambda_- holds exactly; with
+        # lambda_+ ~ 10^3 the roundoff exceeds an absolute 1e-12
+        j = 50
+        spec = TopSpec(
+            2,
+            j,
+            ResonancePlan(((1, 1), (1, 2))),
+            (FieldTerm(1.0, (1, 0)), FieldTerm(1.7, (1, 1))),
+        )
+        equator = np.zeros(spec.dimension, dtype=complex)
+        equator[j] = 1.0
+        _, vectors = np.linalg.eigh(build_spin_ops(j)[0])
+        params = top_params(spec, [equator, vectors[:, -2]])
+        bound = params.lambda_plus[0] * params.lambda_minus[0]
+        assert params.lambda_plus[0] > 1e3
+        assert abs(params.kappa[0] ** 2 - bound) <= 1e-12 * bound
+        kappa = -(1.0 + 1e-6) * math.sqrt(bound)
+        with pytest.raises(ValidationError, match="Cauchy-Schwarz"):
+            dataclasses.replace(params, kappa=(kappa, params.kappa[1]))
 
 
 class TestPredictMoments:

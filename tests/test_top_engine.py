@@ -16,18 +16,20 @@ from oracles import (
 
 from kickres.entanglement import BipartitionSpec
 from kickres.errors import ResourceCapError, ValidationError
-from kickres.potential import ResonancePlan
+from kickres.potential import ResonancePlan, SymmetryClass
+from kickres.predictor import (
+    WavepacketParams,
+    predict_moments,
+    saturation_time,
+    top_params,
+)
 from kickres.rotor_engine import displacement_stats, observe
 from kickres.top_engine import (
     FieldTerm,
     TopEngine,
-    TopKickStats,
     TopSpec,
     TopState,
     build_spin_ops,
-    predict_jz_moments,
-    saturation_time,
-    top_params,
     top_purity,
 )
 
@@ -541,14 +543,14 @@ class TestKickStats:
         )
         equator = np.zeros(2 * j + 1)
         equator[j] = 1.0
-        stats = top_params(spec, 0, [equator])
+        params = top_params(spec, [equator])
         # D = -i[J_z, a J_x] = a J_y, odd under the pi rotation
-        assert abs(stats.alpha_plus) < 1e-12
-        assert abs(stats.alpha_minus) < 1e-12
-        assert abs(stats.lambda_plus) < 1e-12
+        assert abs(params.alpha_plus[0]) < 1e-12
+        assert abs(params.alpha_minus[0]) < 1e-12
+        assert abs(params.lambda_plus[0]) < 1e-12
         expected = a * a * j * (j + 1) / 2.0
-        assert abs(stats.lambda_minus - expected) < 1e-10
-        assert abs(stats.kappa) < 1e-12
+        assert abs(params.lambda_minus[0] - expected) < 1e-10
+        assert abs(params.kappa[0]) < 1e-12
 
     def test_linear_field_on_principal_top(self):
         j = 8
@@ -561,10 +563,10 @@ class TestKickStats:
         )
         equator = np.zeros(2 * j + 1)
         equator[j] = 1.0
-        stats = top_params(spec, 0, [equator])
+        params = top_params(spec, [equator])
         expected = a * a * j * (j + 1) / 2.0
-        assert abs(stats.lambda_plus - expected) < 1e-10
-        assert abs(stats.lambda_minus) < 1e-12
+        assert abs(params.lambda_plus[0] - expected) < 1e-10
+        assert abs(params.lambda_minus[0]) < 1e-12
 
     def test_matches_dense_commutator_oracle(self):
         j = 5
@@ -589,7 +591,7 @@ class TestKickStats:
         factor0 = raw / np.linalg.norm(raw)
         factor1 = np.zeros(dim, dtype=complex)
         factor1[j] = 1.0
-        stats = top_params(spec, 0, [factor0, factor1])
+        params = top_params(spec, [factor0, factor1])
 
         ox, _, oz = spin_matrices(j)
         eye = np.eye(dim)
@@ -607,18 +609,21 @@ class TestKickStats:
         h_plus = (h_target + h_flipped) / 2.0
         h_minus = (h_target - h_flipped) / 2.0
         d_plus = -1j * (jz1 @ h_plus - h_plus @ jz1)
-        d_minus = -1j * (jz1 @ h_minus - h_minus @ jz1)
+        # the twist acts first, so top_params reports D_- negated
+        d_minus = 1j * (jz1 @ h_minus - h_minus @ jz1)
         psi = np.kron(factor0, factor1)
 
         def expval(op):
             return float(np.real(np.vdot(psi, op @ psi)))
 
-        assert abs(stats.alpha_plus - expval(d_plus)) < 1e-10
-        assert abs(stats.alpha_minus - expval(d_minus)) < 1e-10
-        assert abs(stats.lambda_plus - expval(d_plus @ d_plus)) < 1e-10
-        assert abs(stats.lambda_minus - expval(d_minus @ d_minus)) < 1e-10
+        assert abs(params.alpha_plus[0] - expval(d_plus)) < 1e-10
+        assert abs(params.alpha_minus[0] - expval(d_minus)) < 1e-10
+        assert abs(params.lambda_plus[0] - expval(d_plus @ d_plus)) < 1e-10
+        assert abs(
+            params.lambda_minus[0] - expval(d_minus @ d_minus)
+        ) < 1e-10
         cross = expval(d_plus @ d_minus + d_minus @ d_plus) / 2.0
-        assert abs(stats.kappa - cross) < 1e-10
+        assert abs(params.kappa[0] - cross) < 1e-10
 
     def test_equator_gate_rejects_polar_state(self):
         j = 10
@@ -631,7 +636,7 @@ class TestKickStats:
         pole = np.zeros(2 * j + 1)
         pole[-1] = 1.0
         with pytest.raises(ValidationError):
-            top_params(spec, 0, [pole])
+            top_params(spec, [pole])
 
     def test_equator_gate_rejects_wide_spread(self):
         j = 10
@@ -644,24 +649,62 @@ class TestKickStats:
         cat = np.zeros(2 * j + 1)
         cat[0] = cat[-1] = 1.0 / np.sqrt(2.0)
         with pytest.raises(ValidationError):
-            top_params(spec, 0, [cat])
+            top_params(spec, [cat])
+
+    @pytest.mark.parametrize(
+        "rationals, powers, expected",
+        [
+            (((1, 1),), [(1,)], ("SYMMETRIC",)),
+            (((1, 2),), [(1,)], ("ANTISYMMETRIC",)),
+            (((1, 2),), [(1,), (2,)], ("ASYMMETRIC",)),
+            (((1, 2),), [], ("ZERO",)),
+            (((1, 1), (1, 1)), [(1, 0), (1, 1)], ("SYMMETRIC", "SYMMETRIC")),
+            (
+                ((1, 2), (1, 2)),
+                [(1, 0), (0, 1)],
+                ("ANTISYMMETRIC", "ANTISYMMETRIC"),
+            ),
+            (
+                ((1, 1), (1, 2)),
+                [(1, 0), (1, 1)],
+                ("ASYMMETRIC", "ANTISYMMETRIC"),
+            ),
+            (((1, 1), (1, 2)), [], ("ZERO", "ZERO")),
+        ],
+    )
+    def test_symmetry_column_follows_parity_blocks(
+        self, rationals, powers, expected
+    ):
+        j = 4
+        spec = TopSpec(
+            top_count=len(rationals),
+            j_tot=j,
+            plan=make_plan(*rationals),
+            field_terms=tuple(FieldTerm(0.3, p) for p in powers),
+        )
+        equator = np.zeros(2 * j + 1)
+        equator[j] = 1.0
+        params = top_params(spec, [equator] * spec.top_count)
+        assert params.symmetry == tuple(SymmetryClass[e] for e in expected)
 
     def test_stats_sanity_validation(self):
         with pytest.raises(ValidationError):
-            TopKickStats(
-                alpha_plus=1.0,
-                alpha_minus=0.0,
-                lambda_plus=0.1,
-                lambda_minus=0.0,
-                kappa=0.0,
+            WavepacketParams(
+                alpha_plus=(1.0,),
+                alpha_minus=(0.0,),
+                lambda_plus=(0.1,),
+                lambda_minus=(0.0,),
+                kappa=(0.0,),
+                symmetry=(SymmetryClass.SYMMETRIC,),
             )
         with pytest.raises(ValidationError):
-            TopKickStats(
-                alpha_plus=0.0,
-                alpha_minus=0.0,
-                lambda_plus=0.1,
-                lambda_minus=0.1,
-                kappa=1.0,
+            WavepacketParams(
+                alpha_plus=(0.0,),
+                alpha_minus=(0.0,),
+                lambda_plus=(0.1,),
+                lambda_minus=(0.1,),
+                kappa=(-1.0,),
+                symmetry=(SymmetryClass.ASYMMETRIC,),
             )
 
 
@@ -681,10 +724,10 @@ class TestMomentLaws:
         engine = TopEngine(spec)
         factors = [np.zeros(dim, dtype=complex) for _ in range(2)]
         factors[0][j] = factors[1][j] = 1.0
-        stats = top_params(spec, 0, factors)
-        assert stats.lambda_plus > 0.0
-        assert stats.lambda_minus > 0.0
-        assert abs(stats.kappa) < 1e-12
+        params = top_params(spec, factors)
+        assert params.lambda_plus[0] > 0.0
+        assert params.lambda_minus[0] > 0.0
+        assert abs(params.kappa[0]) < 1e-12
 
         state = TopState.from_factors(spec, factors)
         records = [
@@ -692,12 +735,13 @@ class TestMomentLaws:
             for t, s in engine.trajectory(state, 25)
         ]
         series = displacement_stats(records)
-        horizon = 0.3 * saturation_time(spec, stats.lambda_plus)
+        horizon = 0.3 * saturation_time(spec, params.lambda_plus[0])
         checked = 0
         for rec in series[1:]:
             if rec.t > horizon:
                 break
-            d_pred, s_pred = predict_jz_moments(stats, rec.t)
+            displacement, spread = predict_moments(params, rec.t)
+            d_pred, s_pred = displacement[0], spread[0]
             assert abs(rec.spread[0] - s_pred) < 0.05 * max(s_pred, 0.05)
             assert abs(rec.displacement[0] - d_pred) < 0.05 * max(
                 np.sqrt(s_pred), 0.05
@@ -707,7 +751,8 @@ class TestMomentLaws:
 
     def test_odd_step_offsets_enter_with_minus_sign(self):
         # a cross moment kappa != 0 distinguishes sigma^2 =
-        # t^2 lam+ - 2 t kappa + lam- from the opposite-sign variant
+        # t^2 lam+ - 2 t <D+ D-> + lam- from the opposite-sign variant;
+        # top_params reports kappa = -<D+ D-> so predict_moments applies
         j = 16
         dim = 2 * j + 1
         a, b = 0.01, 0.02
@@ -726,8 +771,8 @@ class TestMomentLaws:
         factor0 = np.zeros(dim, dtype=complex)
         factor0[j] = 1.0
         factor1 = vectors[:, -1].astype(complex)  # <J_x> = +j
-        stats = top_params(spec, 0, [factor0, factor1])
-        assert stats.kappa > 1e-3
+        params = top_params(spec, [factor0, factor1])
+        assert params.kappa[0] < -1e-3
 
         state = TopState.from_factors(spec, [factor0, factor1])
         records = [
@@ -738,31 +783,30 @@ class TestMomentLaws:
         for rec in series[1:]:
             if rec.t % 2 == 0:
                 continue
-            t = rec.t
-            minus = t * t * stats.lambda_plus - 2 * t * stats.kappa + (
-                stats.lambda_minus
-            )
-            plus = t * t * stats.lambda_plus + 2 * t * stats.kappa + (
-                stats.lambda_minus
-            )
-            assert abs(rec.spread[0] - minus) < 0.25 * abs(plus - minus)
+            _, spread = predict_moments(params, rec.t)
+            law = spread[0]
+            flipped = law - 4 * rec.t * params.kappa[0]
+            assert abs(rec.spread[0] - law) < 0.25 * abs(flipped - law)
 
     def test_even_odd_structure_of_prediction(self):
-        stats = TopKickStats(
-            alpha_plus=0.2,
-            alpha_minus=0.5,
-            lambda_plus=0.3,
-            lambda_minus=0.9,
-            kappa=0.1,
+        # a top with <D-> = 0.5 and <{D+, D-}>/2 = 0.1, in the signs
+        # top_params reports
+        params = WavepacketParams(
+            alpha_plus=(0.2,),
+            alpha_minus=(-0.5,),
+            lambda_plus=(0.3,),
+            lambda_minus=(0.9,),
+            kappa=(-0.1,),
+            symmetry=(SymmetryClass.ASYMMETRIC,),
         )
-        d4, s4 = predict_jz_moments(stats, 4)
+        (d4,), (s4,) = predict_moments(params, 4)
         assert d4 == pytest.approx(0.8)
         assert s4 == pytest.approx(16 * 0.3)
-        d5, s5 = predict_jz_moments(stats, 5)
+        (d5,), (s5,) = predict_moments(params, 5)
         assert d5 == pytest.approx(5 * 0.2 - 0.5)
         assert s5 == pytest.approx(25 * 0.3 - 10 * 0.1 + 0.9)
         with pytest.raises(ValidationError):
-            predict_jz_moments(stats, -1)
+            predict_moments(params, -1)
 
     def test_saturation_time(self):
         spec = TopSpec(
@@ -909,7 +953,7 @@ def test_fig_style_parity_split_example():
     )
     equator = np.zeros(dim, dtype=complex)
     equator[j] = 1.0
-    stats = top_params(spec, 0, [equator, equator])
+    params = top_params(spec, [equator, equator])
     jy_sq = j * (j + 1) / 2.0
     jx_sq = j * (j + 1) / 2.0
     jx_fourth = float(
@@ -926,11 +970,11 @@ def test_fig_style_parity_split_example():
         + (0.0005 / j**2) ** 2 * jy_sq * jx_fourth
     )
     expected_minus = (0.005 / j) ** 2 * jy_sq * jx_sq
-    assert abs(stats.lambda_plus - expected_plus) < 1e-12
-    assert abs(stats.lambda_minus - expected_minus) < 1e-12
-    assert abs(stats.kappa) < 1e-14
-    assert abs(stats.alpha_plus) < 1e-14
-    assert abs(stats.alpha_minus) < 1e-14
+    assert abs(params.lambda_plus[0] - expected_plus) < 1e-12
+    assert abs(params.lambda_minus[0] - expected_minus) < 1e-12
+    assert abs(params.kappa[0]) < 1e-14
+    assert abs(params.alpha_plus[0]) < 1e-14
+    assert abs(params.alpha_minus[0]) < 1e-14
 
 
 def test_observe_matches_a_hand_loop_on_a_fig7_style_run():
