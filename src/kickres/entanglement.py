@@ -5,16 +5,19 @@ state; the linear entropy is S_lin = 1 - mu2.  With the amplitude tensor
 reshaped to a matrix M, the reduced density matrix of the smaller side is
 the Gram matrix G = M M^dagger, and mu2 = ||G||_F^2 (the sum of fourth
 powers of the Schmidt coefficients, without a decomposition).  Forming G
-costs O(d_small^2 d_large); for a rotor state only the occupied box of
-the momentum window enters it.  epsilon_second_moment gives the <eps^2>
-that sets the short-time curvature of S_lin for a product state expanded
-in a tensor-product eigenbasis of the one-cycle map.
+costs O(d_small^2 d_large); for a rotor state, and for a top state held
+in the J_x frame, only the occupied box of the window enters it, which
+steps by 2 along an axis whose odd parity class is empty.
+epsilon_second_moment gives the <eps^2> that sets the short-time
+curvature of S_lin for a product state expanded in a tensor-product
+eigenbasis of the one-cycle map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +54,7 @@ class BipartitionSpec:
                 )
         object.__setattr__(self, "part_a", part)
 
-    @property
+    @cached_property
     def part_b(self) -> tuple[int, ...]:
         members = set(self.part_a)
         return tuple(
@@ -62,34 +65,51 @@ class BipartitionSpec:
         return BipartitionSpec(self.rotor_count, self.part_b)
 
 
-# Probability at or below which an end run of a rotor's momentum marginal
-# is left out of schmidt_purity's Gram product.  Dropping rows and columns
-# of M that hold eps_A and eps_B lowers the purity by at most 2 eps_A +
-# 2 eps_B <= 4 N BOX_FLOOR for N rotors, far below the product's roundoff.
+# Probability at or below which part of an axis's marginal is left out of
+# _block_purity's Gram product and of the top engine's J_z moments: each
+# end run, and the odd offsets from the first kept index, which a parity
+# symmetry keeps empty (even kick modes on a rotor; for a top started at
+# J_z = 0, its pi-rotation about x, which commutes with the twist and the
+# field).  Dropping rows and columns of M that hold eps_A and eps_B lowers
+# the purity by at most 2 eps_A + 2 eps_B <= 6 N BOX_FLOOR for N bodies
+# (two end runs and one parity class per axis), far below the product's
+# roundoff.
 BOX_FLOOR = 1e-24
 
 
 def _occupied_box(marginals: Sequence[np.ndarray]) -> tuple[slice, ...]:
     """One slice per axis that drops the two end runs of that axis's
-    marginal whose cumulative probability is at most BOX_FLOOR."""
+    marginal whose cumulative probability is at most BOX_FLOOR, and steps
+    by 2 when the odd offsets from the first kept index hold at most
+    BOX_FLOOR in total."""
 
     def run(marg: np.ndarray) -> int:
         return int(np.searchsorted(np.cumsum(marg), BOX_FLOOR, side="right"))
 
-    return tuple(slice(run(m), m.size - run(m[::-1])) for m in marginals)
+    def axis(marg: np.ndarray) -> slice:
+        lo, hi = run(marg), marg.size - run(marg[::-1])
+        if marg[lo + 1 : hi : 2].sum() <= BOX_FLOOR:
+            return slice(lo, hi, 2)
+        return slice(lo, hi)
+
+    return tuple(axis(m) for m in marginals)
 
 
 def _gram_workspace(
-    shape: tuple[int, ...], lengths: tuple[int, ...], part: BipartitionSpec
+    shape: tuple[int, ...],
+    lengths: tuple[int, ...],
+    part: BipartitionSpec,
+    strided: bool = False,
 ) -> int:
     """Elements the Gram product over a box of ``lengths`` in a C-ordered
     tensor of ``shape`` allocates: the conjugate copy of M, the Gram matrix,
     one temporary, and a copy of M unless the reshape is a view, which
-    needs each side's axes adjacent and untrimmed after the side's first.
+    needs a box that is not ``strided`` and each side's axes adjacent and
+    untrimmed after the side's first.
     """
     dim_a = math.prod(lengths[j] for j in part.part_a)
     dim_b = math.prod(lengths[j] for j in part.part_b)
-    view = all(
+    view = not strided and all(
         b == a + 1 and lengths[b] == shape[b]
         for axes in (part.part_a, part.part_b)
         for a, b in zip(axes, axes[1:])
@@ -101,23 +121,28 @@ def _block_purity(
     amplitudes: np.ndarray,
     part: BipartitionSpec,
     element_cap: int,
-    marginals: Callable[[], Sequence[np.ndarray]] | None = None,
+    occupied: Callable[[], tuple[slice, ...]] | None = None,
 ) -> float:
     """Tr(rho_A^2) of a pure amplitude tensor over the axes in part_a.
 
     The tensor is permuted so the block's axes (in ascending order) come
     first and reshaped to a dim_A x dim_B matrix M, turned so the smaller
     side is the row side.  The purity is ||M M^dagger||_F^2: the reduced
-    density matrix of the smaller side, squared and traced.  Given
-    ``marginals`` (each axis's probability), M spans the _occupied_box,
-    and the cap, checked first on the whole tensor's shape before any
-    allocation, also covers the box's copy of M when it trims inner axes.
+    density matrix of the smaller side, squared and traced, summed by
+    numpy rather than BLAS so its bits do not depend on the thread count.
+    Given ``occupied``, which returns the _occupied_box of the tensor's
+    axis marginals, M spans that box, and the cap, checked first on the
+    whole tensor's shape before any allocation, also covers the box's
+    copy of M when it trims inner axes or steps by 2.
     """
     shape = amplitudes.shape
     workspace = _gram_workspace(shape, shape, part)
-    if marginals is not None and workspace <= element_cap:
-        amplitudes = amplitudes[_occupied_box(marginals())]
-        in_box = _gram_workspace(shape, amplitudes.shape, part)
+    strided = False
+    if occupied is not None and workspace <= element_cap:
+        box = occupied()
+        strided = any(cut.step for cut in box)
+        amplitudes = amplitudes[box]
+        in_box = _gram_workspace(shape, amplitudes.shape, part, strided)
         workspace = max(workspace, in_box)
     if workspace > element_cap:
         raise ResourceCapError(
@@ -127,10 +152,17 @@ def _block_purity(
     dim_a = math.prod(amplitudes.shape[j] for j in part.part_a)
     order = part.part_a + part.part_b
     matrix = np.transpose(amplitudes, order).reshape(dim_a, -1)
+    if strided:
+        # the counted copy, in place of numpy's buffering of a strided
+        # gemm operand
+        matrix = np.ascontiguousarray(matrix)
     if matrix.shape[0] > matrix.shape[1]:
         matrix = matrix.T
-    gram = matrix @ matrix.conj().T
-    return float(np.vdot(gram, gram).real)
+    # squared in place: a temporary of G's size would cost a fresh mmap
+    # once G passes malloc's threshold
+    squares = (matrix @ matrix.conj().T).view(float).ravel()
+    np.square(squares, out=squares)
+    return float(squares.sum())
 
 
 def schmidt_purity(state: RotorState, part: BipartitionSpec) -> float:
@@ -141,7 +173,12 @@ def schmidt_purity(state: RotorState, part: BipartitionSpec) -> float:
             "bipartition rotor count does not match the state"
         )
     cap = state.lattice.element_cap
-    return _block_purity(state.amplitudes, part, cap, state.momentum_marginals)
+    return _block_purity(
+        state.amplitudes,
+        part,
+        cap,
+        lambda: _occupied_box(state.momentum_marginals()),
+    )
 
 
 def _coefficient_weights(values: Sequence[complex], label: str) -> np.ndarray:

@@ -19,10 +19,12 @@ of that axis (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and any
 other rational or a detuning keeps the dense matrix W^T T W.  The J_z
 moments and the bipartite purity are read in the J_x frame too, so a run
 never rotates back: J_z is tridiagonal over the J_x eigenbasis, and the
-purity is invariant under the local change of frame W x ... x W.  A
-state's J_z-basis amplitudes are rotated back, one single-top transform
-per axis, only when a caller reads them; no matrix exponentials are
-taken at run time.
+purity is invariant under the local change of frame W x ... x W.  Both
+are read over the occupied box of the J_x-frame marginals, which keeps
+every second index from a J_z = 0 start (see entanglement.BOX_FLOOR).
+A state's J_z-basis amplitudes are rotated back, one single-top
+transform per axis, only when a caller reads them; no matrix
+exponentials are taken at run time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .entanglement import BipartitionSpec, _block_purity
+from .entanglement import BipartitionSpec, _block_purity, _occupied_box
 from .errors import ResourceCapError, ValidationError
 from .potential import ResonancePlan
 from .rotor_engine import (
@@ -155,7 +157,8 @@ class TopState:
 
     States made by TopEngine hold their amplitudes over the product J_x
     eigenbasis instead, where the engine also reads their J_z moments and
-    purity; ``amplitudes`` rotates them back on first read.
+    purity from the cached axis marginals' occupied box; ``amplitudes``
+    rotates them back on first read.
     A state built from J_z amplitudes is rotated into the J_x frame on
     first use by the engine.  Either copy is kept once made: a state's
     amplitudes are not changed after construction.
@@ -170,6 +173,7 @@ class TopState:
         self.spec = spec
         self._jz = amps
         self._jx = None
+        self._marginals = self._box = None
         self._check_norm()
 
     @classmethod
@@ -178,6 +182,7 @@ class TopState:
         state.spec = spec
         state._jz = None
         state._jx = jx_amplitudes
+        state._marginals = state._box = None
         state._check_norm()
         return state
 
@@ -201,6 +206,21 @@ class TopState:
             _, basis = self.spec._jx_eigenbasis
             self._jx = _rotate_axes(self._jz, basis.T)
         return self._jx
+
+    def _jx_marginals(self) -> tuple[np.ndarray, ...]:
+        """Probability over each axis of the J_x frame, from one |a|^2
+        pass, computed on first use and kept like the amplitudes."""
+        if self._marginals is None:
+            amps = self._jx_amplitudes()
+            self._marginals = axis_marginals(amps.real**2 + amps.imag**2)
+        return self._marginals
+
+    def _jx_box(self) -> tuple[slice, ...]:
+        """The occupied box of the J_x-frame marginals, kept once found:
+        the J_z moments and the purity read the same one."""
+        if self._box is None:
+            self._box = _occupied_box(self._jx_marginals())
+        return self._box
 
     @classmethod
     def jz_product(cls, spec: TopSpec, m_values: Sequence[int]) -> "TopState":
@@ -232,15 +252,10 @@ class TopState:
             amps = np.tensordot(amps, arr, axes=0)
         return cls(spec, amps)
 
-    def _held_amplitudes(self) -> np.ndarray:
-        """The amplitudes in a frame already held, J_z first: enough for
-        any quantity that a local change of frame leaves unchanged."""
-        return self._jz if self._jz is not None else self._jx
-
     def norm(self) -> float:
-        # One contiguous pass; np.linalg.norm splits a complex array into
-        # two strided ones.
-        amps = self._held_amplitudes()
+        # One contiguous pass over a frame already held; np.linalg.norm
+        # splits a complex array into two strided ones.
+        amps = self._jz if self._jz is not None else self._jx
         return math.sqrt(np.vdot(amps, amps).real)
 
 
@@ -289,11 +304,12 @@ class TopEngine:
             self._jx_frame_twist(n, basis) for n in range(spec.top_count)
         )
         self._field_phase = np.exp(-1j * self._field_diagonal())
-        # Each top's J_z band, shaped to broadcast over the (before, dim,
+        # Each top's J_z band b padded to bp with bp[q + 1] = b_q and
+        # zeros at both ends, shaped to broadcast over the (before, dim,
         # 2 * after) float view of its axis.  The last axis's band is
         # repeated over each (re, im) pair, so numpy runs one contiguous
-        # loop there rather than dim - 1 loops of length 2.
-        band = self._jx_frame_jz_band(basis)[:, None]
+        # loop there rather than one loop of length 2 per index.
+        band = np.pad(self._jx_frame_jz_band(basis), 1)[:, None]
         last = spec.top_count - 1
         self._jz_bands = tuple(
             np.repeat(band, 2, axis=1) if n == last else band
@@ -401,41 +417,57 @@ class TopEngine:
     # observables
 
     def measure_jz_moments(self, state: TopState, t: int = 0) -> MomentRecord:
-        """<J_nz> and <J_nz^2> of every top, read in the J_x frame.
+        """<J_nz> and <J_nz^2> of every top, read in the J_x frame over the
+        state's occupied box (see entanglement.BOX_FLOOR).
 
-        B = J_nz psi is two shifted products along axis n with the real
-        band; <J_nz> = Re <psi|B> and <J_nz^2> = ||B||^2, which cannot go
-        negative.  Both are taken over a float view of the amplitudes with
+        Along axis n the box keeps the indices k_i = lo + s i, i < L.
+        B = J_nz psi is two shifted products with the real padded band,
+        up = bp[k] onto k - 1 and down = bp[k + 1] onto k + 1, which land on
+        L + 3 - s slots.  <J_nz^2> = ||B||^2 cannot go negative.  With
+        s = 1, <J_nz> = Re <psi|B> over the kept slots; with s = 2, B lies
+        on the empty parity class, which J_z reaches from the occupied
+        one, so <J_nz> is 0.  Both are taken over a float view with
         elementwise products and sums only, so their bits do not depend
         on the BLAS thread count.
         """
-        amps = state._jx_amplitudes()
-        dim = self.spec.dimension
+        box = state._jx_box()
+        amps = np.ascontiguousarray(state._jx_amplitudes()[box])
         means, seconds = [], []
-        for n, band in enumerate(self._jz_bands):
-            psi = amps.reshape(dim**n, dim, -1).view(float)
-            applied = np.zeros_like(psi)
-            applied[:, 1:] = band * psi[:, :-1]
-            applied[:, :-1] += band * psi[:, 1:]
-            means.append(float((psi * applied).sum()))
+        for n, (band, cut) in enumerate(zip(self._jz_bands, box)):
+            lo, hi, step = cut.start, cut.stop, cut.step or 1
+            size = amps.shape[n]
+            psi = amps.reshape(math.prod(amps.shape[:n]), size, -1).view(float)
+            # contiguous band slices, so the last axis's (re, im) loop merges
+            up = np.ascontiguousarray(band[lo:hi:step])
+            down = np.ascontiguousarray(band[lo + 1 : hi + 1 : step])
+            applied = np.zeros((psi.shape[0], size + 3 - step, psi.shape[2]))
+            np.multiply(up, psi, out=applied[:, :size])
+            applied[:, 3 - step :] += down * psi
+            if step == 1:
+                means.append(float((psi * applied[:, 1 : size + 1]).sum()))
+            else:
+                means.append(0.0)
             seconds.append(float((applied * applied).sum()))
         return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
 
     def measure_jx_moments(self, state: TopState, t: int = 0) -> MomentRecord:
-        prob = np.abs(state._jx_amplitudes()) ** 2
-        values = [self._x_values] * prob.ndim
-        return marginal_moments(axis_marginals(prob), values, t)
+        marginals = state._jx_marginals()
+        values = [self._x_values] * len(marginals)
+        return marginal_moments(marginals, values, t)
 
 
 def top_purity(state: TopState, part: BipartitionSpec) -> float:
     """Tr(rho_A^2) of a pure top state over a block of tops.
 
-    Read in whichever frame the state holds, so an engine-made state is
-    read in the J_x frame: ||M M^dagger||_F^2 is unchanged by the local
-    change of frame W x ... x W.
+    Read in whichever frame the state holds, J_z first, so an engine-made
+    state is read in the J_x frame: ||M M^dagger||_F^2 is unchanged by the
+    local change of frame W x ... x W.  There the Gram product runs over
+    the occupied box of the J_x-frame marginals; a J_z-held state, such as
+    a J_z product start whose purity is exactly 1, keeps the whole window.
     """
     if part.rotor_count != state.spec.top_count:
         raise ValidationError("bipartition top count mismatch")
-    return _block_purity(
-        state._held_amplitudes(), part, state.spec.element_cap
-    )
+    cap = state.spec.element_cap
+    if state._jz is not None:
+        return _block_purity(state._jz, part, cap)
+    return _block_purity(state._jx, part, cap, state._jx_box)

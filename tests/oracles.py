@@ -21,6 +21,7 @@ from kickres.potential import (
     effective_potential,
 )
 from kickres.rotor_engine import (
+    MomentRecord,
     RotorEngine,
     RotorLattice,
     RotorState,
@@ -195,6 +196,24 @@ def window_purity(amplitudes, part_a):
         matrix = matrix.T
     gram = matrix @ matrix.conj().T
     return float(np.vdot(gram, gram).real)
+
+
+def window_jz_moments(engine, state, t=0):
+    """<J_nz> and <J_nz^2> of every top over the whole J_x-frame window:
+    the full-lattice kernel that TopEngine.measure_jz_moments's occupied
+    box replaced, with the engine's padded band stripped of its pads."""
+    amps = state._jx_amplitudes()
+    dim = engine.spec.dimension
+    means, seconds = [], []
+    for n, padded in enumerate(engine._jz_bands):
+        band = padded[1:-1]
+        psi = amps.reshape(dim**n, dim, -1).view(float)
+        applied = np.zeros_like(psi)
+        applied[:, 1:] = band * psi[:, :-1]
+        applied[:, :-1] += band * psi[:, 1:]
+        means.append(float((psi * applied).sum()))
+        seconds.append(float((applied * applied).sum()))
+    return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
 
 
 def product_basis_purity(phi_a, chi_b, energies, t):

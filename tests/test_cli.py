@@ -1030,41 +1030,50 @@ class TestTopSimulate:
 
     def test_moments_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the J_z moments are read in the J_x frame with elementwise
-        # products and sums only, so moments.csv must not depend on the
-        # BLAS thread count; entropy.csv is not compared (its purity
-        # kernel's Gram product still does)
-        fig7 = Path(__file__).resolve().parents[1] / "configs" / "fig7.yaml"
-        body = yaml.safe_load(fig7.read_text())
+        # products and sums only, and every purity sums its Gram matrix
+        # with numpy, so moments.csv and entropy.csv must not depend on
+        # the BLAS thread count.  The rotor runs cover purity products up
+        # to the fig4 head's; a larger gemm's own bits still depend on it
+        root = Path(__file__).resolve().parents[1]
+        body = yaml.safe_load((root / "configs" / "fig7.yaml").read_text())
         body["steps"] = 50
-        path = write_config(tmp_path, "fig7_short.yaml", body)
+        runs = [
+            ("top-simulate", write_config(tmp_path, "fig7_short.yaml", body)),
+            ("simulate", root / "configs" / "fig1.yaml"),
+            ("simulate", root / "perfbench" / "configs" / "fig4_head.yaml"),
+        ]
         src = str(Path(kickres.__file__).resolve().parents[1])
-        moments = []
+        outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ)
             env["PYTHONPATH"] = os.pathsep.join(
                 filter(None, (src, env.get("PYTHONPATH")))
             )
             env["OPENBLAS_NUM_THREADS"] = threads
-            out = tmp_path / f"threads{threads}"
-            done = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "kickres.cli",
-                    "top-simulate",
-                    "--config",
-                    str(path),
-                    "--out-dir",
-                    str(out),
-                    "--quiet",
-                ],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert done.returncode == 0, done.stderr
-            moments.append((out / "moments.csv").read_bytes())
-        assert moments[0] == moments[1]
+            files = []
+            for k, (command, path) in enumerate(runs):
+                out = tmp_path / f"threads{threads}" / str(k)
+                done = subprocess.run(
+                    [
+                        sys.executable,
+                        "-m",
+                        "kickres.cli",
+                        command,
+                        "--config",
+                        str(path),
+                        "--out-dir",
+                        str(out),
+                        "--quiet",
+                    ],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                )
+                assert done.returncode == 0, done.stderr
+                for name in ("moments.csv", "entropy.csv"):
+                    files.append((out / name).read_bytes())
+            outputs.append(files)
+        assert outputs[0] == outputs[1]
 
     def test_purity_workspace_cap_exit_code(self, tmp_path):
         # the 5 x 5 state fits the cap of 30, its purity workspace does not

@@ -213,6 +213,32 @@ class TestSchmidtPurity:
         roomy = RotorLattice(lat.windows, element_cap=int(1.05 * peak))
         schmidt_purity(RotorState(roomy, state.amplitudes), part)
 
+    def test_workspace_counts_the_strided_box_copy(self):
+        # Block (0, 1) of a 3-body tensor reshapes to M as a view, but
+        # with the odd class of the last axis empty the box steps by 2
+        # there, and the strided M is copied before its gemm: keeping 13
+        # of 25 indices makes that copy outgrow the window's own count.
+        lat = RotorLattice(((0, 39), (0, 39), (0, 24)), element_cap=10**6)
+        amps = random_lattice_state(lat, 13).amplitudes
+        amps[..., 1::2] = 0.0
+        state = RotorState(lat, amps / np.linalg.norm(amps))
+        box = _occupied_box(state.momentum_marginals())
+        assert box == (slice(0, 40), slice(0, 40), slice(0, 25, 2))
+        part = BipartitionSpec(3, (0, 1))
+        tracemalloc.start()
+        try:
+            schmidt_purity(state, part)
+            peak = tracemalloc.get_traced_memory()[1] // 16
+        finally:
+            tracemalloc.stop()
+        # more than the box's one conjugate copy: M was copied
+        assert peak > 1.5 * state.amplitudes[box].size
+        tight = RotorLattice(lat.windows, element_cap=peak - 1)
+        with pytest.raises(ResourceCapError, match="purity workspace"):
+            schmidt_purity(RotorState(tight, state.amplitudes), part)
+        roomy = RotorLattice(lat.windows, element_cap=int(1.05 * peak))
+        schmidt_purity(RotorState(roomy, state.amplitudes), part)
+
     def test_subsystem_symmetry(self):
         lat = RotorLattice(((-4, 4), (-3, 3), (-2, 2)))
         for seed in range(6):
@@ -272,16 +298,37 @@ def exact_purity(amplitudes):
     return sum(g * g for row in gram for g in row)
 
 
+def box_steps(state):
+    return tuple(cut.step for cut in _occupied_box(state.momentum_marginals()))
+
+
+# States after t = 0 whose box steps by 2 on some axis: fig1's axis 1 on
+# its even steps, where the odd part of that rotor's kicks cancels; fig3's
+# kicks are even on axis 0, whose box steps by 2 at every step, and axis
+# 1's does too at t = 2, 4, 6.
+STRIDED_STATES = {
+    "perfbench/configs/fig4_head.yaml": 0,
+    "configs/fig1.yaml": 50,
+    "configs/fig3.yaml": 100,
+}
+
+
 class TestOccupiedBox:
-    @pytest.mark.parametrize(
-        "config", ["perfbench/configs/fig4_head.yaml", "configs/fig1.yaml"]
-    )
+    @pytest.mark.parametrize("config", list(STRIDED_STATES))
     def test_pinned_along_config_run(self, config):
+        # every box of a momentum eigenstate start steps by 2 at t = 0
         part, trajectory = config_trajectory(ROOT / config)
+        steps = []
         for _, state in trajectory:
             assert_box_pinned(state, part.part_a)
+            steps.append(box_steps(state))
+        assert steps[0] == (2, 2)
+        assert sum(2 in s for s in steps[1:]) == STRIDED_STATES[config]
+        if "fig3" in config:
+            assert {s[0] for s in steps} == {2}
+            assert [t for t, s in enumerate(steps) if s[1]] == [0, 2, 4, 6]
         box = _occupied_box(state.momentum_marginals())
-        lengths = [s.stop - s.start for s in box]
+        lengths = state.amplitudes[box].shape
         assert all(n < m for n, m in zip(lengths, state.lattice.shape))
 
     @pytest.mark.parametrize(
@@ -348,6 +395,55 @@ class TestOccupiedBox:
         assert 0 < delta <= 4 * 2 * Fraction(BOX_FLOOR)
         part = BipartitionSpec(2, (0,))
         assert abs(schmidt_purity(state, part) - float(inside)) <= 1e-15
+
+
+    def test_parity_class_under_the_floor_moves_purity_within_bound(self):
+        # A core on the even offsets of rows 1..7 and columns 1..9 of a
+        # 9 x 11 window, plus 0.9 BOX_FLOOR at each of the four window ends
+        # and on one odd offset of each axis, each cell placed so that the
+        # other axis sees it in its occupied class: the box drops all six,
+        # and the exact purities of window and box differ by
+        # 0 <= delta <= 6 N floor.
+        lat = RotorLattice(((0, 8), (0, 10)))
+        rng = np.random.default_rng(10)
+        amps = np.zeros(lat.shape, dtype=complex)
+        amps[1:8:2, 1:10:2] = rng.normal(size=(4, 5))
+        amps /= np.linalg.norm(amps)
+        planted = np.sqrt(0.9 * BOX_FLOOR)
+        for cell in [(0, 3), (8, 5), (3, 0), (5, 10), (4, 5), (3, 6)]:
+            amps[cell] = planted
+        state = RotorState(lat, amps)
+        box = _occupied_box(state.momentum_marginals())
+        assert box == (slice(1, 8, 2), slice(1, 10, 2))
+        window = exact_purity(state.amplitudes)
+        inside = exact_purity(state.amplitudes[box])
+        delta = window - inside
+        assert 0 < delta <= 6 * 2 * Fraction(BOX_FLOOR)
+        part = BipartitionSpec(2, (0,))
+        assert abs(schmidt_purity(state, part) - float(inside)) <= 1e-15
+
+    def test_parity_class_above_the_floor_keeps_step_one(self):
+        # The same even-offset core with 1e-12 of probability on the odd
+        # offsets of each axis, along the core's profile on the other
+        # axis: dropping either class moves the purity by ~2e-12, so the
+        # box must keep step 1 on both axes.
+        lat = RotorLattice(((0, 8), (0, 10)))
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v = rng.normal(size=5) + 1j * rng.normal(size=5)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        amps = np.zeros(lat.shape, dtype=complex)
+        amps[1:8:2, 1:10:2] = np.outer(u, v)
+        amps[4, 1:10:2] = 1e-6 * v
+        amps[1:8:2, 6] = 1e-6 * u
+        state = RotorState(lat, amps / np.linalg.norm(amps))
+        assert box_steps(state) == (None, None)
+        full = window_purity(state.amplitudes, (0,))
+        even = state.amplitudes[1:8:2, 1:10:2]
+        assert abs(window_purity(even, (0,)) - full) > 1e-12
+        for block in [(0,), (1,)]:
+            part = BipartitionSpec(2, block)
+            assert abs(schmidt_purity(state, part) - full) <= 1e-14
 
 
 def two_rotor_setup(xi):

@@ -12,9 +12,11 @@ from oracles import (
     product_basis_purity,
     spin_matrices,
     svd_purity,
+    window_jz_moments,
+    window_purity,
 )
 
-from kickres.entanglement import BipartitionSpec
+from kickres.entanglement import BipartitionSpec, _occupied_box
 from kickres.errors import ResourceCapError, ValidationError
 from kickres.potential import ResonancePlan, SymmetryClass
 from kickres.predictor import (
@@ -487,7 +489,10 @@ class TestJzMomentsInJxFrame:
         _, basis = spec._jx_eigenbasis
         rotated = basis.T @ j_z @ basis
         for band in engine._jz_bands:
-            for column in band.T:
+            for padded in band.T:
+                # zero pads at both ends, so a box edge reads no coupling
+                assert padded[0] == padded[-1] == 0.0
+                column = padded[1:-1]
                 assert np.array_equal(np.abs(column), magnitude)
                 tridiagonal = np.diag(column, 1) + np.diag(column, -1)
                 assert np.max(np.abs(rotated - tridiagonal)) <= 1e-12 * j
@@ -505,6 +510,110 @@ class TestJzMomentsInJxFrame:
         observe(engine, initial, 20, engine.measure_jz_moments, purity)
         assert len(seen) == 21 and seen[0] is initial
         assert all(state._jz is None for state in seen[1:])
+
+
+def box_steps(state):
+    return tuple(cut.step for cut in _occupied_box(state._jx_marginals()))
+
+
+DETUNED_SPEC = TopSpec(
+    top_count=2,
+    j_tot=12,
+    plan=make_plan((1, 3), (1, 2), detunings=(0.0, 0.3)),
+    field_terms=(
+        FieldTerm(0.7, (1, 0)),
+        FieldTerm(-0.4, (0, 1)),
+        FieldTerm(0.25, (1, 1)),
+        FieldTerm(0.15, (1, 2)),
+    ),
+)
+THREE_TOP_SPEC = TopSpec(
+    top_count=3,
+    j_tot=3,
+    plan=make_plan((1, 1), (1, 2), (2, 3)),
+    field_terms=(
+        FieldTerm(0.4, (1, 0, 0)),
+        FieldTerm(0.3, (0, 1, 1)),
+        FieldTerm(0.5, (1, 0, 2)),
+        FieldTerm(-0.2, (1, 1, 1)),
+    ),
+)
+# skip, reverse and dense twists under a field with odd and even powers
+MIXED_TWIST_SPEC = TopSpec(
+    top_count=3,
+    j_tot=5,
+    plan=make_plan((1, 1), (1, 2), (1, 3)),
+    field_terms=(
+        FieldTerm(0.6, (1, 0, 0)),
+        FieldTerm(0.3, (0, 1, 1)),
+        FieldTerm(-0.5, (1, 1, 1)),
+        FieldTerm(0.4, (0, 0, 2)),
+        FieldTerm(0.2, (2, 1, 0)),
+    ),
+)
+
+
+class TestOccupiedParityBox:
+    """Moments and purity over the occupied J_x-frame box.
+
+    Each top's pi-rotation about x, (-1)^k in the J_x frame, commutes with
+    every twist (even in J_z) and with the field (diagonal in J_x), so a
+    top started at J_z = 0 keeps its j + k odd amplitudes at zero.
+    """
+
+    @pytest.mark.parametrize(
+        "spec, m_values, steps, block, strides",
+        [
+            (FIG7_SPEC, (0, 0), 1000, (0,), (2, 2)),
+            (FIG7_SPEC, (1, 0), 200, (0,), (None, 2)),
+            (DETUNED_SPEC, (0, 0), 200, (1,), (2, 2)),
+            (THREE_TOP_SPEC, (0, 0, 0), 200, (0, 2), (2, 2, 2)),
+        ],
+        ids=["fig7", "fig7-m10", "detuned", "three-tops"],
+    )
+    def test_pinned_to_the_whole_window_kernels(
+        self, spec, m_values, steps, block, strides
+    ):
+        # bounds from measurement: <J_z^2> 4.4e-16 relative (1e-26
+        # absolute where it is roundoff at t = 0), <J_z> 6.4e-14 absolute,
+        # purity 5.6e-16
+        engine = TopEngine(spec)
+        part = BipartitionSpec(rotor_count=spec.top_count, part_a=block)
+        initial = TopState.jz_product(spec, m_values)
+        for t, state in engine.trajectory(initial, steps):
+            record = engine.measure_jz_moments(state, t)
+            reference = window_jz_moments(engine, state, t)
+            for mine, ref in zip(record.mean, reference.mean):
+                assert abs(mine - ref) <= 1e-13
+            for mine, ref in zip(record.second, reference.second):
+                assert abs(mine - ref) <= 1e-15 * ref + 1e-25
+            # against the frame top_purity reads: J_z at t = 0, else J_x
+            held = state.amplitudes if t == 0 else state._jx_amplitudes()
+            purity = top_purity(state, part)
+            assert abs(purity - window_purity(held, block)) <= 2e-15
+            assert box_steps(state) == strides
+            for n, step in enumerate(strides):
+                if step == 2:
+                    assert record.mean[n] == 0.0
+        # the J_z-held start keeps the whole-window product: exactly pure
+        assert top_purity(initial, part) == 1.0
+
+    def test_odd_class_stays_empty_from_the_equator(self):
+        engine = TopEngine(MIXED_TWIST_SPEC)
+        assert [f for f, _ in engine._twist_x] == ["skip", "reverse", "dense"]
+        start = TopState.jz_product(MIXED_TWIST_SPEC, (0, 0, 0))
+        for _, state in engine.trajectory(start, 200):
+            odd = [m[1::2].sum() for m in state._jx_marginals()]
+            assert max(odd) <= 1e-28
+        # J_z = 1 on the first top fills both of its classes; the other
+        # tops' pi-rotations still commute with the map
+        start = TopState.jz_product(MIXED_TWIST_SPEC, (1, 0, 0))
+        worst = [0.0, 0.0, 0.0]
+        for _, state in engine.trajectory(start, 200):
+            odd = [m[1::2].sum() for m in state._jx_marginals()]
+            worst = [max(w, o) for w, o in zip(worst, odd)]
+        assert worst[0] > 0.1
+        assert max(worst[1:]) <= 1e-28
 
 
 class TestConservation:
