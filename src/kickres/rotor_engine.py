@@ -45,6 +45,7 @@ START_STEPS = 4  # a growing run's first window covers this many kicks
 GROW_TRIGGER = 1e-20  # edge mass that makes a rotor's window grow
 GROWTH_FACTOR = 1.25
 GROW_MARGIN = 16  # minimum pad per side: this plus ceil(bandwidth)
+MARGINAL_BLOCK = 1 << 16  # |a|^2 elements per block in momentum_marginals
 
 
 def _smooth_length(n: int) -> int:
@@ -266,14 +267,28 @@ class RotorState:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def momentum_marginals(self) -> tuple[np.ndarray, ...]:
-        """Probability over each rotor's momentum window, from one |a|^2.
+        """Probability over each rotor's momentum window.
 
-        Computed on first use and kept: a state's amplitudes are not
-        changed after construction, so the trajectory's edge check and the
-        caller's moments share one pass.
+        |a|^2 is formed and summed one block of the leading axis at a
+        time, at most MARGINAL_BLOCK elements (or one row), so no
+        lattice-size probability array is made.  Computed on first use and
+        kept: a state's amplitudes are not changed after construction, so
+        the trajectory's edge check and the caller's moments share one
+        pass.
         """
         if self._marginals is None:
-            self._marginals = axis_marginals(np.abs(self.amplitudes) ** 2)
+            a = self.amplitudes
+            axes = range(a.ndim)
+            rows = max(1, MARGINAL_BLOCK // (a.size // len(a)))
+            margs = [np.empty(len(a))] + [np.zeros(m) for m in a.shape[1:]]
+            block = np.empty((min(rows, len(a)),) + a.shape[1:])
+            for i in range(0, len(a), rows):
+                p = np.abs(a[i : i + rows], out=block[: len(a) - i])
+                p *= p
+                margs[0][i : i + rows] = p.sum(axis=tuple(axes[1:]))
+                for j in axes[1:]:
+                    margs[j] += p.sum(axis=tuple(k for k in axes if k != j))
+            self._marginals = tuple(margs)
         return self._marginals
 
     def edge_mass(self) -> tuple[float, ...]:
@@ -382,7 +397,9 @@ class RotorEngine:
 
     trajectory() widens a rotor's window whenever its edge mass passes
     GROW_TRIGGER, so the tail tolerance comes into play only where the
-    element cap stops the growth.
+    element cap stops the growth.  A step holds three window-size arrays
+    (the state, the next state and the kick table); a grow holds the old
+    state, the new state and the new table.
     """
 
     def __init__(
@@ -410,14 +427,24 @@ class RotorEngine:
 
     def _configure(self, lattice: RotorLattice) -> None:
         self.lattice = lattice
-        axes = [
-            lattice.axis_view(j, lattice.angles(j))
-            for j in range(lattice.rotor_count)
-        ]
-        self._kick_phase = np.exp(-1j * self.potential.evaluate(axes))
+        self._kick_phase = None  # the old table goes before the new one
+        self._kick_phase = self._kick_table(self.potential)
         self._free_phase = [
             self._free_axis_phase(j, 1) for j in range(lattice.rotor_count)
         ]
+
+    def _kick_table(self, potential: PotentialSpec) -> np.ndarray:
+        """exp(-i V) on the lattice's angle grid, written as cos V and
+        -sin V into the two halves of one complex array with no complex
+        temporary; the tests pin it to np.exp(-1j * V) bit for bit."""
+        lat = self.lattice
+        v = potential.evaluate(
+            [lat.axis_view(j, lat.angles(j)) for j in range(lat.rotor_count)]
+        )
+        table = np.empty(v.shape, dtype=complex)
+        np.cos(v, out=table.real)
+        np.negative(np.sin(v, out=table.imag), out=table.imag)
+        return table
 
     def _free_axis_phase(self, rotor: int, steps: int) -> np.ndarray:
         """exp(-i t tau l^2 / 2) over the window, rational part reduced
@@ -433,10 +460,11 @@ class RotorEngine:
 
     def _apply_kick_array(self, a: np.ndarray, phase: np.ndarray) -> np.ndarray:
         # The momentum-offset twist cancels around a diagonal angle factor,
-        # so the plain ifftn/fftn pair is exact here.  The phase and the
-        # forward transform act in place: a full-lattice copy fewer at the
-        # peak of the step.
-        b = np.fft.ifftn(a)
+        # so the plain ifftn/fftn pair is exact here.  Its one new array is
+        # the result: ifftn writes into it (without ``out`` numpy allocates
+        # afresh on every axis pass), and the phase and the forward
+        # transform act on it in place.
+        b = np.fft.ifftn(a, out=np.empty_like(a))
         b *= phase
         return np.fft.fftn(b, out=b)
 
@@ -448,17 +476,26 @@ class RotorEngine:
         )
         return out
 
-    def free_rotation(self, state: RotorState) -> RotorState:
+    def free_rotation(
+        self, state: RotorState, out: np.ndarray | None = None
+    ) -> RotorState:
+        """``state`` after one free rotation, written into ``out`` when
+        given; ``step`` passes the kick's private output, so it rotates in
+        place."""
         self._check_state(state)
         phases = self._free_phase
-        a = state.amplitudes * self.lattice.axis_view(0, phases[0])
+        a = np.multiply(
+            state.amplitudes, self.lattice.axis_view(0, phases[0]), out=out
+        )
         for j in range(1, len(phases)):
             a *= self.lattice.axis_view(j, phases[j])  # in place, as in kick
         return RotorState(state.lattice, a)
 
     def step(self, state: RotorState) -> RotorState:
-        """One period: kick, then free rotation."""
-        return self.free_rotation(self.kick(state))
+        """One period: kick, then free rotation in place on the kick's
+        output, so a step holds the state, the next state and the table."""
+        kicked = self.kick(state)
+        return self.free_rotation(kicked, out=kicked.amplitudes)
 
     def evolve(self, state: RotorState, steps: int) -> RotorState:
         for _, state in self.trajectory(state, steps):
@@ -498,6 +535,7 @@ class RotorEngine:
                             f"mass {max(edges):.3e})"
                         )
                     break  # the cap stops growth inside the tail tolerance
+                del nxt  # the tainted result goes before the grow allocates
                 state = self._embed_wider(state, wider)
                 nxt = self.step(state)
                 edges = nxt.edge_mass()
@@ -542,16 +580,17 @@ class RotorEngine:
         self, state: RotorState, lattice: RotorLattice
     ) -> RotorState:
         """``state`` zero-padded onto ``lattice``, which becomes the
-        engine's lattice."""
+        engine's lattice.  The new kick table is built first, so the grow
+        holds at most the old state, the new table and the new state."""
         slices = tuple(
             slice(old[0] - new[0], old[0] - new[0] + m)
             for old, new, m in zip(
                 self.lattice.windows, lattice.windows, self.lattice.shape
             )
         )
+        self._configure(lattice)
         amps = np.zeros(lattice.shape, dtype=complex)
         amps[slices] = state.amplitudes
-        self._configure(lattice)
         self.grow_events += 1
         return RotorState(lattice, amps)
 
@@ -575,15 +614,9 @@ class RotorEngine:
         acc = accumulated_potential(
             self.potential, self.plan.shift_set, steps
         )
-        axes = [
-            self.lattice.axis_view(j, self.lattice.angles(j))
-            for j in range(self.lattice.rotor_count)
-        ]
-        a = self._apply_kick_array(
-            state.amplitudes, np.exp(-1j * acc.evaluate(axes))
-        )
+        a = self._apply_kick_array(state.amplitudes, self._kick_table(acc))
         for j in range(self.lattice.rotor_count):
-            a = a * self.lattice.axis_view(j, self._free_axis_phase(j, steps))
+            a *= self.lattice.axis_view(j, self._free_axis_phase(j, steps))
         out = RotorState(state.lattice, a)
         tail = max(out.edge_mass())
         if tail > self.tail_tol:

@@ -161,6 +161,23 @@ def kick_matrix_quadrature(v_of_theta, l_values, grid=4096):
     return np.array([[lookup[lp - ll] for ll in l] for lp in l])
 
 
+def momentum_marginals_reference(state):
+    """Each rotor's momentum marginal of a RotorState from one
+    lattice-size |a|^2: the kernel that ``momentum_marginals`` replaced
+    with block sums."""
+    return axis_marginals(np.abs(state.amplitudes) ** 2)
+
+
+def kick_table_reference(potential, lattice):
+    """exp(-i V) on the lattice's angle grid through one complex
+    temporary: the kernel that ``RotorEngine``'s cos/sin table replaced."""
+    axes = [
+        lattice.axis_view(j, lattice.angles(j))
+        for j in range(lattice.rotor_count)
+    ]
+    return np.exp(-1j * potential.evaluate(axes))
+
+
 def block_matrix(psi, dims, part_a):
     """The pure state psi over ``dims`` as a dim_A x dim_B matrix, rows
     indexed by the axes in ``part_a`` (ascending), columns by the rest."""
