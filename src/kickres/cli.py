@@ -32,7 +32,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -56,6 +56,8 @@ from .potential import (
     term_text,
 )
 from .predictor import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     MIN_SAMPLE_COUNT,
     ProductAngleDensity,
     RobustnessResult,
@@ -92,8 +94,6 @@ EXIT_VALIDATION = 2
 EXIT_TRUNCATION = 3
 EXIT_RESOURCE = 4
 
-DEFAULT_SAMPLES = 200_000
-DEFAULT_SEED = 12345
 MAX_SEED = 2**64 - 1
 
 
@@ -795,18 +795,7 @@ def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
             v_i, shift, density, cfg.part, cfg.samples, cfg.seed
         )
         moments = epsilon_moments(sample)
-        epsilon_block = {
-            "eps_plus_sq": moments.eps_plus_sq,
-            "eps_minus_sq": moments.eps_minus_sq,
-            "eps_cross": moments.eps_cross,
-            "eps_sq": moments.eps_sq,
-            "norm": moments.norm,
-            "s_odd": moments.s_odd,
-            "eps_plus_mean": moments.eps_plus_mean,
-            "eps_minus_mean": moments.eps_minus_mean,
-            "std_errors": dict(moments.std_errors),
-            "sample_count": moments.sample_count,
-        }
+        epsilon_block = {**asdict(moments), "eps_sq": moments.eps_sq}
         if moments.norm > 0.0:
             tstar = crossover_time(moments)
         estimates = slin_exact(sample, range(cfg.steps + 1))
@@ -876,13 +865,7 @@ def run_detune_scan(
         list(zip(result.detunings, result.agreement_times)),
     )
     if result.fit is not None:
-        fit_block = {
-            "slope": result.fit.slope,
-            "intercept": result.fit.intercept,
-            "stderr": result.fit.stderr,
-            "ci95": result.fit.ci95,
-            "points": result.fit.points,
-        }
+        fit_block = asdict(result.fit)
     else:
         fit_block = {
             "skipped": "needs >= 3 finite agreement times to fit"

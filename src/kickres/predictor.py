@@ -31,6 +31,7 @@ import numpy as np
 from .entanglement import BipartitionSpec
 from .errors import ValidationError
 from .potential import (
+    TWO_PI,
     FourierTerm,
     PotentialSpec,
     ResonancePlan,
@@ -45,9 +46,9 @@ from .potential import (
 from .rotor_engine import MomentRecord
 from .top_engine import TopSpec, build_spin_ops
 
-TWO_PI = 2.0 * math.pi
-
 MIN_SAMPLE_COUNT = 10_000
+DEFAULT_SAMPLES = 200_000
+DEFAULT_SEED = 12345
 
 # Table-style regime names
 REGIME_QUADRATIC = "quadratic"
@@ -294,6 +295,14 @@ def wavepacket_params(
     return WavepacketParams(*(tuple(column) for column in zip(*rows)))
 
 
+def _check_step(t) -> None:
+    """ValidationError unless ``t`` is a step: an integer >= 0, not a bool."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise ValidationError(f"steps must be integers, got {t!r}")
+    if t < 0:
+        raise ValidationError("t must be >= 0")
+
+
 def predict_moments(params: WavepacketParams, t: int):
     """Exact displacement and squared spread of every rotor at step t.
 
@@ -301,8 +310,7 @@ def predict_moments(params: WavepacketParams, t: int):
     Odd steps add the odd-part offsets: D gains alpha_minus and
     sigma^2 gains 2 t kappa + lambda_minus.
     """
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    _check_step(t)
     displacement = []
     spread = []
     for j in range(params.rotor_count):
@@ -575,8 +583,8 @@ def epsilon_sample(
     shift_set: frozenset,
     initial: ProductAngleDensity,
     part: BipartitionSpec,
-    sample_count: int = 200_000,
-    seed=12345,
+    sample_count: int = DEFAULT_SAMPLES,
+    seed=DEFAULT_SEED,
 ) -> EpsilonSample:
     """Split the interaction by parity and draw its four-block sample once.
 
@@ -697,10 +705,7 @@ def slin_exact(
     """
     times = tuple(times)
     for t in times:
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-            raise ValidationError(f"times must be integers, got {t!r}")
-        if t < 0:
-            raise ValidationError("t must be >= 0")
+        _check_step(t)
     plus_zero = sample.v_plus.is_zero
     minus_zero = sample.v_minus.is_zero
     stride = 1 if minus_zero else 2

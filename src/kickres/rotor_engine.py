@@ -45,7 +45,7 @@ START_STEPS = 4  # a growing run's first window covers this many kicks
 GROW_TRIGGER = 1e-20  # edge mass that makes a rotor's window grow
 GROWTH_FACTOR = 1.25
 GROW_MARGIN = 16  # minimum pad per side: this plus ceil(bandwidth)
-MARGINAL_BLOCK = 1 << 16  # |a|^2 elements per block in momentum_marginals
+MARGINAL_BLOCK = 1 << 16  # |a|^2 elements per block in axis_marginals
 
 
 def _smooth_length(n: int) -> int:
@@ -192,6 +192,36 @@ def _coherent_packet(
     return g / np.linalg.norm(g)
 
 
+def unit_norm(amplitudes: np.ndarray) -> float:
+    """Norm of a rotor or top state's amplitudes; ValidationError unless
+    within 1e-10 of 1.  One contiguous pass: np.linalg.norm splits a
+    complex array into two strided ones and runs tens of times slower."""
+    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValidationError(
+            f"state norm {norm} deviates from 1 beyond 1e-10"
+        )
+    return norm
+
+
+def axis_marginals(amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each axis's marginal of |amplitudes|^2, formed and summed one block
+    of the leading axis at a time (at most MARGINAL_BLOCK elements, or one
+    row), so no full-size probability array is made."""
+    a = amplitudes
+    axes = range(a.ndim)
+    rows = max(1, MARGINAL_BLOCK // (a.size // len(a)))
+    margs = [np.empty(len(a))] + [np.zeros(m) for m in a.shape[1:]]
+    block = np.empty((min(rows, len(a)),) + a.shape[1:])
+    for i in range(0, len(a), rows):
+        p = np.abs(a[i : i + rows], out=block[: len(a) - i])
+        p *= p
+        margs[0][i : i + rows] = p.sum(axis=tuple(axes[1:]))
+        for j in axes[1:]:
+            margs[j] += p.sum(axis=tuple(k for k in axes if k != j))
+    return tuple(margs)
+
+
 class RotorState:
     """Normalized momentum amplitude tensor over a lattice."""
 
@@ -205,9 +235,7 @@ class RotorState:
         self.lattice = lattice
         self.amplitudes = amplitudes
         self._marginals: tuple[np.ndarray, ...] | None = None
-        norm = self.norm()
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError(f"state norm {norm} deviates from 1")
+        unit_norm(amplitudes)
 
     @classmethod
     def momentum_eigenstate(
@@ -262,33 +290,17 @@ class RotorState:
         return cls(lattice, amps)
 
     def norm(self) -> float:
-        # One contiguous pass; np.linalg.norm splits a complex array into
-        # two strided ones and runs tens of times slower on large lattices.
-        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
+        return unit_norm(self.amplitudes)
 
     def momentum_marginals(self) -> tuple[np.ndarray, ...]:
         """Probability over each rotor's momentum window.
 
-        |a|^2 is formed and summed one block of the leading axis at a
-        time, at most MARGINAL_BLOCK elements (or one row), so no
-        lattice-size probability array is made.  Computed on first use and
-        kept: a state's amplitudes are not changed after construction, so
-        the trajectory's edge check and the caller's moments share one
-        pass.
+        Computed on first use and kept: a state's amplitudes are not
+        changed after construction, so the trajectory's edge check and the
+        caller's moments share one pass.
         """
         if self._marginals is None:
-            a = self.amplitudes
-            axes = range(a.ndim)
-            rows = max(1, MARGINAL_BLOCK // (a.size // len(a)))
-            margs = [np.empty(len(a))] + [np.zeros(m) for m in a.shape[1:]]
-            block = np.empty((min(rows, len(a)),) + a.shape[1:])
-            for i in range(0, len(a), rows):
-                p = np.abs(a[i : i + rows], out=block[: len(a) - i])
-                p *= p
-                margs[0][i : i + rows] = p.sum(axis=tuple(axes[1:]))
-                for j in axes[1:]:
-                    margs[j] += p.sum(axis=tuple(k for k in axes if k != j))
-            self._marginals = tuple(margs)
+            self._marginals = axis_marginals(self.amplitudes)
         return self._marginals
 
     def edge_mass(self) -> tuple[float, ...]:
@@ -311,14 +323,6 @@ class MomentRecord:
     displacement: tuple[float, ...] | None = None
     spread: tuple[float, ...] | None = None
     variance: tuple[float, ...] | None = None
-
-
-def axis_marginals(prob: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each axis's marginal of the probability tensor ``prob``."""
-    n = prob.ndim
-    return tuple(
-        prob.sum(axis=tuple(k for k in range(n) if k != j)) for j in range(n)
-    )
 
 
 def marginal_moments(

@@ -22,6 +22,9 @@ never rotates back: J_z is tridiagonal over the J_x eigenbasis, and the
 purity is invariant under the local change of frame W x ... x W.  Both
 are read over the occupied box of the J_x-frame marginals, which keeps
 every second index from a J_z = 0 start (see entanglement.BOX_FLOOR).
+Those marginals and the unit-norm check are the rotor engine's
+``axis_marginals`` and ``unit_norm``: a rotor state and a top state share
+one kernel for each.
 A state's J_z-basis amplitudes are rotated back, one single-top
 transform per axis, only when a caller reads them; no matrix
 exponentials are taken at run time.
@@ -44,6 +47,7 @@ from .rotor_engine import (
     MomentRecord,
     axis_marginals,
     marginal_moments,
+    unit_norm,
 )
 
 
@@ -174,7 +178,7 @@ class TopState:
         self._jz = amps
         self._jx = None
         self._marginals = self._box = None
-        self._check_norm()
+        unit_norm(amps)
 
     @classmethod
     def _from_jx(cls, spec: TopSpec, jx_amplitudes: np.ndarray) -> "TopState":
@@ -183,15 +187,8 @@ class TopState:
         state._jz = None
         state._jx = jx_amplitudes
         state._marginals = state._box = None
-        state._check_norm()
+        unit_norm(jx_amplitudes)
         return state
-
-    def _check_norm(self) -> None:
-        norm = self.norm()
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError(
-                f"state norm {norm} deviates from 1 beyond 1e-10"
-            )
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -208,11 +205,10 @@ class TopState:
         return self._jx
 
     def _jx_marginals(self) -> tuple[np.ndarray, ...]:
-        """Probability over each axis of the J_x frame, from one |a|^2
-        pass, computed on first use and kept like the amplitudes."""
+        """Probability over each axis of the J_x frame, computed on first
+        use and kept like the amplitudes."""
         if self._marginals is None:
-            amps = self._jx_amplitudes()
-            self._marginals = axis_marginals(amps.real**2 + amps.imag**2)
+            self._marginals = axis_marginals(self._jx_amplitudes())
         return self._marginals
 
     def _jx_box(self) -> tuple[slice, ...]:
@@ -253,10 +249,8 @@ class TopState:
         return cls(spec, amps)
 
     def norm(self) -> float:
-        # One contiguous pass over a frame already held; np.linalg.norm
-        # splits a complex array into two strided ones.
-        amps = self._jz if self._jz is not None else self._jx
-        return math.sqrt(np.vdot(amps, amps).real)
+        """Norm over a frame already held, J_z first."""
+        return unit_norm(self._jz if self._jz is not None else self._jx)
 
 
 def build_spin_ops(j_tot: int):
@@ -382,6 +376,7 @@ class TopEngine:
         return grid
 
     def twist(self, state: TopState) -> TopState:
+        self._check_state(state)
         amps = state._jx_amplitudes()
         for n, (form, operand) in enumerate(self._twist_x):
             if form == "reverse":
@@ -391,6 +386,7 @@ class TopEngine:
         return TopState._from_jx(self.spec, amps)
 
     def field_rotation(self, state: TopState) -> TopState:
+        self._check_state(state)
         return TopState._from_jx(
             self.spec, state._jx_amplitudes() * self._field_phase
         )
@@ -408,6 +404,7 @@ class TopEngine:
     ) -> Iterator[tuple]:
         if steps < 0:
             raise ValidationError("steps must be >= 0")
+        self._check_state(state)
         yield 0, state
         for t in range(1, steps + 1):
             state = self.step(state)
@@ -430,6 +427,7 @@ class TopEngine:
         elementwise products and sums only, so their bits do not depend
         on the BLAS thread count.
         """
+        self._check_state(state)
         box = state._jx_box()
         amps = np.ascontiguousarray(state._jx_amplitudes()[box])
         means, seconds = [], []
@@ -451,9 +449,17 @@ class TopEngine:
         return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
 
     def measure_jx_moments(self, state: TopState, t: int = 0) -> MomentRecord:
+        self._check_state(state)
         marginals = state._jx_marginals()
         values = [self._x_values] * len(marginals)
         return marginal_moments(marginals, values, t)
+
+    def _check_state(self, state: TopState) -> None:
+        if state.spec.shape != self.spec.shape:
+            raise ValidationError(
+                f"state shape {state.spec.shape} does not match the "
+                f"engine's {self.spec.shape}"
+            )
 
 
 def top_purity(state: TopState, part: BipartitionSpec) -> float:

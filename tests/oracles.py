@@ -25,7 +25,6 @@ from kickres.rotor_engine import (
     RotorEngine,
     RotorLattice,
     RotorState,
-    axis_marginals,
     marginal_moments,
     measure_moments,
 )
@@ -161,11 +160,26 @@ def kick_matrix_quadrature(v_of_theta, l_values, grid=4096):
     return np.array([[lookup[lp - ll] for ll in l] for lp in l])
 
 
+def full_axis_marginals(prob):
+    """Each axis's marginal of the whole probability tensor ``prob``: the
+    kernel that the block sums of ``axis_marginals`` replaced."""
+    n = prob.ndim
+    return tuple(
+        prob.sum(axis=tuple(k for k in range(n) if k != j)) for j in range(n)
+    )
+
+
 def momentum_marginals_reference(state):
     """Each rotor's momentum marginal of a RotorState from one
-    lattice-size |a|^2: the kernel that ``momentum_marginals`` replaced
-    with block sums."""
-    return axis_marginals(np.abs(state.amplitudes) ** 2)
+    lattice-size |a|^2."""
+    return full_axis_marginals(np.abs(state.amplitudes) ** 2)
+
+
+def jx_marginals_reference(state):
+    """Each top's J_x-frame marginal from one whole-tensor re^2 + im^2,
+    the |a|^2 that ``TopState`` took before it shared ``axis_marginals``."""
+    amps = state._jx_amplitudes()
+    return full_axis_marginals(amps.real**2 + amps.imag**2)
 
 
 def kick_table_reference(potential, lattice):
@@ -463,4 +477,4 @@ def jz_moments_reference(state, t=0):
     j = state.spec.j_tot
     m = np.arange(-j, j + 1, dtype=float)
     prob = np.abs(state.amplitudes) ** 2
-    return marginal_moments(axis_marginals(prob), [m] * prob.ndim, t)
+    return marginal_moments(full_axis_marginals(prob), [m] * prob.ndim, t)

@@ -1,6 +1,7 @@
 """End-to-end tests of the config-driven experiment runner."""
 
 import copy
+import dataclasses
 import hashlib
 import math
 import os
@@ -27,7 +28,7 @@ from kickres.cli import (
     main,
 )
 from kickres.potential import PotentialSpec
-from kickres.predictor import ProductAngleDensity
+from kickres.predictor import EpsilonMoments, ProductAngleDensity, ScalingFit
 
 
 def write_config(tmp_path, name, body):
@@ -793,6 +794,26 @@ class TestPredict:
         assert regimes["interaction_class"] == "antisymmetric"
         assert regimes["consistent"] is True
         eps = report["epsilon_moments"]
+        # the block is EpsilonMoments' fields plus its eps_sq property
+        assert set(eps) == {
+            "eps_plus_sq",
+            "eps_minus_sq",
+            "eps_cross",
+            "eps_sq",
+            "norm",
+            "s_odd",
+            "eps_plus_mean",
+            "eps_minus_mean",
+            "std_errors",
+            "sample_count",
+        }
+        fields = {f.name for f in dataclasses.fields(EpsilonMoments)}
+        assert set(eps) == fields | {"eps_sq"}
+        assert set(eps["std_errors"]) == fields - {
+            "norm",
+            "std_errors",
+            "sample_count",
+        }
         assert eps["eps_plus_sq"] == 0.0
         assert abs(eps["eps_minus_sq"] - 2.0) < 1e-12
         assert (
@@ -923,6 +944,16 @@ class TestDetuneScan:
         # smaller detuning survives longer
         assert times[3e-4] > times[3e-3]
         report = yaml.safe_load((out / "report.yaml").read_text())
+        # the block is ScalingFit's fields
+        assert set(report["fit"]) == {
+            "slope",
+            "intercept",
+            "stderr",
+            "ci95",
+            "points",
+        }
+        fields = {f.name for f in dataclasses.fields(ScalingFit)}
+        assert set(report["fit"]) == fields
         assert report["fit"]["points"] == 3
         assert -1.0 < report["fit"]["slope"] < -0.2
         for i in (1, 2, 3):

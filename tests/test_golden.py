@@ -1,0 +1,61 @@
+"""Golden digests of the bundled configs' data files at ``--seed 7``.
+
+Every data file starts with the manifest-hash stamp, so a digest here
+covers the config echo and the package version as well as the numbers.
+A change that moves any of these bytes on purpose replaces the digest and
+says so, with the size of the move.  Only files that read the same under
+one and two BLAS threads are listed: the fig4 family's ``entropy.csv``
+takes its purity from a Gram product whose last bits follow the thread
+count, so it is left out.
+"""
+
+import hashlib
+from pathlib import Path
+
+from kickres.cli import EXIT_OK, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+GOLDEN = {
+    "simulate fig1": {
+        "entropy.csv": "825322761aeceac1250caf9013e0a28a086489c78711093f421a12d7f79c31cd",
+        "moments.csv": "998c6492281f4d12c5521d591a562cec279874673db9cfd337ef6cfc7ce6e388",
+    },
+    "predict fig1": {
+        "predicted_entropy.csv": "2e4c1fdb191af3dce4a6bd9267953e60e2da9bb452fd953897ec9710b521896d",
+        "predicted_moments.csv": "91c93c2731b9978ea98f2c2710cc3343a89fcbdfbaa7066232e03d8abf3e072d",
+        "report.yaml": "a1c73e4900de218797ebd211442a2d5cfcc2045105d144596ec2fbe69bdc0561",
+    },
+    "predict fig2": {
+        "predicted_entropy.csv": "2fce06b8f21bf39398ef58ec20b7e45d8e622689a4215de483354d08951557ff",
+        "predicted_moments.csv": "781f6792eb2549d132f6b23497b14ac922bac5d3798928e9ceaa287be7262457",
+        "report.yaml": "42d62c761a6c44f10f32b70d703136a2d004cd0120f53efbb4275cfb220138c4",
+    },
+    "classify fig3": {
+        "report.yaml": "89247d9449fd84e4ca8c83486d27d5cd469158f9cee589d3de371e3bf8e85744",
+    },
+    "detune-scan fig5": {
+        "delta_1.csv": "603cfada1ce8d540ad3c43c6f6887e286fc3b615749ebec2ef5e50869b8a0811",
+        "report.yaml": "4eb26f027f5acfc0b29419d93be331c432992660021d0e05d015dde06c0da994",
+        "tD.csv": "29e913c1c7fc790fd13526c15bd3b5e31f2941402ab2a2363b4681263a3f0cb7",
+    },
+    "top-simulate fig7": {
+        "entropy.csv": "56090b32e781edf890dd9e5d0703f39e24f9caee190c5d4dffa3eb110f561d73",
+        "moments.csv": "c2613bcac723bb526f2e9a546411e6b0fda5434720647963455815de0d6773c6",
+    },
+}
+
+
+def test_bundled_runs_keep_their_bytes(tmp_path):
+    got = {}
+    for invocation, files in GOLDEN.items():
+        command, config = invocation.split()
+        out = tmp_path / f"{command}-{config}"
+        argv = [command, "--config", str(CONFIGS / f"{config}.yaml")]
+        argv += ["--out-dir", str(out), "--seed", "7", "--quiet"]
+        assert main(argv) == EXIT_OK
+        got[invocation] = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in files
+        }
+    assert got == GOLDEN

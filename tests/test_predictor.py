@@ -364,6 +364,14 @@ class TestPredictMoments:
         with pytest.raises(ValidationError):
             predict_moments(wp, -1)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "2"])
+    def test_non_integer_steps_rejected(self, bad):
+        # slin_exact's step check: 2.5 gave the even law at t = 2.5 and
+        # True counted as step 1
+        wp = wavepacket_params(fig1_potential(), PLAN_MIXED.shift_set)
+        with pytest.raises(ValidationError, match="integers"):
+            predict_moments(wp, bad)
+
     def test_agreement_with_engine(self):
         pot = fig1_potential()
         wp = wavepacket_params(pot, PLAN_MIXED.shift_set)

@@ -7,6 +7,7 @@ import scipy.linalg
 from oracles import (
     block_matrix,
     dense_purity,
+    jx_marginals_reference,
     jz_frame_top_run,
     jz_moments_reference,
     product_basis_purity,
@@ -301,6 +302,28 @@ class TestDenseOracle:
         engine = TopEngine(spec)
         with pytest.raises(ValidationError):
             list(engine.trajectory(random_state(spec, 1), -1))
+
+    def test_state_of_another_shape_rejected(self):
+        # a j = 4 state on a j = 3 engine raised numpy's broadcast error
+        def pair(j):
+            return TopSpec(
+                top_count=2,
+                j_tot=j,
+                plan=make_plan((1, 1), (1, 2)),
+                field_terms=(FieldTerm(0.3, (1, 1)),),
+            )
+
+        engine = TopEngine(pair(3))
+        state = TopState.jz_product(pair(4), (0, 0))
+        calls = [
+            engine.step,
+            engine.measure_jz_moments,
+            engine.measure_jx_moments,
+            lambda s: list(engine.trajectory(s, 2)),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="does not match"):
+                call(state)
 
 
 FIG7_SPEC = TopSpec(
@@ -597,6 +620,32 @@ class TestOccupiedParityBox:
                     assert record.mean[n] == 0.0
         # the J_z-held start keeps the whole-window product: exactly pure
         assert top_purity(initial, part) == 1.0
+
+    @pytest.mark.parametrize("case", ["j8-pair", "fig7"])
+    def test_marginals_pinned_to_the_whole_tensor_kernel(self, case):
+        # the shared block kernel squares |a| where tops took re^2 + im^2
+        # over the whole tensor: measured within 5.2e-16 relative, down to
+        # entries of 2e-34 in fig7's empty parity class
+        if case == "fig7":
+            spec = FIG7_SPEC
+            start = TopState.jz_product(spec, (0, 0))
+        else:
+            spec = TopSpec(
+                top_count=2,
+                j_tot=8,
+                plan=make_plan((1, 1), (1, 2)),
+                field_terms=(
+                    FieldTerm(0.3, (1, 0)),
+                    FieldTerm(0.6, (1, 1)),
+                    FieldTerm(0.8, (1, 2)),
+                ),
+            )
+            start, _ = random_product(spec, 29)
+        for _, state in TopEngine(spec).trajectory(start, 20):
+            reference = jx_marginals_reference(state)
+            for got, ref in zip(state._jx_marginals(), reference, strict=True):
+                np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+            assert state._jx_box() == _occupied_box(reference)
 
     def test_odd_class_stays_empty_from_the_equator(self):
         engine = TopEngine(MIXED_TWIST_SPEC)
