@@ -162,7 +162,15 @@ def _block_purity(
     # once G passes malloc's threshold
     squares = (matrix @ matrix.conj().T).view(float).ravel()
     np.square(squares, out=squares)
-    return float(squares.sum())
+    purity = float(squares.sum())
+    # After OpenBLAS's complex gemm, numpy's next FFT runs about twice as
+    # slow until a vector routine clears the state the gemm left in this
+    # thread; the timings fit the AVX/SSE transition penalty that
+    # vzeroupper clears (Intel optimization manual, "Mixing AVX code with
+    # SSE code").  np.square and sum do not clear it, a float64 np.add
+    # does.  Its result is dropped.
+    np.add(np.zeros(16), 0.0)
+    return purity
 
 
 def schmidt_purity(state: RotorState, part: BipartitionSpec) -> float:

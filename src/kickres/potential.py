@@ -264,6 +264,15 @@ def split_interaction(
     )
 
 
+def _check_step(steps) -> None:
+    """ValidationError unless ``steps`` is a step count: an integer >= 0,
+    not a bool."""
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValidationError(f"steps must be integers, got {steps!r}")
+    if steps < 0:
+        raise ValidationError("steps must be >= 0")
+
+
 def accumulated_potential(
     spec: PotentialSpec, shift_set: Iterable[int], steps: int
 ) -> PotentialSpec:
@@ -273,9 +282,7 @@ def accumulated_potential(
     cancel pairwise and survive only once at odd step counts.  ``steps = 0``
     gives the zero potential (identity map).
     """
-    steps = int(steps)
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
+    _check_step(steps)
     shift = frozenset(shift_set)
     terms = []
     for t in spec.terms:

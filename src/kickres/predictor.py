@@ -36,6 +36,7 @@ from .potential import (
     PotentialSpec,
     ResonancePlan,
     SymmetryClass,
+    _check_step,
     _parity_class,
     classify,
     decompose,
@@ -293,14 +294,6 @@ def wavepacket_params(
             classify(eff, shift_set),
         ))
     return WavepacketParams(*(tuple(column) for column in zip(*rows)))
-
-
-def _check_step(t) -> None:
-    """ValidationError unless ``t`` is a step: an integer >= 0, not a bool."""
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise ValidationError(f"steps must be integers, got {t!r}")
-    if t < 0:
-        raise ValidationError("t must be >= 0")
 
 
 def predict_moments(params: WavepacketParams, t: int):

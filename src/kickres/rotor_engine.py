@@ -34,6 +34,7 @@ from .errors import ResourceCapError, TruncationError, ValidationError
 from .potential import (
     PotentialSpec,
     ResonancePlan,
+    _check_step,
     accumulated_potential,
     satisfies_resonance_symmetry,
 )
@@ -514,8 +515,7 @@ class RotorEngine:
         Raises TruncationError past ``tail_budget`` and ResourceCapError
         where the element cap stops a needed growth, each naming the step.
         """
-        if steps < 0:
-            raise ValidationError("steps must be >= 0")
+        _check_step(steps)
         self._check_state(state)
         trigger = min(GROW_TRIGGER, self.tail_tol)
         cumulative_tail = 0.0
@@ -612,8 +612,7 @@ class RotorEngine:
         # U^t = [momentum phases of t free rotations] x [one kick by the
         # accumulated potential]; the half-turn dressing phases cancel
         # between the two commuting factors.
-        if steps < 0:
-            raise ValidationError("steps must be >= 0")
+        _check_step(steps)
         self._check_state(state)
         acc = accumulated_potential(
             self.potential, self.plan.shift_set, steps

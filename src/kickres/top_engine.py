@@ -41,7 +41,7 @@ import numpy as np
 
 from .entanglement import BipartitionSpec, _block_purity, _occupied_box
 from .errors import ResourceCapError, ValidationError
-from .potential import ResonancePlan
+from .potential import ResonancePlan, _check_step
 from .rotor_engine import (
     DEFAULT_ELEMENT_CAP,
     MomentRecord,
@@ -402,8 +402,7 @@ class TopEngine:
     def trajectory(
         self, state: TopState, steps: int
     ) -> Iterator[tuple]:
-        if steps < 0:
-            raise ValidationError("steps must be >= 0")
+        _check_step(steps)
         self._check_state(state)
         yield 0, state
         for t in range(1, steps + 1):

@@ -1,0 +1,44 @@
+"""Self-test of ``tools/bench.py``: a ``--quick`` run writes a BENCH file
+with every layer the README's performance notes cite."""
+
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+
+LAYERS = {
+    f"kick_pair/{shape}/{when}"
+    for shape in ("864x945", "1080x1200", "1400x60")
+    for when in ("clean", "after_purity")
+} | {
+    "block_purity/45x81",
+    "block_purity/101x101",
+    "block_purity/864x945",
+    "slin_exact/fig2",
+    "potential_evaluate/200000",
+    "top_jz_moments/j50",
+}
+
+
+def test_quick_run_writes_every_layer(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = tmp_path / "BENCH_0.json"
+    assert bench.main(["0", "--quick", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["bench"] == 0
+    assert re.fullmatch(r"[0-9a-f]{40}|", report["git_sha"])
+    assert re.fullmatch(r"[0-9a-f]{64}", report["src_sha256"])
+    env = report["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["nproc"] >= 1 and env["python"] and env["cpu_model"]
+    assert set(env["blas"]) == {"name", "version", "threads"}
+    assert set(report["layers"]) == LAYERS
+    for timing in report["layers"].values():
+        assert timing["reps"] == 2
+        assert timing["median_s"] > 0 and timing["iqr_s"] >= 0

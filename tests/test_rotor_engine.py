@@ -20,6 +20,7 @@ from kickres import (
     cosine_term,
 )
 from kickres.entanglement import schmidt_purity
+from kickres.potential import accumulated_potential
 from kickres.rotor_engine import (
     MARGINAL_BLOCK,
     MomentRecord,
@@ -419,6 +420,27 @@ class TestDressedFactorization:
         state = RotorState.momentum_eigenstate(lat, (0,))
         with pytest.raises(ValidationError):
             engine.dressed_evolve(state, 3)
+
+
+class TestStepCheck:
+    # 2.5 raised a bare TypeError from range, True ran one step, and
+    # accumulated_potential took int(2.5) and int("2")
+    @pytest.mark.parametrize("bad", [2.5, True, "2", -1])
+    def test_every_steps_argument_rejects_non_counts(self, bad):
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        lat = RotorLattice(((-8, 8), (-8, 8)))
+        engine = RotorEngine(pot, plan, lat)
+        state = RotorState.momentum_eigenstate(lat, (0, 0))
+        calls = [
+            lambda: list(engine.trajectory(state, bad)),
+            lambda: engine.evolve(state, bad),
+            lambda: engine.dressed_evolve(state, bad),
+            lambda: accumulated_potential(pot, plan.shift_set, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="steps must be"):
+                call()
 
 
 class TestTruncationHandling:

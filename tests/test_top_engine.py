@@ -303,6 +303,19 @@ class TestDenseOracle:
         with pytest.raises(ValidationError):
             list(engine.trajectory(random_state(spec, 1), -1))
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2", -1])
+    def test_non_count_steps_rejected(self, bad):
+        # 2.5 raised a bare TypeError from range and True ran one step
+        spec = TopSpec(
+            top_count=1, j_tot=2, plan=make_plan((1, 2)), field_terms=()
+        )
+        engine = TopEngine(spec)
+        state = random_state(spec, 1)
+        with pytest.raises(ValidationError, match="steps must be"):
+            list(engine.trajectory(state, bad))
+        with pytest.raises(ValidationError, match="steps must be"):
+            engine.evolve(state, bad)
+
     def test_state_of_another_shape_rejected(self):
         # a j = 4 state on a j = 3 engine raised numpy's broadcast error
         def pair(j):
