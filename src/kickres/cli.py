@@ -143,7 +143,10 @@ def _as_int(node, path, minimum=None, maximum=None) -> int:
 def _as_float(node, path, positive=False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, f"expected a number, got {_type_name(node)}")
-    value = float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(path, "must be finite")
     if positive and value <= 0.0:
@@ -388,7 +391,6 @@ class ExperimentConfig:
     """Validated experiment description plus its effective-config echo."""
 
     command: str
-    system: str
     steps: int
     potential: PotentialSpec | None
     plan: ResonancePlan
@@ -498,7 +500,6 @@ def load_config(
 
     return ExperimentConfig(
         command=command,
-        system=eff["system"],
         steps=eff["steps"],
         potential=potential,
         plan=plan,

@@ -17,7 +17,8 @@ and second moment exactly from the characteristic sequence
 chi_j(n) = <exp(i n theta_j)> of each factor.  Monte-Carlo sampling is
 used only for the non-polynomial entropy averages (and as a
 cross-check), with reported standard errors; the draw evaluates the same
-four-block series.
+four-block series.  A top's statistics are instead inner products of the
+applied vectors D_+-psi over its product initial state.
 """
 
 from __future__ import annotations
@@ -223,6 +224,9 @@ class WavepacketParams:
         )
         if any(len(f) != n for f in fields):
             raise ValidationError("per-rotor fields must share length")
+        stats = (self.alpha_plus,) + fields[:-1]
+        if not all(math.isfinite(x) for f in stats for x in f):
+            raise ValidationError("kick statistics must be finite")
         # roundoff allowances scale with the squares: a top's lambda at
         # j = 50 is of order 10^3
         for j in range(n):
@@ -326,17 +330,17 @@ EQUATOR_MEAN_FRACTION = 0.05
 EQUATOR_SECOND_FRACTION = 0.05
 
 
-def _single_top_expectations(
-    factors: Sequence[np.ndarray],
-    matrices: Sequence,
-) -> complex:
-    """<prod_n A_n> over a product state; matrices[n] may be None."""
-    out = 1.0 + 0.0j
-    for factor, matrix in zip(factors, matrices):
-        if matrix is None:
-            continue
-        out *= complex(np.vdot(factor, matrix @ factor))
-    return out
+def _moment(left, right) -> float:
+    """Re sum_ab s_a s_b prod_m <u_a,m, u_b,m> over two lists of
+    (scale s, per-top vectors u_m) product terms."""
+    total = 0.0 + 0.0j
+    for sa, us in left:
+        for sb, vs in right:
+            term = sa * sb
+            for u, v in zip(us, vs):
+                term *= np.vdot(u, v)
+            total += term
+    return float(total.real)
 
 
 def _check_equator(factors: Sequence[np.ndarray], j: int) -> None:
@@ -373,50 +377,24 @@ def top_params(
     """
     if len(initial_factors) != spec.top_count:
         raise ValidationError("one initial factor required per top")
-    factors = []
-    for factor in initial_factors:
-        arr = np.asarray(factor, dtype=complex).ravel()
-        if arr.size != spec.dimension:
-            raise ValidationError("initial factor dimension mismatch")
-        factors.append(arr / np.linalg.norm(arr))
+    factors = [np.asarray(f, dtype=complex).ravel() for f in initial_factors]
+    if any(f.size != spec.dimension for f in factors):
+        raise ValidationError("initial factor dimension mismatch")
+    for n, factor in enumerate(factors):
+        norm = np.linalg.norm(factor)
+        if not (math.isfinite(norm) and norm > 0.0):
+            raise ValidationError(
+                f"initial factor {n} has norm {norm}; need finite and > 0"
+            )
+        factors[n] = factor / norm
     _check_equator(factors, spec.j_tot)
 
+    # per-top operators A_m are Hermitian, so D+-psi is a sum of scaled
+    # product vectors A_m f_m and kappa = Re<D+psi, D-psi> is symmetrized
     j_x, j_z = build_spin_ops(spec.j_tot)
-    powers_cache = {0: np.eye(spec.dimension, dtype=complex)}
-
-    def x_power(k: int) -> np.ndarray:
-        if k not in powers_cache:
-            powers_cache[k] = j_x @ x_power(k - 1)
-        return powers_cache[k]
-
-    def first_moment(block) -> float:
-        total = 0.0 + 0.0j
-        for scale, matrices in block:
-            total += scale * _single_top_expectations(factors, matrices)
-        return float(np.real(total))
-
-    def second_moment(block_a, block_b) -> float:
-        total = 0.0 + 0.0j
-        for sa, ma in block_a:
-            for sb, mb in block_b:
-                paired = []
-                for one, two in zip(ma, mb):
-                    if one is None and two is None:
-                        paired.append(None)
-                    elif one is None:
-                        paired.append(two)
-                    elif two is None:
-                        paired.append(one)
-                    else:
-                        paired.append(one @ two)
-                total += sa * sb * _single_top_expectations(
-                    factors, paired
-                )
-        return float(np.real(total))
-
+    plain = [(1.0, factors)]
     rows = []
     for top in range(spec.top_count):
-        # parity -> list of (scale, per-top matrices) of the displacement
         blocks = {0: [], 1: []}
         for term in spec.field_terms:
             if term.powers[top] == 0:
@@ -425,24 +403,20 @@ def top_params(
                 1 - term.total_power
             )
             parity = spec.field_parity(term)
-            matrices = []
-            for n, k in enumerate(term.powers):
+            vectors = []
+            for n, (k, factor) in enumerate(zip(term.powers, factors)):
+                op = np.linalg.matrix_power(j_x, k)
                 if n == top:
-                    base = x_power(k)
-                    matrices.append(-1j * (j_z @ base - base @ j_z))
-                elif k >= 1:
-                    matrices.append(x_power(k))
-                else:
-                    matrices.append(None)
-            blocks[parity].append((-scale if parity else scale, matrices))
+                    op = -1j * (j_z @ op - op @ j_z)
+                vectors.append(op @ factor)
+            blocks[parity].append((-scale if parity else scale, vectors))
         plus, minus = blocks[0], blocks[1]
         rows.append((
-            first_moment(plus),
-            first_moment(minus),
-            second_moment(plus, plus),
-            second_moment(minus, minus),
-            # symmetrized cross moment <{D+, D-}> / 2
-            0.5 * (second_moment(plus, minus) + second_moment(minus, plus)),
+            _moment(plain, plus),
+            _moment(plain, minus),
+            _moment(plus, plus),
+            _moment(minus, minus),
+            _moment(plus, minus),
             _parity_class(p for p in blocks if blocks[p]),
         ))
     return WavepacketParams(*(tuple(column) for column in zip(*rows)))

@@ -198,7 +198,7 @@ def unit_norm(amplitudes: np.ndarray) -> float:
     within 1e-10 of 1.  One contiguous pass: np.linalg.norm splits a
     complex array into two strided ones and runs tens of times slower."""
     norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
-    if abs(norm - 1.0) > 1e-10:
+    if not math.isfinite(norm) or abs(norm - 1.0) > 1e-10:
         raise ValidationError(
             f"state norm {norm} deviates from 1 beyond 1e-10"
         )

@@ -253,6 +253,23 @@ class TestConfigValidation:
             load_config(path, "simulate", seed_override=seed)
         assert excinfo.value.path == "predictor.seed"
 
+    @pytest.mark.parametrize(
+        "where",
+        ["potential.terms[0].coefficient", "plan[0].delta_tau"],
+    )
+    def test_huge_integer_exits_2_naming_the_field(
+        self, tmp_path, capsys, where
+    ):
+        # float(10**400) overflows; the parser reports it as not finite
+        body = edited(fig1_body(), {where: 10**400})
+        path = write_config(tmp_path, "huge.yaml", body)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path, "predict")
+        assert excinfo.value.path == where
+        assert run("predict", path, tmp_path / "out") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config error at {where}: must be finite" in err
+
     def test_zero_detuning_rejected(self, tmp_path):
         body = fig1_body()
         body["detune_scan"] = {"detunings": [1e-3, 0.0]}

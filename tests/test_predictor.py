@@ -320,6 +320,36 @@ class TestWavepacketParams:
                 symmetry=(SymmetryClass.SYMMETRIC,),
             )
 
+    @pytest.mark.parametrize(
+        "field", ["alpha_plus", "alpha_minus", "lambda_plus",
+                  "lambda_minus", "kappa"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_statistics_rejected(self, field, bad):
+        # every invariant comparison is False for NaN
+        values = dict.fromkeys(
+            ("alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus",
+             "kappa"),
+            (0.0,),
+        )
+        values[field] = (bad,)
+        with pytest.raises(ValidationError, match="must be finite"):
+            WavepacketParams(**values, symmetry=(SymmetryClass.ZERO,))
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_top_params_rejects_a_factor_without_finite_norm(self, bad):
+        # normalizing such a factor turns its moments into NaN
+        j = 3
+        spec = TopSpec(
+            2, j, ResonancePlan(((1, 1), (1, 2))), (FieldTerm(0.3, (1, 1)),)
+        )
+        equator = np.zeros(spec.dimension)
+        equator[j] = 1.0
+        broken = np.full(spec.dimension, bad)
+        for factors in ([broken, equator], [equator, broken]):
+            with pytest.raises(ValidationError, match="need finite and > 0"):
+                top_params(spec, factors)
+
     def test_tolerance_scales_with_the_squares(self):
         # top 2 sits in a J_x eigenstate, so top 1's D_- is a multiple
         # of its D_+ and kappa^2 = lambda_+ lambda_- holds exactly; with

@@ -178,6 +178,15 @@ class TestStates:
         with pytest.raises(ValidationError):
             RotorState(lat, np.ones(7, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # abs(norm - 1) > tol is False for a NaN norm
+        amps = np.zeros(7, dtype=complex)
+        amps[3] = 1.0
+        amps[0] = bad
+        with pytest.raises(ValidationError, match="state norm"):
+            RotorState(RotorLattice(((-3, 3),)), amps)
+
     def test_coherent_narrow_width_approaches_eigenstate(self):
         lat = RotorLattice(((-8, 8),))
         coh = RotorState.coherent_product(lat, ((0.4, 3.0),), width=0.05)

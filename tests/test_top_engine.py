@@ -183,6 +183,19 @@ class TestStateConstruction:
         with pytest.raises(ValidationError):
             TopState(spec, np.full(5, 0.7, dtype=complex))
 
+    def test_from_factors_rejects_zero_factor(self):
+        # a zero factor normalizes to NaN amplitudes
+        spec = TopSpec(
+            top_count=2,
+            j_tot=1,
+            plan=make_plan((1, 1), (1, 2)),
+            field_terms=(),
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValidationError, match="state norm nan"
+        ):
+            TopState.from_factors(spec, [np.array([0, 1, 0]), np.zeros(3)])
+
     def test_from_factors_normalizes(self):
         spec = TopSpec(
             top_count=2,
@@ -740,61 +753,90 @@ class TestKickStats:
         assert abs(params.lambda_minus[0]) < 1e-12
 
     def test_matches_dense_commutator_oracle(self):
-        j = 5
+        self._check_dense_oracle(5, ((1, 1), (1, 2)), (
+            (0.21, (1, 0)),
+            (0.83, (0, 1)),
+            (0.34, (1, 1)),
+            (0.15, (1, 2)),
+            (-0.08, (2, 1)),
+        ))
+
+    def test_matches_dense_commutator_oracle_three_tops(self):
+        self._check_dense_oracle(4, ((1, 2), (1, 1), (1, 2)), (
+            (0.4, (1, 0, 0)),
+            (-0.5, (0, 0, 1)),
+            (0.27, (1, 1, 0)),
+            (-0.31, (0, 1, 1)),
+            (0.12, (1, 0, 2)),
+            (0.09, (1, 1, 1)),
+            (0.18, (0, 2, 1)),
+        ))
+
+    @staticmethod
+    def _check_dense_oracle(j, rationals, terms):
+        """Every top's row against D+- built from dense kron operators."""
         dim = 2 * j + 1
+        count = len(rationals)
         spec = TopSpec(
-            top_count=2,
+            top_count=count,
             j_tot=j,
-            plan=make_plan((1, 1), (1, 2)),
-            field_terms=(
-                FieldTerm(0.21, (1, 0)),
-                FieldTerm(0.83, (0, 1)),
-                FieldTerm(0.34, (1, 1)),
-                FieldTerm(0.15, (1, 2)),
-                FieldTerm(-0.08, (2, 1)),
-            ),
+            plan=make_plan(*rationals),
+            field_terms=tuple(FieldTerm(c, p) for c, p in terms),
         )
         rng = np.random.default_rng(29)
-        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         m = np.arange(-j, j + 1)
-        # taper toward the equator so the gate admits the state
-        raw *= np.exp(-((m / 1.5) ** 2))
-        factor0 = raw / np.linalg.norm(raw)
-        factor1 = np.zeros(dim, dtype=complex)
-        factor1[j] = 1.0
-        params = top_params(spec, [factor0, factor1])
+        factors = []
+        for _ in range(count):
+            raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            # taper toward the equator so the gate admits the state
+            raw *= np.exp(-((m / 1.2) ** 2))
+            factors.append(raw / np.linalg.norm(raw))
+        params = top_params(spec, factors)
 
         ox, _, oz = spin_matrices(j)
         eye = np.eye(dim)
-        jx1, jx2 = np.kron(ox, eye), np.kron(eye, ox)
-        jz1 = np.kron(oz, eye)
-        # terms acting on top 0, split by the pi rotation of top 1
-        h_target = (
-            0.21 * jx1
-            + 0.34 / j * (jx1 @ jx2)
-            + 0.15 / j**2 * (jx1 @ jx2 @ jx2)
-            - 0.08 / j**2 * (jx1 @ jx1 @ jx2)
-        )
-        flip = np.kron(eye, np.diag(np.exp(-1j * np.pi * m)))
-        h_flipped = flip @ h_target @ flip.conj().T
-        h_plus = (h_target + h_flipped) / 2.0
-        h_minus = (h_target - h_flipped) / 2.0
-        d_plus = -1j * (jz1 @ h_plus - h_plus @ jz1)
-        # the twist acts first, so top_params reports D_- negated
-        d_minus = 1j * (jz1 @ h_minus - h_minus @ jz1)
-        psi = np.kron(factor0, factor1)
+
+        def on_tops(ops):
+            out = np.ones((1, 1))
+            for op in ops:
+                out = np.kron(out, op)
+            return out
+
+        # the pi rotation of the secondary tops (denominator 2)
+        flip = on_tops([
+            np.diag(np.exp(-1j * np.pi * m)) if q == 2 else eye
+            for _, q in rationals
+        ])
+        psi = on_tops([f[:, None] for f in factors])[:, 0]
 
         def expval(op):
             return float(np.real(np.vdot(psi, op @ psi)))
 
-        assert abs(params.alpha_plus[0] - expval(d_plus)) < 1e-10
-        assert abs(params.alpha_minus[0] - expval(d_minus)) < 1e-10
-        assert abs(params.lambda_plus[0] - expval(d_plus @ d_plus)) < 1e-10
-        assert abs(
-            params.lambda_minus[0] - expval(d_minus @ d_minus)
-        ) < 1e-10
-        cross = expval(d_plus @ d_minus + d_minus @ d_plus) / 2.0
-        assert abs(params.kappa[0] - cross) < 1e-10
+        for top in range(count):
+            jz = on_tops([oz if n == top else eye for n in range(count)])
+            h_target = sum(
+                c / j ** (sum(p) - 1) * on_tops([
+                    np.linalg.matrix_power(ox, k) for k in p
+                ])
+                for c, p in terms
+                if p[top]
+            )
+            h_flipped = flip @ h_target @ flip.conj().T
+            h_plus = (h_target + h_flipped) / 2.0
+            h_minus = (h_target - h_flipped) / 2.0
+            d_plus = -1j * (jz @ h_plus - h_plus @ jz)
+            # the twist acts first, so top_params reports D_- negated
+            d_minus = 1j * (jz @ h_minus - h_minus @ jz)
+            assert abs(params.alpha_plus[top] - expval(d_plus)) < 1e-10
+            assert abs(params.alpha_minus[top] - expval(d_minus)) < 1e-10
+            assert abs(
+                params.lambda_plus[top] - expval(d_plus @ d_plus)
+            ) < 1e-10
+            assert abs(
+                params.lambda_minus[top] - expval(d_minus @ d_minus)
+            ) < 1e-10
+            cross = expval(d_plus @ d_minus + d_minus @ d_plus) / 2.0
+            assert abs(params.kappa[top] - cross) < 1e-10
 
     def test_equator_gate_rejects_polar_state(self):
         j = 10
