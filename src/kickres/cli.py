@@ -58,6 +58,7 @@ from .potential import (
 from .predictor import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    DEFAULT_THRESHOLD,
     MIN_SAMPLE_COUNT,
     ProductAngleDensity,
     RobustnessResult,
@@ -74,6 +75,7 @@ from .rotor_engine import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_TAIL_BUDGET,
     DEFAULT_TAIL_TOL,
+    DEFAULT_WINDOW_MARGIN,
     RotorEngine,
     RotorLattice,
     RotorState,
@@ -297,7 +299,7 @@ _BIPARTITION = (("part_a", _ints, [0], {"minimum": 0}, None),)
 _ENGINE = (
     ("tail_tolerance", _as_float, DEFAULT_TAIL_TOL, {"positive": True}, None),
     ("tail_budget", _as_float, DEFAULT_TAIL_BUDGET, {"positive": True}, None),
-    ("window_margin", _as_int, 16, {"minimum": 0}, None),
+    ("window_margin", _as_int, DEFAULT_WINDOW_MARGIN, {"minimum": 0}, None),
     ("element_cap", _as_int, DEFAULT_ELEMENT_CAP, {"minimum": 1}, None),
 )
 _PREDICTOR = (
@@ -307,7 +309,7 @@ _PREDICTOR = (
 )
 _DETUNE_SCAN = (
     ("detunings", _detunings, _REQUIRED, {}, None),
-    ("threshold", _as_float, 0.01, {"positive": True}, None),
+    ("threshold", _as_float, DEFAULT_THRESHOLD, {"positive": True}, None),
     ("horizons", _ints, lambda seen: [seen["steps"]] * len(seen["detunings"]),
      {"minimum": 1}, None),
 )
@@ -411,7 +413,7 @@ class ExperimentConfig:
     effective: dict
 
 
-_NO_SCAN = {"detunings": (), "threshold": 0.01, "horizons": ()}
+_NO_SCAN = {"detunings": (), "threshold": DEFAULT_THRESHOLD, "horizons": ()}
 
 
 def load_config(

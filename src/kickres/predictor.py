@@ -51,6 +51,7 @@ from .top_engine import TopSpec, build_spin_ops
 MIN_SAMPLE_COUNT = 10_000
 DEFAULT_SAMPLES = 200_000
 DEFAULT_SEED = 12345
+DEFAULT_THRESHOLD = 0.01  # relative deviation that ends agreement_time
 
 # Table-style regime names
 REGIME_QUADRATIC = "quadratic"
@@ -375,18 +376,7 @@ def top_params(
     the moments of -i [J_nz, H_nf-].  The symmetry column names the
     parity blocks acting on each top, as classify does for a rotor.
     """
-    if len(initial_factors) != spec.top_count:
-        raise ValidationError("one initial factor required per top")
-    factors = [np.asarray(f, dtype=complex).ravel() for f in initial_factors]
-    if any(f.size != spec.dimension for f in factors):
-        raise ValidationError("initial factor dimension mismatch")
-    for n, factor in enumerate(factors):
-        norm = np.linalg.norm(factor)
-        if not (math.isfinite(norm) and norm > 0.0):
-            raise ValidationError(
-                f"initial factor {n} has norm {norm}; need finite and > 0"
-            )
-        factors[n] = factor / norm
+    factors = spec.unit_factors(initial_factors)
     _check_equator(factors, spec.j_tot)
 
     # per-top operators A_m are Hermitian, so D+-psi is a sum of scaled
@@ -399,9 +389,7 @@ def top_params(
         for term in spec.field_terms:
             if term.powers[top] == 0:
                 continue
-            scale = term.coefficient * float(spec.j_tot) ** (
-                1 - term.total_power
-            )
+            scale = term.weight(spec.j_tot)
             parity = spec.field_parity(term)
             vectors = []
             for n, (k, factor) in enumerate(zip(term.powers, factors)):
@@ -830,7 +818,7 @@ def deviation_series(
 
 
 def agreement_time(
-    deltas: Sequence, threshold: float = 0.01
+    deltas: Sequence, threshold: float = DEFAULT_THRESHOLD
 ) -> float:
     """First step at which the relative deviation reaches the threshold.
 
@@ -929,9 +917,7 @@ def scaling_fit(pairs: Sequence) -> ScalingFit:
 class RobustnessResult:
     """Bundle of detuning diagnostics for a scan."""
 
-    threshold: float
     detunings: tuple
-    delta_series: tuple
     agreement_times: tuple
     fit: ScalingFit | None
 
@@ -956,9 +942,7 @@ class RobustnessResult:
         ]
         fit = scaling_fit(finite) if len(finite) >= 3 else None
         return cls(
-            threshold=threshold,
             detunings=tuple(float(d) for d in detunings),
-            delta_series=tuple(tuple(s) for s in delta_series),
             agreement_times=times,
             fit=fit,
         )

@@ -41,6 +41,7 @@ from .potential import (
 
 DEFAULT_ELEMENT_CAP = 1 << 26  # complex amplitudes: 1 GiB at 16 bytes each
 DEFAULT_TAIL_TOL = 1e-10
+DEFAULT_WINDOW_MARGIN = 16  # start-window pad per side past the kick reach
 DEFAULT_TAIL_BUDGET = 1e-8
 START_STEPS = 4  # a growing run's first window covers this many kicks
 GROW_TRIGGER = 1e-20  # edge mass that makes a rotor's window grow
@@ -107,7 +108,7 @@ class RotorLattice:
         potential: PotentialSpec,
         initial_momenta: Sequence[int],
         steps: int,
-        margin: int = 16,
+        margin: int = DEFAULT_WINDOW_MARGIN,
         element_cap: int = DEFAULT_ELEMENT_CAP,
     ) -> "RotorLattice":
         """Windows for a ``steps``-kick run from the given centers.

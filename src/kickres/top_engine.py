@@ -25,9 +25,10 @@ every second index from a J_z = 0 start (see entanglement.BOX_FLOOR).
 Those marginals and the unit-norm check are the rotor engine's
 ``axis_marginals`` and ``unit_norm``: a rotor state and a top state share
 one kernel for each.
-A state's J_z-basis amplitudes are rotated back, one single-top
-transform per axis, only when a caller reads them; no matrix
-exponentials are taken at run time.
+Every state holds its J_x-frame amplitudes from construction, and no
+read changes what a later call returns: ``amplitudes`` rotates an
+engine-made state back, one single-top transform per axis, and stores
+nothing.  No matrix exponentials are taken at run time.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class FieldTerm:
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "coefficient", float(self.coefficient))
 
-    @property
-    def total_power(self) -> int:
-        return sum(self.powers)
+    def weight(self, j_tot: int) -> float:
+        """coefficient * j^(1 - sum(powers)), the term's scale at spin j."""
+        return self.coefficient * float(j_tot) ** (1 - sum(self.powers))
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,12 @@ class TopSpec:
             raise ValidationError(
                 "twist plan must cover every top exactly once"
             )
-        terms = tuple(
-            t if isinstance(t, FieldTerm) else FieldTerm(*t)
-            for t in self.field_terms
-        )
+        terms = tuple(self.field_terms)
         for term in terms:
+            if not isinstance(term, FieldTerm):
+                raise ValidationError(
+                    f"field term is a {type(term).__name__}, not a FieldTerm"
+                )
             if len(term.powers) != self.top_count:
                 raise ValidationError(
                     "field term powers must cover every top"
@@ -150,6 +152,25 @@ class TopSpec:
         values, vectors = np.linalg.eigh(j_x.real)
         return values, vectors.astype(complex)
 
+    def unit_factors(self, factors: Sequence) -> list[np.ndarray]:
+        """One flat factor per top, each checked, then normalized."""
+        if len(factors) != self.top_count:
+            raise ValidationError("one factor required per top")
+        unit = []
+        for n, factor in enumerate(factors):
+            arr = np.asarray(factor, dtype=complex).ravel()
+            if arr.size != self.dimension:
+                raise ValidationError(
+                    f"factor {n} has size {arr.size}; need {self.dimension}"
+                )
+            norm = np.linalg.norm(arr)
+            if not (math.isfinite(norm) and norm > 0.0):
+                raise ValidationError(
+                    f"factor {n} has norm {norm}; need finite and > 0"
+                )
+            unit.append(arr / norm)
+        return unit
+
     def field_parity(self, term: FieldTerm) -> int:
         """Parity of a term under flipping J_nx -> -J_nx for n in the
         pi-rotated set."""
@@ -157,58 +178,48 @@ class TopSpec:
 
 
 class TopState:
-    """Normalized amplitude tensor over the product J_z eigenbasis.
+    """Normalized state of the tops, held over the product J_x eigenbasis.
 
-    States made by TopEngine hold their amplitudes over the product J_x
-    eigenbasis instead, where the engine also reads their J_z moments and
-    purity from the cached axis marginals' occupied box; ``amplitudes``
-    rotates them back on first read.
-    A state built from J_z amplitudes is rotated into the J_x frame on
-    first use by the engine.  Either copy is kept once made: a state's
-    amplitudes are not changed after construction.
+    A state built from J_z amplitudes is rotated into that frame once, at
+    construction, and keeps them: its purity is read from them over the
+    whole window, so a J_z product start reads exactly 1.  A state made
+    by TopEngine holds the J_x frame only, and ``amplitudes`` rotates it
+    back on each read without storing the result.
     """
 
     def __init__(self, spec: TopSpec, amplitudes: np.ndarray):
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = np.array(amplitudes, dtype=complex)  # own copy, not the caller's
         if amps.shape != spec.shape:
             raise ValidationError(
                 f"amplitude shape {amps.shape} does not match {spec.shape}"
             )
-        self.spec = spec
-        self._jz = amps
-        self._jx = None
-        self._marginals = self._box = None
         unit_norm(amps)
+        _, basis = spec._jx_eigenbasis
+        self.spec = spec
+        self._jx = _rotate_axes(amps, basis.T)
+        self._jz = amps  # held only by a state built from J_z amplitudes
+        self._marginals = self._box = None
 
     @classmethod
     def _from_jx(cls, spec: TopSpec, jx_amplitudes: np.ndarray) -> "TopState":
-        state = cls.__new__(cls)
-        state.spec = spec
-        state._jz = None
-        state._jx = jx_amplitudes
-        state._marginals = state._box = None
         unit_norm(jx_amplitudes)
+        state = cls.__new__(cls)
+        state.spec, state._jx, state._jz = spec, jx_amplitudes, None
+        state._marginals = state._box = None
         return state
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if self._jz is None:
-            _, basis = self.spec._jx_eigenbasis
-            self._jz = _rotate_axes(self._jx, basis)
-        return self._jz
-
-    def _jx_amplitudes(self) -> np.ndarray:
-        """Amplitudes over the product J_x eigenbasis."""
-        if self._jx is None:
-            _, basis = self.spec._jx_eigenbasis
-            self._jx = _rotate_axes(self._jz, basis.T)
-        return self._jx
+        """Amplitudes over the product J_z eigenbasis."""
+        if self._jz is not None:
+            return self._jz
+        _, basis = self.spec._jx_eigenbasis
+        return _rotate_axes(self._jx, basis)
 
     def _jx_marginals(self) -> tuple[np.ndarray, ...]:
-        """Probability over each axis of the J_x frame, computed on first
-        use and kept like the amplitudes."""
+        """Probability over each axis of the J_x frame, kept once found."""
         if self._marginals is None:
-            self._marginals = axis_marginals(self._jx_amplitudes())
+            self._marginals = axis_marginals(self._jx)
         return self._marginals
 
     def _jx_box(self) -> tuple[slice, ...]:
@@ -237,20 +248,14 @@ class TopState:
     def from_factors(
         cls, spec: TopSpec, factors: Sequence[np.ndarray]
     ) -> "TopState":
-        if len(factors) != spec.top_count:
-            raise ValidationError("one factor required per top")
         amps = np.ones((), dtype=complex)
-        for factor in factors:
-            arr = np.asarray(factor, dtype=complex).ravel()
-            if arr.size != spec.dimension:
-                raise ValidationError("factor dimension mismatch")
-            arr = arr / np.linalg.norm(arr)
-            amps = np.tensordot(amps, arr, axes=0)
+        for factor in spec.unit_factors(factors):
+            amps = np.tensordot(amps, factor, axes=0)
         return cls(spec, amps)
 
     def norm(self) -> float:
-        """Norm over a frame already held, J_z first."""
-        return unit_norm(self._jz if self._jz is not None else self._jx)
+        """Norm of the held J_x-frame amplitudes."""
+        return unit_norm(self._jx)
 
 
 def build_spin_ops(j_tot: int):
@@ -361,9 +366,7 @@ class TopEngine:
         spec = self.spec
         grid = np.zeros(spec.shape)
         for term in spec.field_terms:
-            scale = term.coefficient * float(spec.j_tot) ** (
-                1 - term.total_power
-            )
+            scale = term.weight(spec.j_tot)
             factor = np.ones(spec.shape)
             for n, k in enumerate(term.powers):
                 if k == 0:
@@ -377,7 +380,7 @@ class TopEngine:
 
     def twist(self, state: TopState) -> TopState:
         self._check_state(state)
-        amps = state._jx_amplitudes()
+        amps = state._jx
         for n, (form, operand) in enumerate(self._twist_x):
             if form == "reverse":
                 amps = np.flip(amps, n) * operand
@@ -388,7 +391,7 @@ class TopEngine:
     def field_rotation(self, state: TopState) -> TopState:
         self._check_state(state)
         return TopState._from_jx(
-            self.spec, state._jx_amplitudes() * self._field_phase
+            self.spec, state._jx * self._field_phase
         )
 
     def step(self, state: TopState) -> TopState:
@@ -428,7 +431,7 @@ class TopEngine:
         """
         self._check_state(state)
         box = state._jx_box()
-        amps = np.ascontiguousarray(state._jx_amplitudes()[box])
+        amps = np.ascontiguousarray(state._jx[box])
         means, seconds = [], []
         for n, (band, cut) in enumerate(zip(self._jz_bands, box)):
             lo, hi, step = cut.start, cut.stop, cut.step or 1
@@ -464,11 +467,11 @@ class TopEngine:
 def top_purity(state: TopState, part: BipartitionSpec) -> float:
     """Tr(rho_A^2) of a pure top state over a block of tops.
 
-    Read in whichever frame the state holds, J_z first, so an engine-made
-    state is read in the J_x frame: ||M M^dagger||_F^2 is unchanged by the
-    local change of frame W x ... x W.  There the Gram product runs over
-    the occupied box of the J_x-frame marginals; a J_z-held state, such as
-    a J_z product start whose purity is exactly 1, keeps the whole window.
+    Read in the J_x frame: ||M M^dagger||_F^2 is unchanged by the local
+    change of frame W x ... x W, and the Gram product runs over the
+    occupied box of the J_x-frame marginals.  A state built from J_z
+    amplitudes is read from them over the whole window instead, so a J_z
+    product start reads exactly 1.
     """
     if part.rotor_count != state.spec.top_count:
         raise ValidationError("bipartition top count mismatch")

@@ -178,7 +178,7 @@ def momentum_marginals_reference(state):
 def jx_marginals_reference(state):
     """Each top's J_x-frame marginal from one whole-tensor re^2 + im^2,
     the |a|^2 that ``TopState`` took before it shared ``axis_marginals``."""
-    amps = state._jx_amplitudes()
+    amps = state._jx
     return full_axis_marginals(amps.real**2 + amps.imag**2)
 
 
@@ -233,7 +233,7 @@ def window_jz_moments(engine, state, t=0):
     """<J_nz> and <J_nz^2> of every top over the whole J_x-frame window:
     the full-lattice kernel that TopEngine.measure_jz_moments's occupied
     box replaced, with the engine's padded band stripped of its pads."""
-    amps = state._jx_amplitudes()
+    amps = state._jx
     dim = engine.spec.dimension
     means, seconds = [], []
     for n, padded in enumerate(engine._jz_bands):

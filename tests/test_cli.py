@@ -912,7 +912,60 @@ class TestPredict:
         assert all(row[1] == 0.0 for row in rows)
 
 
+class TestCoherentStart:
+    def test_simulate_and_predict_agree_up_to_the_start_spread(
+        self, tmp_path
+    ):
+        # sigma2 from simulate also counts the start's momentum spread,
+        # 2 width^2 per rotor (README, coherent offset)
+        width = 1.5
+        body = fig1_body(
+            steps=12,
+            initial={
+                "type": "coherent",
+                "centers": [[0.5, 0.0], [1.0, 3.0]],
+                "width": width,
+            },
+        )
+        path = write_config(tmp_path, "coherent.yaml", body)
+        sim, pred = tmp_path / "sim", tmp_path / "pred"
+        assert run("simulate", path, sim) == EXIT_OK
+        assert run("predict", path, pred) == EXIT_OK
+        header, simulated = read_csv(sim / "moments.csv")
+        predicted_header, predicted = read_csv(pred / "predicted_moments.csv")
+        assert len(simulated) == len(predicted) == 13
+        for n in (1, 2):
+            d_sim, d_pred = (
+                h.index(f"D_{n}") for h in (header, predicted_header)
+            )
+            s_sim, s_pred = (
+                h.index(f"sigma2_{n}") for h in (header, predicted_header)
+            )
+            for row, ref in zip(simulated, predicted):
+                assert abs(row[d_sim] - ref[d_pred]) <= 1e-12
+                offset = row[s_sim] - ref[s_pred]
+                assert abs(offset - 2 * width**2) <= 1e-12
+        _, entropy = read_csv(sim / "entropy.csv")
+        _, expected = read_csv(pred / "predicted_entropy.csv")
+        odd = [
+            (row[2], ref[1], ref[2])
+            for row, ref in zip(entropy, expected)
+            if row[0] % 2 == 1
+        ]
+        assert len(odd) == 6
+        for s_lin, mean, error in odd:
+            assert error > 0.0
+            assert abs(s_lin - mean) <= 4 * error
+
+
 class TestClassify:
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    def test_single_body_exits_validation(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, "one.yaml", one_rotor_body())
+        assert run(command, path, tmp_path / "out") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "needs at least two bodies to bipartition" in err
+
     def test_classify_writes_regime_report(self, tmp_path):
         path = write_config(tmp_path, "fig1.yaml", fig1_body(steps=3))
         out = tmp_path / "out"

@@ -222,6 +222,15 @@ class TestKickAndFree:
         assert rec.second[0] == pytest.approx(kick_variance(k), abs=1e-10)
         assert rec.second[0] == pytest.approx(k * k / 2.0, abs=1e-10)
 
+    def test_kick_rejects_a_state_of_another_lattice(self):
+        pot = fig1_potential()
+        lat = RotorLattice(((-8, 8), (-8, 8)))
+        engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
+        other = RotorLattice(((-8, 8), (-6, 6)))
+        state = RotorState.momentum_eigenstate(other, (0, 0))
+        with pytest.raises(ValidationError, match="does not match"):
+            engine.kick(state)
+
     def test_kick_matches_quadrature_matrix(self):
         k = 0.8
         pot = PotentialSpec(1, (cosine_term(k, (1,)),))
@@ -499,6 +508,16 @@ class TestTruncationHandling:
         assert measure_moments(out).second[0] == pytest.approx(
             measure_moments(ref).second[0], rel=1e-8
         )
+
+    def test_dressed_evolve_past_its_window_names_the_step(self):
+        # the closed form never grows its window: one sized for 2 kicks
+        # with a margin of 2 keeps a tail of order 0.1 after 40
+        pot = fig1_potential()
+        lat = RotorLattice.for_run(pot, (0, 0), 2, margin=2)
+        engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
+        state = RotorState.momentum_eigenstate(lat, (0, 0))
+        with pytest.raises(TruncationError, match=r"tail mass .*\(t=40\)"):
+            engine.dressed_evolve(state, 40)
 
 
 class TestMoments:

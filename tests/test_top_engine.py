@@ -1,5 +1,7 @@
 """Tests for the resonantly twisted coupled kicked tops."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,6 +34,7 @@ from kickres.top_engine import (
     TopEngine,
     TopSpec,
     TopState,
+    _rotate_axes,
     build_spin_ops,
     top_purity,
 )
@@ -147,6 +150,19 @@ class TestSpecValidation:
                 element_cap=1000,
             )
 
+    def test_field_terms_must_be_field_terms(self):
+        with pytest.raises(ValidationError, match="is a tuple, not a FieldTerm"):
+            TopSpec(
+                top_count=1,
+                j_tot=3,
+                plan=make_plan((1, 2)),
+                field_terms=((0.1, (1,)),),
+            )
+
+    def test_field_term_weight(self):
+        assert FieldTerm(0.5, (1, 2)).weight(4) == 0.5 * 4.0**-2
+        assert FieldTerm(-0.3, (1, 0)).weight(7) == -0.3
+
     def test_powers_length_mismatch(self):
         with pytest.raises(ValidationError):
             TopSpec(
@@ -184,17 +200,39 @@ class TestStateConstruction:
             TopState(spec, np.full(5, 0.7, dtype=complex))
 
     def test_from_factors_rejects_zero_factor(self):
-        # a zero factor normalizes to NaN amplitudes
+        # the factor is named before its norm divides it: no NaN, no
+        # RuntimeWarning, in the state builder and in top_params alike
+        spec = TopSpec(
+            top_count=2,
+            j_tot=1,
+            plan=make_plan((1, 1), (1, 2)),
+            field_terms=(FieldTerm(0.3, (1, 1)),),
+        )
+        good = np.array([0, 1, 0])
+        for bad in (
+            np.zeros(3), np.full(3, np.nan), np.array([np.inf, 0.0, 0.0])
+        ):
+            for n, factors in enumerate(([bad, good], [good, bad])):
+                for build in (TopState.from_factors, top_params):
+                    with warnings.catch_warnings(), pytest.raises(
+                        ValidationError,
+                        match=f"factor {n} has norm .*; need finite and > 0",
+                    ):
+                        warnings.simplefilter("error")
+                        build(spec, factors)
+
+    def test_factor_of_wrong_size_is_named(self):
         spec = TopSpec(
             top_count=2,
             j_tot=1,
             plan=make_plan((1, 1), (1, 2)),
             field_terms=(),
         )
-        with np.errstate(invalid="ignore"), pytest.raises(
-            ValidationError, match="state norm nan"
-        ):
-            TopState.from_factors(spec, [np.array([0, 1, 0]), np.zeros(3)])
+        for build in (TopState.from_factors, top_params):
+            with pytest.raises(ValidationError, match="factor 1 has size 4"):
+                build(spec, [np.array([0, 1, 0]), np.ones(4)])
+            with pytest.raises(ValidationError, match="one factor required"):
+                build(spec, [np.array([0, 1, 0])])
 
     def test_from_factors_normalizes(self):
         spec = TopSpec(
@@ -376,8 +414,7 @@ def assert_jz_moments_match(record, reference, j):
 def assert_matches_jz_frame_oracle(spec, state, steps, part):
     """Amplitudes, J_z moments and purity along the engine's J_x-frame
     trajectory against the J_z-frame stepping in tests/oracles.  Moments
-    and purity are read before the amplitudes are rotated back, so they
-    come from the J_x frame."""
+    and purity of the engine-made states come from the J_x frame."""
     engine = TopEngine(spec)
     reference = jz_frame_top_run(engine, state.amplitudes, steps)
     for (t, current), amps in zip(
@@ -462,19 +499,38 @@ class TestJxFramePropagation:
             if form == "reverse":
                 assert set(np.ravel(operand)) <= {-1.0, 1.0}
 
-    def test_frames_are_converted_once_and_only_when_read(self):
+    def test_state_holds_jx_from_construction(self):
         state = TopState.jz_product(FIG7_SPEC, (0, 0))
-        assert state._jx is None
+        _, basis = FIG7_SPEC._jx_eigenbasis
+        held = state._jx
+        assert np.array_equal(held, _rotate_axes(state.amplitudes, basis.T))
         engine = TopEngine(FIG7_SPEC)
         stepped = engine.step(state)
-        rotated_in = state._jx
-        assert rotated_in is not None
-        engine.step(state)
-        assert state._jx is rotated_in
+        assert state._jx is held
         assert stepped._jz is None
         amps = stepped.amplitudes
-        assert stepped.amplitudes is amps
+        assert stepped._jz is None
+        assert stepped.amplitudes is not amps
+        assert np.array_equal(stepped.amplitudes, amps)
         assert abs(stepped.norm() - 1.0) < 1e-12
+
+    def test_state_owns_its_jz_amplitudes(self):
+        # a caller's later write reaches neither frame
+        part = BipartitionSpec(rotor_count=2, part_a=(0,))
+        amps = np.zeros(FIG7_SPEC.shape, dtype=complex)
+        amps[50, 50] = 1.0
+        state = TopState(FIG7_SPEC, amps)
+        amps[50, 50], amps[0, 0] = 0.0, 1.0
+        assert state.amplitudes[50, 50] == 1.0
+        assert top_purity(state, part) == 1.0
+
+    def test_reading_amplitudes_changes_no_later_result(self):
+        part = BipartitionSpec(rotor_count=2, part_a=(0,))
+        engine = TopEngine(FIG7_SPEC)
+        state = engine.evolve(TopState.jz_product(FIG7_SPEC, (0, 0)), 20)
+        before = (top_purity(state, part), state.norm())
+        state.amplitudes
+        assert (top_purity(state, part), state.norm()) == before
 
 
 TWIST_FORMS = {"skip": (1, 1), "reverse": (1, 2), "dense": (1, 3)}
@@ -637,7 +693,7 @@ class TestOccupiedParityBox:
             for mine, ref in zip(record.second, reference.second):
                 assert abs(mine - ref) <= 1e-15 * ref + 1e-25
             # against the frame top_purity reads: J_z at t = 0, else J_x
-            held = state.amplitudes if t == 0 else state._jx_amplitudes()
+            held = state.amplitudes if t == 0 else state._jx
             purity = top_purity(state, part)
             assert abs(purity - window_purity(held, block)) <= 2e-15
             assert box_steps(state) == strides

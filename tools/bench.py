@@ -133,7 +133,7 @@ def _top_layers() -> dict:
     )
     engine = TopEngine(spec)
     start = TopState.jz_product(spec, cfg.initial["momenta"])
-    held = engine.evolve(start, TOP_STEPS)._jx_amplitudes()
+    held = engine.evolve(start, TOP_STEPS)._jx
 
     def moments():
         state = TopState._from_jx(spec, held)  # no cached marginals or box
