@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -972,5 +973,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """Entry point of the ``kickres`` script and ``python -m kickres.cli``:
+    run ``main``, flush stdout and stderr, and exit with its code without
+    the interpreter's teardown (module and object finalization), which
+    only costs time once every output file is closed."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

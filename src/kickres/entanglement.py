@@ -84,7 +84,7 @@ def _occupied_box(marginals: Sequence[np.ndarray]) -> tuple[slice, ...]:
     BOX_FLOOR in total."""
 
     def run(marg: np.ndarray) -> int:
-        return int(np.searchsorted(np.cumsum(marg), BOX_FLOOR, side="right"))
+        return int(marg.cumsum().searchsorted(BOX_FLOOR, side="right"))
 
     def axis(marg: np.ndarray) -> slice:
         lo, hi = run(marg), marg.size - run(marg[::-1])

@@ -25,7 +25,7 @@ FFT handles at full speed (Frigo & Johnson, Proc. IEEE 93(2), 2005).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -367,8 +367,10 @@ def displacement_stats(series: Sequence[MomentRecord]) -> list[MomentRecord]:
             sig.append(s2)
             var.append(s2 - d * d)
         out.append(
-            replace(
-                rec,
+            MomentRecord(
+                t=rec.t,
+                mean=rec.mean,
+                second=rec.second,
                 displacement=tuple(disp),
                 spread=tuple(sig),
                 variance=tuple(var),

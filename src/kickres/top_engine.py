@@ -16,12 +16,17 @@ Each top's twist is taken into the same frame once, when the engine is
 built: at exact principal resonance it is skipped, at exact secondary
 resonance the pi-rotation maps J_x to -J_x and becomes a signed reversal
 of that axis (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and any
-other rational or a detuning keeps the dense matrix W^T T W.  The J_z
-moments and the bipartite purity are read in the J_x frame too, so a run
-never rotates back: J_z is tridiagonal over the J_x eigenbasis, and the
-purity is invariant under the local change of frame W x ... x W.  Both
-are read over the occupied box of the J_x-frame marginals, which keeps
-every second index from a J_z = 0 start (see entanglement.BOX_FLOOR).
+other rational or a detuning keeps the dense matrix W^T T W.  A step is
+one pass: the dense twists in axis order, each reversal as a flipped
+view, then one multiply by a phase built with the engine, the field
+phase times every reversal's +-1 signs.  A kick makes one new array and
+one norm check; ``twist`` and ``field_rotation`` run the same pass with
+their own phases.  The J_z moments and the bipartite purity are read
+in the J_x frame too, so a run never rotates back: J_z is tridiagonal
+over the J_x eigenbasis, and the purity is invariant under the local
+change of frame W x ... x W.  Both are read over the occupied box of
+the J_x-frame marginals, which keeps every second index from a J_z = 0
+start (see entanglement.BOX_FLOOR).
 Those marginals and the unit-norm check are the rotor engine's
 ``axis_marginals`` and ``unit_norm``: a rotor state and a top state share
 one kernel for each.
@@ -64,14 +69,27 @@ class FieldTerm:
     powers: tuple
 
     def __post_init__(self) -> None:
-        powers = tuple(int(k) for k in self.powers)
+        try:
+            powers = tuple(int(k) for k in self.powers)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"powers must be a sequence of integers, not {self.powers!r}"
+            ) from None
         if any(k < 0 for k in powers):
             raise ValidationError("powers must be nonnegative")
         if sum(powers) < 1:
             raise ValidationError(
                 "each field term must involve at least one spin operator"
             )
-        if not math.isfinite(self.coefficient) or self.coefficient == 0.0:
+        try:
+            finite = math.isfinite(self.coefficient)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        except TypeError:
+            raise ValidationError(
+                f"coefficient must be a real number, not {self.coefficient!r}"
+            ) from None
+        if not finite or self.coefficient == 0.0:
             raise ValidationError(
                 "field coefficients must be finite and nonzero"
             )
@@ -303,6 +321,15 @@ class TopEngine:
             self._jx_frame_twist(n, basis) for n in range(spec.top_count)
         )
         self._field_phase = np.exp(-1j * self._field_diagonal())
+        # Every reversal's +-1 signs, and the field phase times them: a
+        # step is the twists' matrix parts, then one multiply by the
+        # latter.  Multiplying by +-1 is exact, so the bits match a twist
+        # followed by the field.
+        self._twist_signs = np.ones(())
+        for form, signs in self._twist_x:
+            if form == "reverse":
+                self._twist_signs = self._twist_signs * signs
+        self._step_phase = self._field_phase * self._twist_signs
         # Each top's J_z band b padded to bp with bp[q + 1] = b_q and
         # zeros at both ends, shaped to broadcast over the (before, dim,
         # 2 * after) float view of its axis.  The last axis's band is
@@ -378,24 +405,36 @@ class TopEngine:
             grid = grid + scale * factor
         return grid
 
-    def twist(self, state: TopState) -> TopState:
+    def _kick(self, state: TopState, twist: bool, phase) -> TopState:
+        """One pass over the J_x-frame amplitudes: with ``twist``, the
+        dense twists in axis order and each reversal as a flipped view,
+        then one multiply by ``phase``."""
         self._check_state(state)
         amps = state._jx
-        for n, (form, operand) in enumerate(self._twist_x):
+        for n, (form, operand) in enumerate(self._twist_x if twist else ()):
             if form == "reverse":
-                amps = np.flip(amps, n) * operand
+                amps = np.flip(amps, n)
             elif form == "dense":
                 amps = _along_axis(amps, operand, n)
-        return TopState._from_jx(self.spec, amps)
+        return TopState._from_jx(self.spec, amps * phase)
 
-    def field_rotation(self, state: TopState) -> TopState:
-        self._check_state(state)
-        return TopState._from_jx(
-            self.spec, state._jx * self._field_phase
-        )
+    def twist(self, state: TopState) -> TopState:
+        return self._kick(state, True, self._twist_signs)
+
+    def field_rotation(
+        self, state: TopState, *, after_twist: bool = False
+    ) -> TopState:
+        """U_f alone, one multiply by the field phase.  With
+        ``after_twist``, the whole cycle U_f U_k in that same one pass: the
+        twists' matrix parts, then one multiply by the field phase times
+        every reversal's signs.  ``step`` takes its pass here, so a span
+        around this method times the work of every kick."""
+        if after_twist:
+            return self._kick(state, True, self._step_phase)
+        return self._kick(state, False, self._field_phase)
 
     def step(self, state: TopState) -> TopState:
-        return self.field_rotation(self.twist(state))
+        return self.field_rotation(state, after_twist=True)
 
     def evolve(self, state: TopState, steps: int) -> TopState:
         for _, out in self.trajectory(state, steps):
@@ -447,7 +486,8 @@ class TopEngine:
                 means.append(float((psi * applied[:, 1 : size + 1]).sum()))
             else:
                 means.append(0.0)
-            seconds.append(float((applied * applied).sum()))
+            np.square(applied, out=applied)
+            seconds.append(float(applied.sum()))
         return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
 
     def measure_jx_moments(self, state: TopState, t: int = 0) -> MomentRecord:

@@ -28,7 +28,7 @@ from kickres.rotor_engine import (
     marginal_moments,
     measure_moments,
 )
-from kickres.top_engine import build_spin_ops
+from kickres.top_engine import TopState, _along_axis, build_spin_ops
 
 # Linear entropy plateau 1 - sum_n J_n(xi)^4 for a one-term coupling of
 # strength xi with uniform initial angles (momentum eigenstates).  Values
@@ -468,6 +468,20 @@ def jz_frame_top_run(engine, amplitudes, steps):
             amps = _top_axis_transform(amps, rot, n)
         out.append(amps)
     return out
+
+
+def twist_then_field_step(engine, state):
+    """One kick cycle of a TopEngine as a twist pass, then a field pass,
+    each making a new array: the two-pass step that ``TopEngine.step``'s
+    single pass replaced.  Each reversal is a flip times its +-1 signs,
+    applied where its axis falls in the order."""
+    amps = state._jx
+    for n, (form, operand) in enumerate(engine._twist_x):
+        if form == "reverse":
+            amps = np.flip(amps, n) * operand
+        elif form == "dense":
+            amps = _along_axis(amps, operand, n)
+    return TopState._from_jx(engine.spec, amps * engine._field_phase)
 
 
 def jz_moments_reference(state, t=0):

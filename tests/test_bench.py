@@ -21,6 +21,7 @@ LAYERS = {
     "slin_exact/fig2",
     "potential_evaluate/200000",
     "top_jz_moments/j50",
+    "top_step/j50",
 }
 
 

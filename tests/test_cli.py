@@ -1197,6 +1197,45 @@ class TestTopSimulate:
         assert run("top-simulate", path, tmp_path / "o") == EXIT_VALIDATION
 
 
+def _script_launch() -> list[str]:
+    # what the installed ``kickres`` script runs: pyproject's entry point
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text()
+    module, func = re.search(r'^kickres = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+@pytest.mark.parametrize("launch", ["module", "script"])
+def test_cli_process_flushes_output_and_keeps_exit_code(tmp_path, launch):
+    # both entry points skip the interpreter teardown after flushing, so
+    # what the process printed and the code main() returned still arrive
+    good = write_config(tmp_path, "top.yaml", top_body(steps=2))
+    bad_body = top_body(steps=2)
+    bad_body["j_tot"] = 2.5
+    bad = write_config(tmp_path, "bad.yaml", bad_body)
+    src = str(Path(kickres.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    entry = ["-m", "kickres.cli"] if launch == "module" else _script_launch()
+    done = [
+        subprocess.run(
+            [sys.executable, *entry, "top-simulate", "--config", str(path),
+             "--out-dir", str(tmp_path / path.stem)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        for path in (good, bad)
+    ]
+    assert done[0].returncode == EXIT_OK, done[0].stderr
+    assert done[0].stdout.startswith("top-simulate: wrote entropy.csv")
+    assert done[1].returncode == EXIT_VALIDATION
+    assert done[1].stderr.startswith("validation error:")
+    assert done[1].stdout == ""
+
+
 def test_threads_flag_validated(tmp_path):
     path = write_config(tmp_path, "fig1.yaml", fig1_body(steps=2))
     code = main(

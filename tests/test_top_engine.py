@@ -1,5 +1,6 @@
 """Tests for the resonantly twisted coupled kicked tops."""
 
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     product_basis_purity,
     spin_matrices,
     svd_purity,
+    twist_then_field_step,
     window_jz_moments,
     window_purity,
 )
@@ -158,6 +160,22 @@ class TestSpecValidation:
                 plan=make_plan((1, 2)),
                 field_terms=((0.1, (1,)),),
             )
+
+    @pytest.mark.parametrize(
+        "coefficient, powers, named",
+        [
+            ("a", (1,), "coefficient must be a real number, not 'a'"),
+            (1j, (1,), "coefficient must be a real number"),
+            (None, (1, 0), "coefficient must be a real number"),
+            (0.3, 5, "powers must be a sequence of integers, not 5"),
+            (0.3, ("x",), "powers must be a sequence of integers"),
+        ],
+    )
+    def test_field_term_input_errors_name_the_argument(
+        self, coefficient, powers, named
+    ):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            FieldTerm(coefficient, powers)
 
     def test_field_term_weight(self):
         assert FieldTerm(0.5, (1, 2)).weight(4) == 0.5 * 4.0**-2
@@ -432,6 +450,79 @@ def assert_matches_jz_frame_oracle(spec, state, steps, part):
         expected = svd_purity(block_matrix(amps, spec.shape, part.part_a))
         assert abs(purity - expected) <= 1e-12
     assert t == steps
+
+
+# twist form -> (rational, detuning)
+STEP_FORMS = {
+    "skip": ((1, 1), 0.0),
+    "reverse": ((1, 2), 0.0),
+    "dense": ((1, 3), 0.0),
+    "detuned": ((1, 2), 0.137),
+}
+STEP_CASES = [
+    (forms, j)
+    for j in (5, 20)
+    for forms in (
+        ("skip", "skip"),
+        ("skip", "reverse"),
+        ("reverse", "reverse"),
+        ("reverse", "dense"),
+        ("dense", "reverse"),
+        ("detuned", "reverse"),
+        ("dense", "detuned"),
+    )
+] + [
+    (("reverse", "reverse", "reverse"), 5),
+    (("skip", "reverse", "dense"), 5),
+    (("dense", "skip", "reverse"), 5),
+    (("reverse", "dense", "reverse"), 5),
+    (("reverse", "detuned", "skip"), 20),
+    (("detuned", "reverse", "dense"), 20),
+    (("dense", "dense", "reverse"), 20),
+]
+
+
+@pytest.mark.parametrize(
+    "forms, j", STEP_CASES, ids=["-".join(f) + f"-j{j}" for f, j in STEP_CASES]
+)
+def test_step_is_bit_equal_to_twist_then_field(forms, j):
+    # the one-pass step against the two-pass oracle, kick by kick: the
+    # dense twists in axis order, reversals as flips, then one multiply by
+    # the field phase times every reversal's signs
+    n = len(forms)
+    tops = range(n)
+    # linear, pair and cubic terms: a field phase that is neither even nor
+    # odd under any reversal
+    terms = [
+        FieldTerm(0.3 + 0.1 * k, tuple(int(i == k) for i in tops))
+        for k in tops
+    ] + [
+        FieldTerm(0.5, tuple(int(i in (k, k + 1)) for i in tops))
+        for k in tops[:-1]
+    ]
+    cubic = tuple(2 * (i == 0) + (i == n - 1) for i in tops)
+    terms.append(FieldTerm(0.2, cubic))
+    spec = TopSpec(
+        top_count=n,
+        j_tot=j,
+        plan=make_plan(
+            *[STEP_FORMS[f][0] for f in forms],
+            detunings=[STEP_FORMS[f][1] for f in forms],
+        ),
+        field_terms=tuple(terms),
+    )
+    engine = TopEngine(spec)
+    expected = [f if f != "detuned" else "dense" for f in forms]
+    assert [form for form, _ in engine._twist_x] == expected
+    state, _ = random_product(spec, 17 + j)
+    oracle = state
+    for t in range(1, 41):
+        # the public halves, each its own pass, compose to the same bits
+        halves = engine.field_rotation(engine.twist(state))
+        state = engine.step(state)
+        oracle = twist_then_field_step(engine, oracle)
+        assert np.array_equal(state._jx, oracle._jx), f"step {t}"
+        assert np.array_equal(halves._jx, state._jx), f"step {t}"
 
 
 class TestJxFramePropagation:

@@ -21,7 +21,9 @@ The layers:
 - ``slin_exact``: the S_lin curve of ``predict fig2`` over its sample;
 - ``potential_evaluate``: fig2's potential at 200 000 random angle pairs;
 - ``top_jz_moments``: ``TopEngine.measure_jz_moments`` on fig7's j = 50
-  pair after 50 steps, from a fresh state (marginals and box included).
+  pair after 50 steps, from a fresh state (marginals and box included);
+- ``top_step``: one ``TopEngine.step`` of fig7 (j = 50, a skipped and a
+  reversed twist) on that same evolved state.
 """
 
 from __future__ import annotations
@@ -133,13 +135,17 @@ def _top_layers() -> dict:
     )
     engine = TopEngine(spec)
     start = TopState.jz_product(spec, cfg.initial["momenta"])
-    held = engine.evolve(start, TOP_STEPS)._jx
+    evolved = engine.evolve(start, TOP_STEPS)
 
     def moments():
-        state = TopState._from_jx(spec, held)  # no cached marginals or box
+        # no cached marginals or box
+        state = TopState._from_jx(spec, evolved._jx)
         return _timed(engine.measure_jz_moments, state)
 
-    return {f"top_jz_moments/j{spec.j_tot}": moments}
+    return {
+        f"top_jz_moments/j{spec.j_tot}": moments,
+        f"top_step/j{spec.j_tot}": lambda: _timed(engine.step, evolved),
+    }
 
 
 def _timed(call, *args) -> float:
