@@ -7,11 +7,14 @@ Subcommands
     detune-scan   ideal vs detuned runs -> delta_*.csv, tD.csv, report.yaml
     top-simulate  twisted-top run -> moments.csv + entropy.csv (jz_ columns)
 
-All physics parameters come from a YAML config; the only flags are
---config, --out-dir, --seed, --threads, --quiet.  Only detune-scan uses
---threads: it runs the ideal and detuned trajectories in parallel, and its
-output bytes do not depend on the thread count.  The other subcommands
-have no parallel work and reject values above 1.
+All physics parameters come from a YAML config; one parser takes the
+subcommand and the only flags, --config, --out-dir, --seed, --threads,
+--quiet, so ``kickres <cmd> --help`` prints the one shared help.  Only
+detune-scan uses --threads: it spreads the ideal and detuned trajectories
+over that many threads, which share the BLAS library's own threads, so on
+a small machine it can run slower than --threads 1; its output bytes do
+not depend on the thread count.  The other subcommands have no parallel
+work and reject values above 1.
 
 Each config block has one field table below, the one place a field is
 defined: its check, default, bounds and where it is valid.  ``_fields``
@@ -106,11 +109,6 @@ class ConfigError(ValidationError):
     def __init__(self, path: str, message: str):
         super().__init__(f"config error at {path}: {message}")
         self.path = path
-
-
-def fmt(value) -> str:
-    """Full round-trip float formatting for CSV cells."""
-    return f"{float(value):.17g}"
 
 
 # ----------------------------------------------------------------------
@@ -529,15 +527,10 @@ def _canonical_yaml(obj) -> str:
 
 
 def _csv_text(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
+    # .17g round-trips every float; an integer cell is a step count far
+    # below 2**53, so it prints exactly as str(int) does
     lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            else:
-                cells.append(fmt(value))
-        lines.append(",".join(cells))
+    lines += [",".join(f"{value:.17g}" for value in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -634,18 +627,21 @@ def _moment_columns(body_count: int, prefix: str):
 
 def _rotor_run_pieces(cfg: ExperimentConfig):
     """Lattice, engine, and initial state for a rotor config."""
-    descriptor = cfg.initial
-    if descriptor["type"] == "momentum_eigenstate":
-        sizing = descriptor["momenta"]
+    initial = cfg.initial
+    margin = cfg.window_margin
+    if initial["type"] == "momentum_eigenstate":
+        sizing = initial["momenta"]
+        start, args = RotorState.momentum_eigenstate, (sizing,)
     else:
-        sizing = [int(round(p0)) for _, p0 in descriptor["centers"]]
-        margin_extra = int(math.ceil(6.0 * descriptor["width"])) + 2
+        sizing = [int(round(p0)) for _, p0 in initial["centers"]]
+        margin += int(math.ceil(6.0 * initial["width"])) + 2
+        start = RotorState.coherent_product
+        args = (initial["centers"], initial["width"])
     lattice = RotorLattice.start_window(
         cfg.potential,
         sizing,
         cfg.steps,
-        margin=cfg.window_margin
-        + (0 if descriptor["type"] == "momentum_eigenstate" else margin_extra),
+        margin=margin,
         element_cap=cfg.element_cap,
     )
     engine = RotorEngine(
@@ -655,15 +651,7 @@ def _rotor_run_pieces(cfg: ExperimentConfig):
         tail_tol=cfg.tail_tolerance,
         tail_budget=cfg.tail_budget,
     )
-    if descriptor["type"] == "momentum_eigenstate":
-        state = RotorState.momentum_eigenstate(lattice, descriptor["momenta"])
-    else:
-        state = RotorState.coherent_product(
-            lattice,
-            [tuple(c) for c in descriptor["centers"]],
-            descriptor["width"],
-        )
-    return engine, state
+    return engine, start(lattice, *args)
 
 
 def _simulate_files(
@@ -733,53 +721,47 @@ def _initial_density(cfg: ExperimentConfig) -> ProductAngleDensity:
     return ProductAngleDensity.from_factors(factors)
 
 
-def _regimes_block(report) -> dict:
+def _report_head(cfg: ExperimentConfig, needs: str) -> dict:
+    """The potential and regime table that open classify's and predict's
+    report.yaml; ``needs`` names the job when a single body fails it."""
+    if cfg.part is None:
+        raise ValidationError(
+            f"{needs} needs at least two bodies to bipartition"
+        )
+    report = classify_regimes(cfg.potential, cfg.plan, cfg.part)
     return {
-        "rotor_classes": [c.name.lower() for c in report.rotor_classes],
-        "rotor_regimes": list(report.rotor_regimes),
-        "interaction_class": report.interaction_class.name.lower(),
-        "interaction_regime": report.interaction_regime,
-        "selection_rule_ok": list(report.selection_rule_ok),
-        "consistent": report.consistent,
+        "report_version": 1,
+        "potential": [term_text(t) for t in cfg.potential.terms],
+        "regimes": {
+            "rotor_classes": [c.name.lower() for c in report.rotor_classes],
+            "rotor_regimes": list(report.rotor_regimes),
+            "interaction_class": report.interaction_class.name.lower(),
+            "interaction_regime": report.interaction_regime,
+            "selection_rule_ok": list(report.selection_rule_ok),
+            "consistent": report.consistent,
+        },
     }
 
 
 def run_classify(cfg: ExperimentConfig, quiet: bool = False) -> None:
     started = time.monotonic()
-    if cfg.part is None:
-        raise ValidationError(
-            "classification needs at least two bodies to bipartition"
-        )
-    report = classify_regimes(cfg.potential, cfg.plan, cfg.part)
-    body = {
-        "report_version": 1,
-        "potential": [term_text(t) for t in cfg.potential.terms],
-        "regimes": _regimes_block(report),
-    }
+    body = _report_head(cfg, "classification")
     files = {"report.yaml": _canonical_yaml(body)}
     _write_outputs(cfg, files, [], [], started, quiet)
 
 
 def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
     started = time.monotonic()
-    if cfg.part is None:
-        raise ValidationError(
-            "prediction needs at least two bodies to bipartition"
-        )
-    report = classify_regimes(cfg.potential, cfg.plan, cfg.part)
+    body = _report_head(cfg, "prediction")
     shift = cfg.plan.shift_set
     density = _initial_density(cfg)
     params = wavepacket_params(cfg.potential, shift, density)
+    stats = asdict(params)
+    classes = stats.pop("symmetry")
     per_rotor = [
-        {
-            "alpha_plus": params.alpha_plus[j],
-            "alpha_minus": params.alpha_minus[j],
-            "lambda_plus": params.lambda_plus[j],
-            "lambda_minus": params.lambda_minus[j],
-            "kappa": params.kappa[j],
-            "symmetry_class": params.symmetry[j].name.lower(),
-        }
-        for j in range(params.rotor_count)
+        {**{k: v[j] for k, v in stats.items()},
+         "symmetry_class": c.name.lower()}
+        for j, c in enumerate(classes)
     ]
     curve_rows = []
     for t in range(cfg.steps + 1):
@@ -805,14 +787,9 @@ def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
         estimates = slin_exact(sample, range(cfg.steps + 1))
         slin_rows = [[e.t, e.value, e.std_error] for e in estimates]
 
-    body = {
-        "report_version": 1,
-        "potential": [term_text(t) for t in cfg.potential.terms],
-        "regimes": _regimes_block(report),
-        "wavepacket_params": per_rotor,
-        "epsilon_moments": epsilon_block,
-        "crossover_time": tstar,
-    }
+    body["wavepacket_params"] = per_rotor
+    body["epsilon_moments"] = epsilon_block
+    body["crossover_time"] = tstar
     moment_cols = ["t"]
     for j in range(1, params.rotor_count + 1):
         moment_cols.extend((f"D_{j}", f"sigma2_{j}"))
@@ -878,7 +855,7 @@ def run_detune_scan(
         "report_version": 1,
         "threshold": cfg.threshold,
         "agreement_times": {
-            fmt(d): (t if math.isfinite(t) else "inf")
+            f"{d:.17g}": (t if math.isfinite(t) else "inf")
             for d, t in zip(result.detunings, result.agreement_times)
         },
         "fit": fit_block,
@@ -909,28 +886,6 @@ def run_top_simulate(cfg: ExperimentConfig, quiet: bool = False) -> None:
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kickres",
-        description="Resonant kicked-rotor and kicked-top experiment runner.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "split-operator rotor run -> moments.csv, entropy.csv"),
-        ("predict", "analytic regime/moment/entropy report"),
-        ("classify", "symmetry classes and regimes only"),
-        ("detune-scan", "ideal vs detuned runs -> delta CSVs, tD.csv"),
-        ("top-simulate", "twisted-top run -> moments.csv, entropy.csv"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, type=Path)
-        cmd.add_argument("--out-dir", type=Path, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--threads", type=int, default=1)
-        cmd.add_argument("--quiet", action="store_true")
-    return parser
-
-
 _RUNNERS = {
     "simulate": run_simulate,
     "predict": run_predict,
@@ -939,9 +894,29 @@ _RUNNERS = {
     "top-simulate": run_top_simulate,
 }
 
+_PARSER = argparse.ArgumentParser(
+    prog="kickres",
+    description="Resonant kicked-rotor and kicked-top experiment runner.",
+    epilog="""\
+subcommands:
+  simulate      split-operator rotor run -> moments.csv, entropy.csv
+  predict       analytic regime/moment/entropy report
+  classify      symmetry classes and regimes only
+  detune-scan   ideal vs detuned runs -> delta CSVs, tD.csv
+  top-simulate  twisted-top run -> moments.csv, entropy.csv""",
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+_PARSER.add_argument("command", choices=_RUNNERS, metavar="command",
+                     help="one of the subcommands below")
+_PARSER.add_argument("--config", required=True, type=Path)
+_PARSER.add_argument("--out-dir", type=Path, default=None)
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--threads", type=int, default=1)
+_PARSER.add_argument("--quiet", action="store_true")
+
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
             raise ConfigError("--seed", "must fit in an unsigned 64-bit value")

@@ -54,26 +54,18 @@ DEFAULT_SEED = 12345
 DEFAULT_THRESHOLD = 0.01  # relative deviation that ends agreement_time
 
 # Table-style regime names
-REGIME_QUADRATIC = "quadratic"
-REGIME_OSCILLATION = "period-2 oscillation"
-REGIME_HYBRID = "hybrid"
-REGIME_FROZEN = "frozen"
-REGIME_QUADRATIC_SAT = "quadratic growth then saturation"
-REGIME_HYBRID_SAT = "hybrid then saturation"
-REGIME_NONE = "none"
-
 _ROTOR_REGIMES = {
-    SymmetryClass.SYMMETRIC: REGIME_QUADRATIC,
-    SymmetryClass.ANTISYMMETRIC: REGIME_OSCILLATION,
-    SymmetryClass.ASYMMETRIC: REGIME_HYBRID,
-    SymmetryClass.ZERO: REGIME_FROZEN,
+    SymmetryClass.SYMMETRIC: "quadratic",
+    SymmetryClass.ANTISYMMETRIC: "period-2 oscillation",
+    SymmetryClass.ASYMMETRIC: "hybrid",
+    SymmetryClass.ZERO: "frozen",
 }
 
 _INTERACTION_REGIMES = {
-    SymmetryClass.SYMMETRIC: REGIME_QUADRATIC_SAT,
-    SymmetryClass.ANTISYMMETRIC: REGIME_OSCILLATION,
-    SymmetryClass.ASYMMETRIC: REGIME_HYBRID_SAT,
-    SymmetryClass.ZERO: REGIME_NONE,
+    SymmetryClass.SYMMETRIC: "quadratic growth then saturation",
+    SymmetryClass.ANTISYMMETRIC: "period-2 oscillation",
+    SymmetryClass.ASYMMETRIC: "hybrid then saturation",
+    SymmetryClass.ZERO: "none",
 }
 
 

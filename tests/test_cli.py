@@ -24,6 +24,7 @@ from kickres.cli import (
     EXIT_TRUNCATION,
     EXIT_VALIDATION,
     ConfigError,
+    _csv_text,
     load_config,
     main,
 )
@@ -1284,3 +1285,41 @@ def test_seed_flag_validated(tmp_path):
         ]
     )
     assert code == EXIT_VALIDATION
+
+
+SUBCOMMAND_HELP = {
+    "simulate": "split-operator rotor run -> moments.csv, entropy.csv",
+    "predict": "analytic regime/moment/entropy report",
+    "classify": "symmetry classes and regimes only",
+    "detune-scan": "ideal vs detuned runs -> delta CSVs, tD.csv",
+    "top-simulate": "twisted-top run -> moments.csv, entropy.csv",
+}
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    for name, text in SUBCOMMAND_HELP.items():
+        line = rf"^ +{re.escape(name)} +{re.escape(text)}$"
+        assert re.search(line, out, re.M), (name, out)
+
+
+def test_unknown_subcommand_exits_2_naming_the_choices(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["simulat", "--config", "fig1.yaml"])
+    assert stop.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid choice: 'simulat'" in err
+    for name in SUBCOMMAND_HELP:
+        assert repr(name) in err
+
+
+def test_csv_cells():
+    # integers print as they are, every float with 17 significant digits
+    cells = [5, np.int64(5), 7.0, np.float64(0.1), math.inf, -0.0]
+    text = _csv_text(["x"], [[value] for value in cells])
+    assert text.split("\n") == [
+        "x", "5", "5", "7", "0.10000000000000001", "inf", "-0", ""
+    ]

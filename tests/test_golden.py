@@ -46,6 +46,22 @@ GOLDEN = {
         "entropy.csv": "a8135a9c1bfc8bcecb58a392fd06fa23edcdde7cb66a15f5c4a150b74661756c",
         "moments.csv": "4a356e45a6c13a34d8d7578c585f9a65a8cdacaf8685fc235000e7936def6c18",
     },
+    "predict fig2c": {
+        "predicted_entropy.csv": "383512315467a25b49ee5395066d69073038090b5ae6303c931344bc179da43e",
+        "predicted_moments.csv": "10e88d060404d226ec455e202df973464f31c7105819423a640987b347071398",
+        "report.yaml": "4ec603e70ac730167a9c7024b5d6cee44086cbf01cdcf27d9fe7de9598bf2d13",
+    },
+    "simulate fig3": {
+        "entropy.csv": "a84e97e2c09cfb016d520e6f819a3f504c0c6ab6c9c77d4417f84562c0d241f4",
+        "moments.csv": "a66d7ddd9cc49786acc772d0a3ce46bdcbfca6f0e0eeef2fcef8d2e67519e0b6",
+    },
+    "detune-scan scan3": {
+        "delta_1.csv": "8b39db13ef46c03352ab8a7d71dc8fe841aedb6c77b1472931f9d645967200b2",
+        "delta_2.csv": "50ae6f64f189411b5974a43e3823bb5e141a037dc080efc4d08ac3ffa4dc9fb6",
+        "delta_3.csv": "5cea95da4c8e823e4665e0b4177ecb44e5a6af772b1afbeb2e5dffe14db38d34",
+        "report.yaml": "b4c7e3f79417e38ff38af69a0eb045a7ed02fc41afba41a96551070c28c767cd",
+        "tD.csv": "faeb92b5785acd45649b7a178cea91c7a5111aecd13432db5b9f7f3bcf9f07ba",
+    },
     "top-simulate fig7": {
         "entropy.csv": "56090b32e781edf890dd9e5d0703f39e24f9caee190c5d4dffa3eb110f561d73",
         "moments.csv": "c2613bcac723bb526f2e9a546411e6b0fda5434720647963455815de0d6773c6",
