@@ -26,7 +26,7 @@ from kickres import (
     TopEngine,
     TopSpec,
     TopState,
-    displacement_stats,
+    observe,
     predict_moments,
     saturation_time,
     top_params,
@@ -62,13 +62,14 @@ def main() -> None:
 
     engine = TopEngine(SPEC)
     part = BipartitionSpec(2, (0,))
-    state = TopState.jz_product(SPEC, (0, 0))
-    records, entropy = [], []
-    for t, current in engine.trajectory(state, STEPS):
-        records.append(engine.measure_jz_moments(current, t))
-        if t <= 8:
-            entropy.append(1.0 - top_purity(current, part))
-    series = displacement_stats(records)
+    series, purities = observe(
+        engine,
+        TopState.jz_product(SPEC, (0, 0)),
+        STEPS,
+        engine.measure_jz_moments,
+        lambda current: top_purity(current, part),
+    )
+    entropy = [1.0 - p for p in purities[:9]]
 
     print(f"\n{'t':>4s} {'t/t_sat1':>9s} {'sim/law 1':>10s}"
           f" {'t/t_sat2':>9s} {'sim/law 2':>10s}")

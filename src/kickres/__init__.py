@@ -32,7 +32,6 @@ from .rotor_engine import (
     RotorEngine,
     RotorLattice,
     RotorState,
-    displacement_stats,
     measure_moments,
     observe,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "RotorEngine",
     "MomentRecord",
     "measure_moments",
-    "displacement_stats",
     "observe",
     "BipartitionSpec",
     "epsilon_second_moment",

@@ -588,37 +588,29 @@ def _write_outputs(
         print(f"{cfg.command}: wrote {names} -> {out}")
 
 
-def _moment_rows(series, body_count: int):
+# moments.csv's columns for each body j, after "t": the header, with
+# {p} the moment's letter, and the MomentRecord field the cells come from
+_MOMENT_COLUMNS = (
+    ("mean_{p}{j}", "mean"),
+    ("{p}2_{j}", "second"),
+    ("D_{j}", "displacement"),
+    ("sigma2_{j}", "spread"),
+    ("var_{j}", "variance"),
+)
+
+
+def _moments_csv(series, prefix: str) -> str:
+    bodies = range(len(series[0].mean))
+    columns = ["t"] + [
+        header.format(p=prefix, j=j + 1)
+        for j in bodies
+        for header, _ in _MOMENT_COLUMNS
+    ]
     rows = []
     for rec in series:
-        row = [rec.t]
-        for j in range(body_count):
-            row.extend(
-                (
-                    rec.mean[j],
-                    rec.second[j],
-                    rec.displacement[j],
-                    rec.spread[j],
-                    rec.variance[j],
-                )
-            )
-        rows.append(row)
-    return rows
-
-
-def _moment_columns(body_count: int, prefix: str):
-    cols = ["t"]
-    for j in range(1, body_count + 1):
-        cols.extend(
-            (
-                f"mean_{prefix}{j}",
-                f"{prefix}2_{j}",
-                f"D_{j}",
-                f"sigma2_{j}",
-                f"var_{j}",
-            )
-        )
-    return cols
+        fields = [getattr(rec, name) for _, name in _MOMENT_COLUMNS]
+        rows.append([rec.t] + [values[j] for j in bodies for values in fields])
+    return _csv_text(columns, rows)
 
 
 # ----------------------------------------------------------------------
@@ -672,11 +664,8 @@ def _simulate_files(
         None if part is None else lambda current: purity(current, part),
     )
     entropy_rows = [[r.t, p, 1.0 - p] for r, p in zip(series, purities)]
-    n = cfg.plan.rotor_count
     files = {
-        "moments.csv": _csv_text(
-            _moment_columns(n, prefix), _moment_rows(series, n)
-        ),
+        "moments.csv": _moments_csv(series, prefix),
         "entropy.csv": _csv_text(("t", "purity", "s_lin"), entropy_rows),
     }
     warnings = []
@@ -942,7 +931,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValidationError, KickresError) as exc:
+    except KickresError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

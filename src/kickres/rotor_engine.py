@@ -8,8 +8,9 @@ at large momentum.  Besides the generic per-step propagator there is one
 closed-form path, ``dressed_evolve``: one accumulated kick plus the
 momentum phases of t free rotations, valid at any exact resonance whose
 potential meets the translation-symmetry condition (which orders 1 and 2
-always do).  ``observe`` is the one loop that steps an engine and
-records each state's moments and, optionally, its purity.
+always do).  ``observe`` is the one loop that steps an engine, for every
+run: it records each state's moments, filled against the t = 0 record as
+they are measured, and optionally its purity.
 
 Windows follow the occupied support.  A run starts on the bandwidth
 reach of its first ``START_STEPS`` kicks plus the margin; after each step,
@@ -225,10 +226,15 @@ def axis_marginals(amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class RotorState:
-    """Normalized momentum amplitude tensor over a lattice."""
+    """Normalized momentum amplitude tensor over a lattice.  It owns its
+    amplitudes, so its kept marginals stay valid: a caller's array is
+    copied, and the module's own fresh arrays are handed over (``_owned``)."""
 
-    def __init__(self, lattice: RotorLattice, amplitudes: np.ndarray) -> None:
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+    def __init__(
+        self, lattice: RotorLattice, amplitudes: np.ndarray, *, _owned=False
+    ) -> None:
+        take = np.asarray if _owned else np.array
+        amplitudes = take(amplitudes, dtype=complex)
         if amplitudes.shape != lattice.shape:
             raise ValidationError(
                 f"amplitude shape {amplitudes.shape} does not match "
@@ -256,7 +262,7 @@ class RotorState:
             idx.append(l - lo)
         amps = np.zeros(lattice.shape, dtype=complex)
         amps[tuple(idx)] = 1.0
-        return cls(lattice, amps)
+        return cls(lattice, amps, _owned=True)
 
     @classmethod
     def coherent_product(
@@ -289,7 +295,7 @@ class RotorState:
         amps = factors[0]
         for g in factors[1:]:
             amps = np.multiply.outer(amps, g)
-        return cls(lattice, amps)
+        return cls(lattice, amps, _owned=True)
 
     def norm(self) -> float:
         return unit_norm(self.amplitudes)
@@ -315,9 +321,9 @@ class RotorState:
 
 @dataclass(frozen=True, slots=True)
 class MomentRecord:
-    """Per-step momentum moments; displacement fields are filled against
-    the t=0 reference by displacement_stats.  Slotted: a run keeps one
-    per step, and a slotted record is a third smaller."""
+    """Per-step momentum moments; ``observe`` fills the displacement
+    fields against the t=0 record as it measures each step.  Slotted: a
+    run keeps one per step, and a slotted record is a third smaller."""
 
     t: int
     mean: tuple[float, ...]
@@ -344,41 +350,6 @@ def measure_moments(state: RotorState, t: int = 0) -> MomentRecord:
     return marginal_moments(state.momentum_marginals(), values, t)
 
 
-def displacement_stats(series: Sequence[MomentRecord]) -> list[MomentRecord]:
-    """Fill displacement D, squared displacement sigma^2, and variance.
-
-    sigma^2 uses <p^2>_t - 2<p>_t <p>_0 + <p^2>_0, which equals the
-    Heisenberg squared displacement exactly when the initial state is a
-    momentum eigenstate (the only case the closed-form laws address) and
-    stays non-negative for any initial state.
-    """
-    if not series:
-        return []
-    ref = series[0]
-    if ref.t != 0:
-        raise ValidationError("the first record must be the t=0 reference")
-    out = []
-    for rec in series:
-        disp, sig, var = [], [], []
-        for j in range(len(rec.mean)):
-            d = rec.mean[j] - ref.mean[j]
-            s2 = rec.second[j] - 2.0 * rec.mean[j] * ref.mean[j] + ref.second[j]
-            disp.append(d)
-            sig.append(s2)
-            var.append(s2 - d * d)
-        out.append(
-            MomentRecord(
-                t=rec.t,
-                mean=rec.mean,
-                second=rec.second,
-                displacement=tuple(disp),
-                spread=tuple(sig),
-                variance=tuple(var),
-            )
-        )
-    return out
-
-
 def observe(
     engine, state, steps: int, measure, purity=None
 ) -> tuple[list[MomentRecord], list[float]]:
@@ -386,18 +357,34 @@ def observe(
 
     ``engine`` is a RotorEngine or a TopEngine: anything whose
     ``trajectory(state, steps)`` yields (t, state) for t = 0..steps.
-    ``measure(state, t)`` gives each step's MomentRecord and
-    ``purity(state)``, when given, its bipartite purity.  Returns the
-    displacement_stats series and the purities (empty without
-    ``purity``).  A TruncationError or ResourceCapError from the
-    trajectory passes through unchanged, naming its step.
+    ``measure(state, t)`` gives each step's moments and ``purity(state)``,
+    when given, its bipartite purity.  Each record is kept with its
+    displacement D, squared displacement sigma^2 and variance filled
+    against the first, which must be the t=0 record (ValidationError
+    otherwise).  sigma^2 uses <p^2>_t - 2<p>_t <p>_0 + <p^2>_0, which
+    equals the Heisenberg squared displacement exactly when the initial
+    state is a momentum eigenstate (the only case the closed-form laws
+    address) and stays non-negative for any initial state.  Returns the
+    records and the purities (empty without ``purity``).  A
+    TruncationError or ResourceCapError from the trajectory passes
+    through unchanged, naming its step.
     """
     records, purities = [], []
     for t, current in engine.trajectory(state, steps):
-        records.append(measure(current, t))
+        rec = measure(current, t)
+        if not records and rec.t != 0:
+            raise ValidationError("the first record must be the t=0 reference")
+        ref = records[0] if records else rec
+        pairs = list(zip(rec.mean, rec.second, ref.mean, ref.second))
+        disp = tuple(m - m0 for m, _, m0, _ in pairs)
+        spread = tuple(s - 2.0 * m * m0 + s0 for m, s, m0, s0 in pairs)
+        var = tuple(s - d * d for s, d in zip(spread, disp))
+        records.append(
+            MomentRecord(rec.t, rec.mean, rec.second, disp, spread, var)
+        )
         if purity is not None:
             purities.append(purity(current))
-    return displacement_stats(records), purities
+    return records, purities
 
 
 class RotorEngine:
@@ -478,11 +465,11 @@ class RotorEngine:
 
     def kick(self, state: RotorState) -> RotorState:
         self._check_state(state)
-        out = RotorState(
+        return RotorState(
             state.lattice,
             self._apply_kick_array(state.amplitudes, self._kick_phase),
+            _owned=True,
         )
-        return out
 
     def free_rotation(
         self, state: RotorState, out: np.ndarray | None = None
@@ -497,7 +484,7 @@ class RotorEngine:
         )
         for j in range(1, len(phases)):
             a *= self.lattice.axis_view(j, phases[j])  # in place, as in kick
-        return RotorState(state.lattice, a)
+        return RotorState(state.lattice, a, _owned=True)
 
     def step(self, state: RotorState) -> RotorState:
         """One period: kick, then free rotation in place on the kick's
@@ -599,7 +586,7 @@ class RotorEngine:
         amps = np.zeros(lattice.shape, dtype=complex)
         amps[slices] = state.amplitudes
         self.grow_events += 1
-        return RotorState(lattice, amps)
+        return RotorState(lattice, amps, _owned=True)
 
     def dressed_evolve(self, state: RotorState, steps: int) -> RotorState:
         """Closed-form t-step evolution at any exact resonance, via the
@@ -623,7 +610,7 @@ class RotorEngine:
         a = self._apply_kick_array(state.amplitudes, self._kick_table(acc))
         for j in range(self.lattice.rotor_count):
             a *= self.lattice.axis_view(j, self._free_axis_phase(j, steps))
-        out = RotorState(state.lattice, a)
+        out = RotorState(state.lattice, a, _owned=True)
         tail = max(out.edge_mass())
         if tail > self.tail_tol:
             raise TruncationError(

@@ -94,6 +94,43 @@ def t_quantile(p, df):
     return float(stdtrit(df, p))
 
 
+def displacement_stats_reference(series):
+    """Fill displacement D, squared displacement sigma^2, and variance of
+    every record against the first, in a second pass over the whole
+    series: the rebuild that ``observe`` replaced by filling each record
+    as it measures it, with the same expressions in the same order.
+
+    sigma^2 uses <p^2>_t - 2<p>_t <p>_0 + <p^2>_0, which equals the
+    Heisenberg squared displacement exactly when the initial state is a
+    momentum eigenstate and stays non-negative for any initial state.
+    """
+    if not series:
+        return []
+    ref = series[0]
+    if ref.t != 0:
+        raise ValidationError("the first record must be the t=0 reference")
+    out = []
+    for rec in series:
+        disp, sig, var = [], [], []
+        for j in range(len(rec.mean)):
+            d = rec.mean[j] - ref.mean[j]
+            s2 = rec.second[j] - 2.0 * rec.mean[j] * ref.mean[j] + ref.second[j]
+            disp.append(d)
+            sig.append(s2)
+            var.append(s2 - d * d)
+        out.append(
+            MomentRecord(
+                t=rec.t,
+                mean=rec.mean,
+                second=rec.second,
+                displacement=tuple(disp),
+                spread=tuple(sig),
+                variance=tuple(var),
+            )
+        )
+    return out
+
+
 def fixed_window_engine(potential, plan, momenta, steps, margin):
     """(engine, initial state) of a run from momentum eigenstates on one
     window sized for the worst-case reach of all the steps.

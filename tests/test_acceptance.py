@@ -74,7 +74,6 @@ from kickres import (
     classify_regimes,
     cosine_term,
     deviation_series,
-    displacement_stats,
     epsilon_moments,
     epsilon_sample,
     epsilon_second_moment,
@@ -235,24 +234,28 @@ def coupled_top_run():
     ]
     horizon = max(windows)
     part = BipartitionSpec(2, (0,))
-    initial = TopState.jz_product(TOP_SPEC, (0, 0))
-    jz_records = []
     jx_records = {}
-    entropy = {}
-    start = time.perf_counter()
-    for t, state in engine.trajectory(initial, horizon):
-        jz_records.append(engine.measure_jz_moments(state, t))
+
+    def measure(state, t):
         if t % 2 == 0:
             jx_records[t] = engine.measure_jx_moments(state, t)
-        if t <= 44:
-            entropy[t] = 1.0 - top_purity(state, part)
+        return engine.measure_jz_moments(state, t)
+
+    start = time.perf_counter()
+    series, purities = observe(
+        engine,
+        TopState.jz_product(TOP_SPEC, (0, 0)),
+        horizon,
+        measure,
+        lambda state: top_purity(state, part),
+    )
     wall = time.perf_counter() - start
     return {
         "params": params,
         "windows": windows,
-        "series": displacement_stats(jz_records),
+        "series": series,
         "jx": jx_records,
-        "entropy": entropy,
+        "entropy": {t: 1.0 - p for t, p in enumerate(purities[:45])},
         "wall": wall,
     }
 

@@ -14,6 +14,8 @@ perfbench's rotor-entangle config, whose purity boxes stay near
 import hashlib
 from pathlib import Path
 
+import yaml
+
 from kickres.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,21 +71,89 @@ GOLDEN = {
 }
 
 
+
+
+def _fig1_body(**edits):
+    body = yaml.safe_load((ROOT / "configs" / "fig1.yaml").read_text())
+    body.update(edits)
+    return body
+
+
+def _one_rotor_body():
+    body = _fig1_body(
+        potential={"terms": [{"coefficient": 1.0, "modes": [1]}]},
+        plan=[{"numerator": 1, "denominator": 2}],
+        initial={"type": "momentum_eigenstate", "momenta": [2]},
+        steps=30,
+    )
+    del body["bipartition"]
+    return body
+
+
+# Every bundled config starts from <p>_0 = <p^2>_0 = 0, so no digest above
+# sees the -2 <p>_t <p>_0 + <p^2>_0 part of sigma^2.  These runs of edited
+# fig1 bodies start off the origin; the one-rotor run also pins the
+# one-body columns and the omitted entropy rows.  All read the same under
+# one and two BLAS threads.
+OFF_ORIGIN_BODIES = {
+    "fig1 from [3, -2]": _fig1_body(
+        initial={"type": "momentum_eigenstate", "momenta": [3, -2]}
+    ),
+    "fig1 coherent": _fig1_body(
+        initial={
+            "type": "coherent",
+            "centers": [[0.5, 0.0], [1.0, 3.0]],
+            "width": 1.5,
+        },
+        steps=20,
+    ),
+    "one rotor": _one_rotor_body(),
+}
+
+OFF_ORIGIN = {
+    "fig1 from [3, -2]": {
+        "entropy.csv": "0046af27156ed780149258ac8e1be2cbefa7730cc7864836353687ec48a3fabb",
+        "moments.csv": "81022750a6bd5c1d2874334ebc304105a33770480e5cf5827ccb693b16e58c91",
+    },
+    "fig1 coherent": {
+        "entropy.csv": "cf9dfaa410e55bb890071e6e0b348bf663c980998bf67506fd1a65d3bb695a81",
+        "moments.csv": "d60e37a4b7b66248bed232e53388e27081493ea65bce10d2f2e059e6eeca6904",
+    },
+    "one rotor": {
+        "entropy.csv": "e04e0090127e4aaf329fa33d4f6159dd590aa8530a0935129657fa68f24e5841",
+        "moments.csv": "3f54367b9a12910e4632ff1bb0b210d5d775528f237cb2fea969c0cab6bed430",
+    },
+}
+
+
+def _digests(command, path, out, names):
+    argv = [command, "--config", str(path)]
+    argv += ["--out-dir", str(out), "--seed", "7", "--quiet"]
+    assert main(argv) == EXIT_OK
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in names
+    }
+
+
 def test_bundled_runs_keep_their_bytes(tmp_path):
     got = {}
     for invocation, files in GOLDEN.items():
         command, config = invocation.split()
-        out = tmp_path / f"{command}-{config}"
         path = next(
             d / f"{config}.yaml"
             for d in CONFIG_DIRS
             if (d / f"{config}.yaml").exists()
         )
-        argv = [command, "--config", str(path)]
-        argv += ["--out-dir", str(out), "--seed", "7", "--quiet"]
-        assert main(argv) == EXIT_OK
-        got[invocation] = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in files
-        }
+        out = tmp_path / f"{command}-{config}"
+        got[invocation] = _digests(command, path, out, files)
     assert got == GOLDEN
+
+
+def test_off_origin_runs_keep_their_bytes(tmp_path):
+    got = {}
+    for i, (name, files) in enumerate(OFF_ORIGIN.items()):
+        path = tmp_path / f"run{i}.yaml"
+        path.write_text(yaml.safe_dump(OFF_ORIGIN_BODIES[name]))
+        got[name] = _digests("simulate", path, tmp_path / f"run{i}", files)
+    assert got == OFF_ORIGIN

@@ -38,7 +38,6 @@ from kickres.rotor_engine import (
     RotorLattice,
     RotorState,
     _coherent_packet,
-    displacement_stats,
     measure_moments,
 )
 from kickres.top_engine import FieldTerm, TopSpec, build_spin_ops
@@ -46,6 +45,7 @@ from kickres.top_engine import FieldTerm, TopSpec, build_spin_ops
 from oracles import (
     S_ODD_TENTH,
     S_ODD_UNIT,
+    displacement_stats_reference,
     epsilon_second_moments_reference,
     linregress_fit,
     slin_curve_reference,
@@ -411,7 +411,7 @@ class TestPredictMoments:
         series = [
             measure_moments(s, t) for t, s in engine.trajectory(state, 60)
         ]
-        stats = displacement_stats(series)
+        stats = displacement_stats_reference(series)
         for rec in stats:
             displacement, spread = predict_moments(wp, rec.t)
             for j in range(2):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,11 +29,11 @@ from kickres.rotor_engine import (
     RotorLattice,
     RotorState,
     _smooth_length,
-    displacement_stats,
     measure_moments,
     observe,
 )
 from oracles import (
+    displacement_stats_reference,
     fixed_window_engine,
     fixed_window_run,
     fixed_window_states,
@@ -97,6 +98,13 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def replay(records):
+    """An engine stub whose trajectory yields ``records`` as its states,
+    and the measure that reads each one back unchanged."""
+    engine = SimpleNamespace(trajectory=lambda state, steps: enumerate(records))
+    return engine, lambda record, t: record
 
 
 def full_random_state(lattice, seed):
@@ -208,6 +216,19 @@ class TestStates:
         lat = RotorLattice(((-5, 5),))
         with pytest.raises(ValidationError):
             RotorState.coherent_product(lat, ((0.0, 0.0),), width=2.0)
+
+    def test_a_write_to_the_callers_array_leaves_the_state(self):
+        # the state keeps its marginals, so it must not share the array
+        # they were taken from
+        lat = RotorLattice(((-4, 4), (-4, 4)))
+        amps = np.zeros(lat.shape, dtype=complex)
+        amps[4, 4] = 1.0
+        state = RotorState(lat, amps)
+        state.momentum_marginals()
+        amps[4, 4] = 0.0
+        amps[0, 0] = amps[8, 8] = 1.0 / math.sqrt(2.0)
+        assert measure_moments(state).second == (0.0, 0.0)
+        assert schmidt_purity(state, BipartitionSpec(2, (0,))) == 1.0
 
 
 class TestKickAndFree:
@@ -534,11 +555,11 @@ class TestMoments:
         assert series[0].second == (0.0, 0.0)
 
     def test_displacement_stats_fills_reference_frame(self):
-        recs = [
-            MomentRecord(0, (1.0,), (1.0,)),
-            MomentRecord(1, (3.0,), (11.0,)),
-        ]
-        filled = displacement_stats(recs)
+        # <p>_0 = 1 keeps the cross term of sigma^2 live
+        engine, measure = replay(
+            [MomentRecord(0, (1.0,), (1.0,)), MomentRecord(1, (3.0,), (11.0,))]
+        )
+        filled, _ = observe(engine, None, 1, measure)
         assert filled[1].displacement == (2.0,)
         # <p^2>_t - 2 <p>_t <p>_0 + <p^2>_0 = 11 - 6 + 1
         assert filled[1].spread == (6.0,)
@@ -546,8 +567,9 @@ class TestMoments:
         assert filled[0].spread == (0.0,)
 
     def test_displacement_stats_needs_t0(self):
-        with pytest.raises(ValidationError):
-            displacement_stats([MomentRecord(1, (0.0,), (0.0,))])
+        engine, measure = replay([MomentRecord(1, (0.0,), (0.0,))])
+        with pytest.raises(ValidationError, match="t=0 reference"):
+            observe(engine, None, 0, measure)
 
     def test_fig2_moment_law_short_horizon(self):
         pot = fig2_potential()
@@ -555,7 +577,7 @@ class TestMoments:
         lat = RotorLattice.for_run(pot, (0, 0), steps=9)
         engine = RotorEngine(pot, plan, lat)
         state = RotorState.momentum_eigenstate(lat, (0, 0))
-        series = displacement_stats(
+        series = displacement_stats_reference(
             [measure_moments(s, t) for t, s in engine.trajectory(state, 9)]
         )
         lam_plus = 0.005
@@ -652,7 +674,7 @@ class TestObserve:
         )
         # exact equality of every field, <p> and <p^2> included
         assert engine.grow_events == 0
-        assert series == displacement_stats(ref_records)
+        assert series == displacement_stats_reference(ref_records)
         assert purities == ref_purity
 
     def test_growing_run_matches_a_hand_loop_bitwise(self):
@@ -670,7 +692,7 @@ class TestObserve:
         for t, current in engine.trajectory(state, 40):
             records.append(measure_moments(current, t))
             ref_purity.append(schmidt_purity(current, part))
-        ref_series = displacement_stats(records)
+        ref_series = displacement_stats_reference(records)
 
         engine, state = pieces()
         series, purities = observe(

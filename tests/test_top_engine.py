@@ -10,6 +10,7 @@ import scipy.linalg
 from oracles import (
     block_matrix,
     dense_purity,
+    displacement_stats_reference,
     jx_marginals_reference,
     jz_frame_top_run,
     jz_moments_reference,
@@ -30,7 +31,7 @@ from kickres.predictor import (
     saturation_time,
     top_params,
 )
-from kickres.rotor_engine import displacement_stats, observe
+from kickres.rotor_engine import observe
 from kickres.top_engine import (
     FieldTerm,
     TopEngine,
@@ -1094,7 +1095,7 @@ class TestMomentLaws:
             engine.measure_jz_moments(s, t)
             for t, s in engine.trajectory(state, 25)
         ]
-        series = displacement_stats(records)
+        series = displacement_stats_reference(records)
         horizon = 0.3 * saturation_time(spec, params.lambda_plus[0])
         checked = 0
         for rec in series[1:]:
@@ -1139,7 +1140,7 @@ class TestMomentLaws:
             engine.measure_jz_moments(s, t)
             for t, s in engine.trajectory(state, 9)
         ]
-        series = displacement_stats(records)
+        series = displacement_stats_reference(records)
         for rec in series[1:]:
             if rec.t % 2 == 0:
                 continue
@@ -1364,6 +1365,6 @@ def test_observe_matches_a_hand_loop_on_a_fig7_style_run():
         engine.measure_jz_moments,
         lambda current: top_purity(current, part),
     )
-    assert repr(series) == repr(displacement_stats(records))
+    assert repr(series) == repr(displacement_stats_reference(records))
     assert [p.hex() for p in purities] == [p.hex() for p in ref_purity]
     assert 1.0 - purities[-1] > 1e-3
