@@ -46,6 +46,7 @@ PART = BipartitionSpec(2, (0,))
 UNIFORM = ProductAngleDensity.uniform(2)
 PLAN = ResonancePlan(((1, 2), (1, 2)))
 STEPS = 30
+TIMES = (1, 2, 3, 6, 7, 8, 15, 30)
 
 # With both rotors at the secondary resonance the half-turn shift hits
 # both angles, so a coupling term cos(m1*theta1 + m2*theta2) is symmetric
@@ -81,9 +82,11 @@ def main() -> None:
     for name, coupling_terms in COUPLINGS:
         potential = PotentialSpec(2, LOCAL + coupling_terms)
         _, _, v_i = split_interaction(potential, PART.part_a)
-        # one Monte-Carlo draw per coupling feeds both the epsilon moments
-        # and the predicted curve
-        sample = epsilon_sample(v_i, PLAN.shift_set, UNIFORM, PART)
+        # one Monte-Carlo pass per coupling feeds both the epsilon moments
+        # and the predicted curve at the listed steps
+        sample = epsilon_sample(
+            v_i, PLAN.shift_set, UNIFORM, PART, times=TIMES
+        )
         moments = epsilon_moments(sample)
         report = classify_regimes(potential, PLAN, PART)
         simulated = entropy_series(potential, STEPS)
@@ -105,8 +108,7 @@ def main() -> None:
             print(f"  predicted growth/saturation crossover t* = {tstar:.2f}")
 
         print(f"  {'t':>3s} {'s_lin simulated':>16s} {'s_lin predicted':>16s}")
-        times = (1, 2, 3, 6, 7, 8, 15, 30)
-        for est in slin_exact(sample, times):
+        for est in slin_exact(sample, TIMES):
             print(f"  {est.t:3d} {simulated[est.t]:16.6f} {est.value:16.6f}")
 
         if grows and np.isfinite(tstar):

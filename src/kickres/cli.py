@@ -767,7 +767,8 @@ def run_predict(cfg: ExperimentConfig, quiet: bool = False) -> None:
         slin_rows = [[t, 0.0, 0.0] for t in range(cfg.steps + 1)]
     else:
         sample = epsilon_sample(
-            v_i, shift, density, cfg.part, cfg.samples, cfg.seed
+            v_i, shift, density, cfg.part, cfg.samples, cfg.seed,
+            times=range(cfg.steps + 1),
         )
         moments = epsilon_moments(sample)
         epsilon_block = {**asdict(moments), "eps_sq": moments.eps_sq}

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
+from .potential import _check_int
 from .rotor_engine import RotorState
 
 
@@ -38,7 +39,7 @@ class BipartitionSpec:
             raise ValidationError(
                 "a bipartition needs at least two rotors"
             )
-        part = tuple(sorted(set(int(j) for j in self.part_a)))
+        part = tuple(sorted({_check_int(j, "part_a") for j in self.part_a}))
         if len(part) != len(self.part_a):
             raise ValidationError("part_a contains repeated indices")
         if not part:

@@ -51,7 +51,7 @@ class FourierTerm:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        modes = tuple(int(m) for m in self.modes)
+        modes = tuple(_check_int(m, "modes") for m in self.modes)
         if not modes:
             raise ValidationError("a term needs at least one rotor")
         if all(m == 0 for m in modes):
@@ -264,11 +264,18 @@ def split_interaction(
     )
 
 
+def _check_int(value, name: str) -> int:
+    """``int(value)``, or ValidationError naming the argument unless
+    ``value`` is an integer (a Python or numpy integer, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be integers, got {value!r}")
+    return int(value)
+
+
 def _check_step(steps) -> None:
     """ValidationError unless ``steps`` is a step count: an integer >= 0,
     not a bool."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValidationError(f"steps must be integers, got {steps!r}")
+    _check_int(steps, "steps")
     if steps < 0:
         raise ValidationError("steps must be >= 0")
 

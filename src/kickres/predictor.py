@@ -17,7 +17,9 @@ and second moment exactly from the characteristic sequence
 chi_j(n) = <exp(i n theta_j)> of each factor.  Monte-Carlo sampling is
 used only for the non-polynomial entropy averages (and as a
 cross-check), with reported standard errors; the draw evaluates the same
-four-block series.  A top's statistics are instead inner products of the
+four-block series, one block of SAMPLE_BLOCK samples at a time, and is
+reduced to running means as it is made, so its memory does not depend on
+the sample count.  A top's statistics are instead inner products of the
 applied vectors D_+-psi over its product initial state.
 """
 
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +41,7 @@ from .potential import (
     PotentialSpec,
     ResonancePlan,
     SymmetryClass,
+    _check_int,
     _check_step,
     _parity_class,
     classify,
@@ -49,6 +54,7 @@ from .rotor_engine import MomentRecord
 from .top_engine import TopSpec, build_spin_ops
 
 MIN_SAMPLE_COUNT = 10_000
+SAMPLE_BLOCK = 16_384  # draws per block of the Monte-Carlo pass
 DEFAULT_SAMPLES = 200_000
 DEFAULT_SEED = 12345
 DEFAULT_THRESHOLD = 0.01  # relative deviation that ends agreement_time
@@ -141,12 +147,14 @@ class ProductAngleDensity:
             out *= self.char(j, n)
         return out
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw `count` independent angle vectors, one column per rotor."""
-        out = np.empty((count, self.rotor_count))
-        for j, factor in enumerate(self.factors):
+    @cached_property
+    def _inverse_cdfs(self) -> tuple:
+        """(cdf, edges) per non-uniform factor for inverse-transform
+        sampling on a 4096-cell angle grid; None for a uniform one."""
+        out = []
+        for factor in self.factors:
             if factor is None:
-                out[:, j] = rng.uniform(0.0, TWO_PI, size=count)
+                out.append(None)
                 continue
             grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
             quanta = np.arange(factor.size)
@@ -155,7 +163,27 @@ class ProductAngleDensity:
             cdf /= cdf[-1]
             # the density is constant over the cell centred on each angle
             edges = np.append(grid, TWO_PI) - 0.5 * grid[1]
-            out[:, j] = np.interp(rng.uniform(size=count), cdf, edges)
+            out.append((cdf, edges))
+        return tuple(out)
+
+    def sample(
+        self, rng: np.random.Generator, count: int, stride: int | None = None
+    ) -> np.ndarray:
+        """Draw `count` independent angle vectors, one column per rotor.
+
+        Each column takes `count` consecutive draws of `rng`'s stream.
+        With `stride`, consecutive columns start `stride` draws apart: from
+        `rng` advanced by b draws this returns rows b .. b + count - 1 of
+        what sample(rng, stride) returns.
+        """
+        out = np.empty((count, self.rotor_count))
+        for j, inverse in enumerate(self._inverse_cdfs):
+            if j and stride is not None:
+                rng.bit_generator.advance(stride - count)
+            if inverse is None:
+                out[:, j] = rng.uniform(0.0, TWO_PI, size=count)
+            else:
+                out[:, j] = np.interp(rng.uniform(size=count), *inverse)
         return out
 
 
@@ -485,35 +513,80 @@ def _check_interaction_inputs(
         raise ValidationError("bipartition rotor count mismatch")
     if initial.rotor_count != v_i.rotor_count:
         raise ValidationError("density rotor count mismatch")
+    _check_int(sample_count, "sample_count")
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValidationError(
             f"sample_count must be >= {MIN_SAMPLE_COUNT}"
         )
 
 
-def _mean_and_spread(
-    x: np.ndarray, overwrite: bool = False
-) -> tuple[float, float]:
-    """(np.mean(x), np.std(x)) with the mean taken once.
+def _row_key(v_plus: PotentialSpec, v_minus: PotentialSpec, t: int):
+    """(k, p) with cos(t eps_plus + [t odd] eps_minus) = cos(k eps_plus +
+    p eps_minus): row t depends on t only through this key."""
+    return (0 if v_plus.is_zero else t, 0 if v_minus.is_zero else t % 2)
 
-    np.std subtracts the mean, squares, averages and takes the root; doing
-    the same operations on the same mean gives the same bytes.  With
-    overwrite=True the deviations are formed in x itself.
+
+def _eps_blocks(v_plus, v_minus, initial, part, sample_count, seed):
+    """Yield (eps_plus, eps_minus) over consecutive blocks of at most
+    SAMPLE_BLOCK draws, in order.
+
+    The draw is the one sample(rng, sample_count) per copy would make:
+    each (copy, rotor) column takes sample_count consecutive draws of the
+    seed's stream, the unprimed copy's columns first.  Each block starts
+    from the seed's state advanced to its rows of those columns.
     """
+    series = [_four_block(v, part) for v in (v_plus, v_minus)]
+    rng = np.random.default_rng(seed)
+    origin = rng.bit_generator.state
+    copy_draws = initial.rotor_count * sample_count
+    for start in range(0, sample_count, SAMPLE_BLOCK):
+        rows = min(SAMPLE_BLOCK, sample_count - start)
+        copies = []
+        for copy in range(2):
+            rng.bit_generator.state = origin
+            rng.bit_generator.advance(copy * copy_draws + start)
+            copies.append(initial.sample(rng, rows, stride=sample_count))
+        # the doubled angles of _four_block, one column each
+        columns = [
+            block[:, j]
+            for j in range(initial.rotor_count)
+            for block in copies
+        ]
+        yield tuple(
+            np.zeros(rows) if s.is_zero else s.evaluate(columns)
+            for s in series
+        )
+
+
+def _mean_and_m2(x: np.ndarray) -> tuple:
+    """(mean, sum of squared deviations) of x; the deviations are formed
+    in x itself."""
     mean = np.mean(x)
-    dev = np.subtract(x, mean, out=x if overwrite else None)
-    np.multiply(dev, dev, out=dev)
-    return float(mean), float(np.sqrt(np.mean(dev)))
+    np.subtract(x, mean, out=x)
+    np.multiply(x, x, out=x)
+    return mean, np.sum(x)
+
+
+# the draw's first moments besides the S_lin rows, in the order the pass
+# reduces them: the products first, eps_plus and eps_minus (which the
+# reduction overwrites) last
+_EPS_STATS = (
+    "eps_plus_sq", "eps_minus_sq", "eps_cross", "eps_plus", "eps_minus"
+)
 
 
 @dataclass(frozen=True, eq=False)
 class EpsilonSample:
-    """One Monte-Carlo draw of the four-block differences.
+    """One Monte-Carlo draw of the four-block differences, reduced.
 
-    eps_plus[k] and eps_minus[k] are the even and odd interaction parts
-    v_plus, v_minus evaluated at (A,B) + (A',B') - (A',B) - (A,B') for the
-    k-th draw of the four blocks.  The arrays are read-only, so every
-    consumer of one sample sees the same numbers.
+    eps_plus and eps_minus are the even and odd interaction parts v_plus,
+    v_minus evaluated at (A,B) + (A',B') - (A',B) - (A,B') for each draw
+    of the four blocks.  The draw itself is not kept: `stats` maps each
+    of eps_plus_sq, eps_minus_sq, eps_cross (eps_plus * eps_minus),
+    eps_plus and eps_minus to its sample (mean, spread), and `rows` maps
+    each reduced S_lin row key (k, p) to the (mean, spread) of
+    cos(k eps_plus + p eps_minus).  Both are read-only, so every consumer
+    of one sample sees the same numbers.
     """
 
     v_plus: PotentialSpec
@@ -521,8 +594,8 @@ class EpsilonSample:
     initial: ProductAngleDensity
     part: BipartitionSpec
     sample_count: int
-    eps_plus: np.ndarray
-    eps_minus: np.ndarray
+    stats: Mapping[str, tuple]
+    rows: Mapping[tuple, tuple]
 
 
 def epsilon_sample(
@@ -532,41 +605,95 @@ def epsilon_sample(
     part: BipartitionSpec,
     sample_count: int = DEFAULT_SAMPLES,
     seed=DEFAULT_SEED,
+    times: Iterable[int] = (),
 ) -> EpsilonSample:
-    """Split the interaction by parity and draw its four-block sample once.
+    """Split the interaction by parity and reduce its four-block draw in
+    one pass.
 
-    All four blocks are drawn independently from the initial angular
-    density; epsilon_moments and slin_exact both average over the result.
+    The four angle blocks A, B, A', B' are drawn independently from the
+    initial angular density, SAMPLE_BLOCK draws at a time, so memory does
+    not grow with sample_count; each block updates the five _EPS_STATS and one row per
+    distinct key of the steps in `times` and of t = 1 (whose row gives
+    s_odd).  epsilon_moments and slin_exact finish from the result.
+
+    Rows of one key parity p form a chain of stride s (2 if v_minus is
+    nonzero, else 1).  In each block, a key whose predecessor k - s is
+    not reduced takes a fresh cos; the next key rotates that row's
+    exp(i(k eps_plus + p eps_minus)) by exp(i s eps_plus), one complex
+    multiply per sample (Numerical Recipes, 3rd ed., 5.4).  So the t = 0
+    and t = 1 rows and an eps_plus == 0 curve take no rotation, and a
+    rotated row carries roundoff that grows along the chain (at most
+    7e-16 on the mean at t <= 200, 4e-14 at t = 10^4, over the tests'
+    random couplings).
     """
     _check_interaction_inputs(v_i, initial, part, sample_count)
+    times = tuple(times)
+    for t in times:
+        _check_step(t)
     v_plus, v_minus = decompose(v_i, shift_set)
-    rng = np.random.default_rng(seed)
-    plain = initial.sample(rng, sample_count)
-    primed = initial.sample(rng, sample_count)
-    # the doubled angles of _four_block, one column each
-    columns = [
-        block[:, j]
-        for j in range(initial.rotor_count)
-        for block in (plain, primed)
+    stride = 1 if v_minus.is_zero else 2
+    keys = sorted(
+        {_row_key(v_plus, v_minus, int(t)) for t in times + (1,)},
+        key=lambda key: (key[1], key[0]),
+    )
+    wanted = set(keys)
+    # draws so far, and the running mean and summed squared deviations
+    # of each row and each _EPS_STATS quantity
+    count, mean, m2 = 0, 0.0, 0.0
+    for eps_plus, eps_minus in _eps_blocks(
+        v_plus, v_minus, initial, part, sample_count, seed
+    ):
+        block = []
+        row = np.empty(eps_plus.size)
+        z = w = None
+        for k, p in keys:
+            if (k - stride, p) in wanted:
+                np.multiply(z, w, out=z)
+                np.copyto(row, z.real)
+            else:
+                np.multiply(eps_plus, k, out=row)
+                if p:
+                    np.add(row, eps_minus, out=row)
+                if (k + stride, p) in wanted:
+                    if z is None:
+                        z = np.empty(eps_plus.size, dtype=complex)
+                        w = np.empty(eps_plus.size, dtype=complex)
+                        np.multiply(eps_plus, stride, out=w.real)
+                        np.sin(w.real, out=w.imag)
+                        np.cos(w.real, out=w.real)
+                    np.sin(row, out=z.imag)
+                    np.cos(row, out=row)
+                    np.copyto(z.real, row)
+                else:
+                    np.cos(row, out=row)
+            block.append(_mean_and_m2(row))
+        for x in (
+            eps_plus * eps_plus,
+            eps_minus * eps_minus,
+            eps_plus * eps_minus,
+            eps_plus,
+            eps_minus,
+        ):
+            block.append(_mean_and_m2(x))
+        # the pairwise update of Chan, Golub & LeVeque (1983): the cross
+        # term carries the spread between the two parts' means
+        block_mean, block_m2 = np.array(block).T
+        total = count + eps_plus.size
+        delta = block_mean - mean
+        mean = mean + delta * (eps_plus.size / total)
+        m2 = m2 + block_m2 + delta * delta * (count * eps_plus.size / total)
+        count = total
+    reduced = [
+        (float(m), float(s)) for m, s in zip(mean, np.sqrt(m2 / count))
     ]
-    eps = []
-    for v in (v_plus, v_minus):
-        series = _four_block(v, part)
-        values = (
-            np.zeros(sample_count)
-            if series.is_zero
-            else series.evaluate(columns)
-        )
-        values.flags.writeable = False
-        eps.append(values)
     return EpsilonSample(
         v_plus=v_plus,
         v_minus=v_minus,
         initial=initial,
         part=part,
         sample_count=sample_count,
-        eps_plus=eps[0],
-        eps_minus=eps[1],
+        stats=MappingProxyType(dict(zip(_EPS_STATS, reduced[len(keys):]))),
+        rows=MappingProxyType(dict(zip(keys, reduced))),
     )
 
 
@@ -588,20 +715,18 @@ def epsilon_moments(sample: EpsilonSample) -> EpsilonMoments:
     cross = _cos_product_mean(doubled, series_plus, series_minus)
     eps_sq = plus_sq + 2 * cross + minus_sq
 
-    eps_plus, eps_minus = sample.eps_plus, sample.eps_minus
-    plus_mean, plus_spread = _mean_and_spread(eps_plus)
-    minus_mean, minus_spread = _mean_and_spread(eps_minus)
-    cos_mean, cos_spread = _mean_and_spread(
-        np.cos(eps_plus + eps_minus), overwrite=True
-    )
+    stats = sample.stats
+    cos_mean, cos_spread = sample.rows[
+        _row_key(sample.v_plus, sample.v_minus, 1)
+    ]
     root = math.sqrt(sample.sample_count)
     errors = {
-        "eps_plus_sq": float(np.std(eps_plus**2)) / root,
-        "eps_minus_sq": float(np.std(eps_minus**2)) / root,
-        "eps_cross": float(np.std(eps_plus * eps_minus)) / root,
+        "eps_plus_sq": stats["eps_plus_sq"][1] / root,
+        "eps_minus_sq": stats["eps_minus_sq"][1] / root,
+        "eps_cross": stats["eps_cross"][1] / root,
         "s_odd": cos_spread / root,
-        "eps_plus_mean": plus_spread / root,
-        "eps_minus_mean": minus_spread / root,
+        "eps_plus_mean": stats["eps_plus"][1] / root,
+        "eps_minus_mean": stats["eps_minus"][1] / root,
     }
     return EpsilonMoments(
         eps_plus_sq=plus_sq,
@@ -609,8 +734,8 @@ def epsilon_moments(sample: EpsilonSample) -> EpsilonMoments:
         eps_cross=cross,
         norm=math.sqrt(max(eps_sq, 0.0)),
         s_odd=1.0 - cos_mean,
-        eps_plus_mean=plus_mean,
-        eps_minus_mean=minus_mean,
+        eps_plus_mean=stats["eps_plus"][0],
+        eps_minus_mean=stats["eps_minus"][0],
         std_errors=errors,
         sample_count=sample.sample_count,
     )
@@ -635,69 +760,34 @@ def slin_exact(
     1 - <cos(t eps_plus) cos(eps_minus)> + <sin(t eps_plus) sin(eps_minus)>,
     i.e. 1 - <cos(t eps_plus + eps_minus)>.  Every t averages over the one
     draw in `sample`, so the curve carries common random numbers and its
-    t = 1 value is epsilon_moments(sample).s_odd.
-
-    Row t depends on t only through the key (0 if v_plus is zero else t,
-    0 if v_minus is zero else t mod 2), so each key is evaluated once; on
-    an antisymmetric coupling the whole curve is two rows.  Keys of one
-    parity form a chain of stride s (2 if v_minus is nonzero, else 1).  A
-    key whose predecessor k - s was not asked for takes a fresh cos, with
-    the bytes it would get on its own; the next key rotates that row's
-    exp(i(k eps_plus + p eps_minus)) by exp(i s eps_plus), one complex
-    multiply per sample (Numerical Recipes, 3rd ed., 5.4).  So the t = 0
-    and t = 1 rows and an eps_plus == 0 curve are exact, and a rotated row
-    carries roundoff that grows along the chain (at most 7e-16 on the mean
-    at t <= 200, 4e-14 at t = 10^4, over the tests' random couplings).
+    t = 1 value is epsilon_moments(sample).s_odd.  Each t must share its
+    row key with t = 1 or with a step that epsilon_sample was given; on
+    an antisymmetric coupling every even step shares t = 0's row and every
+    odd step t = 1's.
     Returns one SlinEstimate per entry of `times`, in order.
     """
     times = tuple(times)
     for t in times:
         _check_step(t)
-    plus_zero = sample.v_plus.is_zero
-    minus_zero = sample.v_minus.is_zero
-    stride = 1 if minus_zero else 2
     root = math.sqrt(sample.sample_count)
-    keys = [
-        (0 if plus_zero else t, 0 if minus_zero else t % 2)
-        for t in map(int, times)
-    ]
-    wanted = set(keys)
-    # one reused row buffer: a (len(times), sample_count) array would
-    # dominate the run's memory
-    row = np.empty(sample.sample_count)
-    z = w = None
-    rows = {}
-    for k, p in sorted(wanted, key=lambda key: (key[1], key[0])):
-        if (k - stride, p) in rows:
-            np.multiply(z, w, out=z)
-            np.copyto(row, z.real)
-        else:
-            np.multiply(sample.eps_plus, k, out=row)
-            if p:
-                np.add(row, sample.eps_minus, out=row)
-            if (k + stride, p) in wanted:
-                if z is None:
-                    z = np.empty(sample.sample_count, dtype=complex)
-                    w = np.empty(sample.sample_count, dtype=complex)
-                    np.multiply(sample.eps_plus, stride, out=w.real)
-                    np.sin(w.real, out=w.imag)
-                    np.cos(w.real, out=w.real)
-                np.sin(row, out=z.imag)
-                np.cos(row, out=row)
-                np.copyto(z.real, row)
-            else:
-                np.cos(row, out=row)
-        mean, spread = _mean_and_spread(row, overwrite=True)
-        rows[k, p] = (1.0 - mean, spread / root)
-    return tuple(
-        SlinEstimate(
-            t=t,
-            value=rows[key][0],
-            std_error=rows[key][1],
-            sample_count=sample.sample_count,
+    out = []
+    for t in map(int, times):
+        key = _row_key(sample.v_plus, sample.v_minus, t)
+        if key not in sample.rows:
+            raise ValidationError(
+                f"step {t} was not reduced by the Monte-Carlo pass; "
+                "pass it in epsilon_sample's times"
+            )
+        mean, spread = sample.rows[key]
+        out.append(
+            SlinEstimate(
+                t=t,
+                value=1.0 - mean,
+                std_error=spread / root,
+                sample_count=sample.sample_count,
+            )
         )
-        for t, key in zip(map(int, times), keys)
-    )
+    return tuple(out)
 
 
 def crossover_time(moments: EpsilonMoments) -> float:

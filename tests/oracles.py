@@ -8,6 +8,7 @@ Slow and obvious beats fast and clever.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
@@ -17,8 +18,17 @@ from kickres.errors import ValidationError
 from kickres.potential import (
     FourierTerm,
     PotentialSpec,
+    _check_step,
     decompose,
     effective_potential,
+)
+from kickres.predictor import (
+    EpsilonMoments,
+    ProductAngleDensity,
+    SlinEstimate,
+    _check_interaction_inputs,
+    _cos_product_mean,
+    _four_block,
 )
 from kickres.rotor_engine import (
     MomentRecord,
@@ -330,6 +340,157 @@ def slin_curve_reference(sample, times):
             (t, float(1.0 - np.mean(samples)), float(np.std(samples)) / root)
         )
     return out
+
+
+# The Monte-Carlo pass as one full-length draw: the four-block arrays of
+# every sample held at once and reduced by np.mean and np.std.  The blocked
+# pass in kickres.predictor replaced it and must draw the same per-sample
+# values.  It shares the four-block series, the exact second-moment kernel
+# and the input checks with the package: what it pins is the draw and its
+# reduction.
+
+
+@dataclass(frozen=True, eq=False)
+class FullEpsilonSample:
+    """The whole draw: eps_plus[k], eps_minus[k] for the k-th sample."""
+
+    v_plus: PotentialSpec
+    v_minus: PotentialSpec
+    initial: ProductAngleDensity
+    part: object
+    sample_count: int
+    eps_plus: np.ndarray
+    eps_minus: np.ndarray
+
+
+def epsilon_sample_reference(
+    v_i, shift_set, initial, part, sample_count, seed
+) -> FullEpsilonSample:
+    """Both copies drawn whole, sample(rng, sample_count) each, and the
+    four-block series evaluated on every sample at once."""
+    _check_interaction_inputs(v_i, initial, part, sample_count)
+    v_plus, v_minus = decompose(v_i, shift_set)
+    rng = np.random.default_rng(seed)
+    plain = initial.sample(rng, sample_count)
+    primed = initial.sample(rng, sample_count)
+    columns = [
+        block[:, j]
+        for j in range(initial.rotor_count)
+        for block in (plain, primed)
+    ]
+    eps = []
+    for v in (v_plus, v_minus):
+        series = _four_block(v, part)
+        values = (
+            np.zeros(sample_count)
+            if series.is_zero
+            else series.evaluate(columns)
+        )
+        values.flags.writeable = False
+        eps.append(values)
+    return FullEpsilonSample(
+        v_plus, v_minus, initial, part, sample_count, eps[0], eps[1]
+    )
+
+
+def _mean_and_spread(x, overwrite=False):
+    # (np.mean(x), np.std(x)) with the mean taken once
+    mean = np.mean(x)
+    dev = np.subtract(x, mean, out=x if overwrite else None)
+    np.multiply(dev, dev, out=dev)
+    return float(mean), float(np.sqrt(np.mean(dev)))
+
+
+def epsilon_moments_reference(sample: FullEpsilonSample) -> EpsilonMoments:
+    """epsilon_moments over the whole draw of epsilon_sample_reference."""
+    doubled = ProductAngleDensity.from_factors(
+        [factor for factor in sample.initial.factors for _ in range(2)]
+    )
+    series_plus = _four_block(sample.v_plus, sample.part)
+    series_minus = _four_block(sample.v_minus, sample.part)
+    plus_sq = _cos_product_mean(doubled, series_plus, series_plus)
+    minus_sq = _cos_product_mean(doubled, series_minus, series_minus)
+    cross = _cos_product_mean(doubled, series_plus, series_minus)
+    eps_sq = plus_sq + 2 * cross + minus_sq
+    eps_plus, eps_minus = sample.eps_plus, sample.eps_minus
+    plus_mean, plus_spread = _mean_and_spread(eps_plus)
+    minus_mean, minus_spread = _mean_and_spread(eps_minus)
+    cos_mean, cos_spread = _mean_and_spread(
+        np.cos(eps_plus + eps_minus), overwrite=True
+    )
+    root = math.sqrt(sample.sample_count)
+    errors = {
+        "eps_plus_sq": float(np.std(eps_plus**2)) / root,
+        "eps_minus_sq": float(np.std(eps_minus**2)) / root,
+        "eps_cross": float(np.std(eps_plus * eps_minus)) / root,
+        "s_odd": cos_spread / root,
+        "eps_plus_mean": plus_spread / root,
+        "eps_minus_mean": minus_spread / root,
+    }
+    return EpsilonMoments(
+        eps_plus_sq=plus_sq,
+        eps_minus_sq=minus_sq,
+        eps_cross=cross,
+        norm=math.sqrt(max(eps_sq, 0.0)),
+        s_odd=1.0 - cos_mean,
+        eps_plus_mean=plus_mean,
+        eps_minus_mean=minus_mean,
+        std_errors=errors,
+        sample_count=sample.sample_count,
+    )
+
+
+def slin_exact_reference(sample: FullEpsilonSample, times):
+    """slin_exact over the whole draw: each distinct row key (0 if
+    eps_plus == 0 else t, 0 if eps_minus == 0 else t mod 2) once, a key
+    whose chain predecessor k - s is asked for rotated from it by
+    exp(i s eps_plus), every other key a fresh cos."""
+    times = tuple(times)
+    for t in times:
+        _check_step(t)
+    plus_zero = sample.v_plus.is_zero
+    minus_zero = sample.v_minus.is_zero
+    stride = 1 if minus_zero else 2
+    root = math.sqrt(sample.sample_count)
+    keys = [
+        (0 if plus_zero else t, 0 if minus_zero else t % 2)
+        for t in map(int, times)
+    ]
+    wanted = set(keys)
+    row = np.empty(sample.sample_count)
+    z = w = None
+    rows = {}
+    for k, p in sorted(wanted, key=lambda key: (key[1], key[0])):
+        if (k - stride, p) in rows:
+            np.multiply(z, w, out=z)
+            np.copyto(row, z.real)
+        else:
+            np.multiply(sample.eps_plus, k, out=row)
+            if p:
+                np.add(row, sample.eps_minus, out=row)
+            if (k + stride, p) in wanted:
+                if z is None:
+                    z = np.empty(sample.sample_count, dtype=complex)
+                    w = np.empty(sample.sample_count, dtype=complex)
+                    np.multiply(sample.eps_plus, stride, out=w.real)
+                    np.sin(w.real, out=w.imag)
+                    np.cos(w.real, out=w.real)
+                np.sin(row, out=z.imag)
+                np.cos(row, out=row)
+                np.copyto(z.real, row)
+            else:
+                np.cos(row, out=row)
+        mean, spread = _mean_and_spread(row, overwrite=True)
+        rows[k, p] = (1.0 - mean, spread / root)
+    return tuple(
+        SlinEstimate(
+            t=t,
+            value=rows[key][0],
+            std_error=rows[key][1],
+            sample_count=sample.sample_count,
+        )
+        for t, key in zip(map(int, times), keys)
+    )
 
 
 def _sin_mean(density, term):

@@ -1,5 +1,6 @@
 """Self-test of ``tools/bench.py``: a ``--quick`` run writes a BENCH file
-with every layer the README's performance notes cite."""
+with every layer the README's performance notes cite, and the Monte-Carlo
+pass's memory peak."""
 
 import importlib.util
 import json
@@ -18,7 +19,7 @@ LAYERS = {
     "block_purity/45x81",
     "block_purity/101x101",
     "block_purity/864x945",
-    "slin_exact/fig2",
+    "mc_pass/fig2",
     "potential_evaluate/200000",
     "top_jz_moments/j50",
     "top_step/j50",
@@ -43,3 +44,4 @@ def test_quick_run_writes_every_layer(tmp_path):
     for timing in report["layers"].values():
         assert timing["reps"] == 2
         assert timing["median_s"] > 0 and timing["iqr_s"] >= 0
+    assert report["layers"]["mc_pass/fig2"]["peak_bytes"] > 0

@@ -29,7 +29,12 @@ from kickres.cli import (
     main,
 )
 from kickres.potential import PotentialSpec
-from kickres.predictor import EpsilonMoments, ProductAngleDensity, ScalingFit
+from kickres.predictor import (
+    SAMPLE_BLOCK,
+    EpsilonMoments,
+    ProductAngleDensity,
+    ScalingFit,
+)
 
 
 def write_config(tmp_path, name, body):
@@ -878,27 +883,34 @@ class TestPredict:
 
     def test_one_draw_per_run(self, tmp_path, monkeypatch):
         # the epsilon moments and the entropy curve share one four-block
-        # draw: two angle samples (plain and primed) and one evaluation per
-        # nonzero parity part, here the odd part of an antisymmetric
-        # coupling
-        calls = {"sample": 0, "evaluate": 0}
+        # draw, made in blocks of SAMPLE_BLOCK rows: per block, two angle
+        # samples (plain and primed) and one evaluation per nonzero parity
+        # part, here the odd part of an antisymmetric coupling
+        calls = {"sample": 0, "rows": 0, "evaluate": 0}
+        sample, evaluate = ProductAngleDensity.sample, PotentialSpec.evaluate
 
-        def counted(cls, name, key):
-            original = getattr(cls, name)
+        def counted_sample(self, rng, count, *args, **kwargs):
+            calls["sample"] += 1
+            calls["rows"] += count
+            return sample(self, rng, count, *args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return original(*args, **kwargs)
+        def counted_evaluate(*args, **kwargs):
+            calls["evaluate"] += 1
+            return evaluate(*args, **kwargs)
 
-            monkeypatch.setattr(cls, name, wrapper)
-
-        counted(ProductAngleDensity, "sample", "sample")
-        counted(PotentialSpec, "evaluate", "evaluate")
+        monkeypatch.setattr(ProductAngleDensity, "sample", counted_sample)
+        monkeypatch.setattr(PotentialSpec, "evaluate", counted_evaluate)
         body = fig1_body(steps=6)
         body["predictor"] = {"samples": 20000, "seed": 5}
         path = write_config(tmp_path, "fig1.yaml", body)
         assert run("predict", path, tmp_path / "out") == EXIT_OK
-        assert calls == {"sample": 2, "evaluate": 1}
+        blocks = -(-20000 // SAMPLE_BLOCK)
+        assert blocks == 2
+        assert calls == {
+            "sample": 2 * blocks,
+            "rows": 2 * 20000,
+            "evaluate": blocks,
+        }
 
     def test_empty_interaction_predict(self, tmp_path):
         body = fig1_body(steps=4)
@@ -1135,14 +1147,21 @@ class TestTopSimulate:
         # products and sums only, and every purity sums its Gram matrix
         # with numpy, so moments.csv and entropy.csv must not depend on
         # the BLAS thread count.  The rotor runs cover purity products up
-        # to the fig4 head's; a larger gemm's own bits still depend on it
+        # to the fig4 head's; a larger gemm's own bits still depend on it.
+        # The Monte-Carlo pass makes no BLAS call on its samples, so
+        # predict's files must not depend on it either
         root = Path(__file__).resolve().parents[1]
         body = yaml.safe_load((root / "configs" / "fig7.yaml").read_text())
         body["steps"] = 50
+        simulated = ("moments.csv", "entropy.csv")
+        predicted = ("predicted_entropy.csv", "report.yaml")
         runs = [
-            ("top-simulate", write_config(tmp_path, "fig7_short.yaml", body)),
-            ("simulate", root / "configs" / "fig1.yaml"),
-            ("simulate", root / "perfbench" / "configs" / "fig4_head.yaml"),
+            ("top-simulate", write_config(tmp_path, "fig7_short.yaml", body),
+             simulated),
+            ("simulate", root / "configs" / "fig1.yaml", simulated),
+            ("simulate", root / "perfbench" / "configs" / "fig4_head.yaml",
+             simulated),
+            ("predict", root / "configs" / "fig2.yaml", predicted),
         ]
         src = str(Path(kickres.__file__).resolve().parents[1])
         outputs = []
@@ -1153,7 +1172,7 @@ class TestTopSimulate:
             )
             env["OPENBLAS_NUM_THREADS"] = threads
             files = []
-            for k, (command, path) in enumerate(runs):
+            for k, (command, path, names) in enumerate(runs):
                 out = tmp_path / f"threads{threads}" / str(k)
                 done = subprocess.run(
                     [
@@ -1172,7 +1191,7 @@ class TestTopSimulate:
                     text=True,
                 )
                 assert done.returncode == 0, done.stderr
-                for name in ("moments.csv", "entropy.csv"):
+                for name in names:
                     files.append((out / name).read_bytes())
             outputs.append(files)
         assert outputs[0] == outputs[1]

@@ -115,6 +115,12 @@ class TestBipartition:
         with pytest.raises(ValidationError):
             BipartitionSpec(1, (0,))
 
+    @pytest.mark.parametrize("bad", [0.7, "1", True, 1.0])
+    def test_rejects_non_integer_indices(self, bad):
+        # int() turned 0.7 into rotor 0 and accepted "1"
+        with pytest.raises(ValidationError, match="part_a"):
+            BipartitionSpec(2, (bad,))
+
 
 def assert_box_pinned(state, block):
     """schmidt_purity against the full-window Gram product and the SVD."""

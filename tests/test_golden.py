@@ -27,14 +27,14 @@ GOLDEN = {
         "moments.csv": "998c6492281f4d12c5521d591a562cec279874673db9cfd337ef6cfc7ce6e388",
     },
     "predict fig1": {
-        "predicted_entropy.csv": "2e4c1fdb191af3dce4a6bd9267953e60e2da9bb452fd953897ec9710b521896d",
+        "predicted_entropy.csv": "918bda4c7d0d10c1ce282837936f120d68df5238ecdc6f780751a5d4c2ed61e5",
         "predicted_moments.csv": "91c93c2731b9978ea98f2c2710cc3343a89fcbdfbaa7066232e03d8abf3e072d",
-        "report.yaml": "a1c73e4900de218797ebd211442a2d5cfcc2045105d144596ec2fbe69bdc0561",
+        "report.yaml": "a434d3b7a67daaf6b9ec1efa6c3fbbb8debf834b8bfc826dfc0184b55dba8887",
     },
     "predict fig2": {
-        "predicted_entropy.csv": "2fce06b8f21bf39398ef58ec20b7e45d8e622689a4215de483354d08951557ff",
+        "predicted_entropy.csv": "91ab85758a61e50a048aa504310250670fa92e0076f3f00970a1146401456991",
         "predicted_moments.csv": "781f6792eb2549d132f6b23497b14ac922bac5d3798928e9ceaa287be7262457",
-        "report.yaml": "42d62c761a6c44f10f32b70d703136a2d004cd0120f53efbb4275cfb220138c4",
+        "report.yaml": "6fd22c3f0c0685e63c76141efff9b579d1ed3f78a95a2841daa382b36ccd0e6b",
     },
     "classify fig3": {
         "report.yaml": "89247d9449fd84e4ca8c83486d27d5cd469158f9cee589d3de371e3bf8e85744",
@@ -49,9 +49,9 @@ GOLDEN = {
         "moments.csv": "4a356e45a6c13a34d8d7578c585f9a65a8cdacaf8685fc235000e7936def6c18",
     },
     "predict fig2c": {
-        "predicted_entropy.csv": "383512315467a25b49ee5395066d69073038090b5ae6303c931344bc179da43e",
+        "predicted_entropy.csv": "840f1989adeccb63a86e1734ab71be60bf601a22dc0074a5e54824ecbdef85a4",
         "predicted_moments.csv": "10e88d060404d226ec455e202df973464f31c7105819423a640987b347071398",
-        "report.yaml": "4ec603e70ac730167a9c7024b5d6cee44086cbf01cdcf27d9fe7de9598bf2d13",
+        "report.yaml": "7594b577f45c35a73d7cd1672975e060b55925e9f4e00db7e2a96ae649c3e2f5",
     },
     "simulate fig3": {
         "entropy.csv": "a84e97e2c09cfb016d520e6f819a3f504c0c6ab6c9c77d4417f84562c0d241f4",

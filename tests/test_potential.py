@@ -82,6 +82,13 @@ class TestFourierTerm:
         with pytest.raises(ValidationError):
             FourierTerm(math.nan, (1,))
 
+    @pytest.mark.parametrize("modes", [(1.5, -0.2), "ab", (1, True), ("1",)])
+    def test_rejects_non_integer_modes(self, modes):
+        # int() truncated (1.5, -0.2) to (1, 0) and raised a bare
+        # ValueError on "ab"
+        with pytest.raises(ValidationError, match="modes"):
+            FourierTerm(1.0, modes)
+
     def test_sine_helper(self):
         theta = np.linspace(0.0, TWO_PI, 7)
         spec = PotentialSpec(2, (sine_term(2.0, (1, 0)),))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from kickres.potential import (
     ResonancePlan,
     SymmetryClass,
     cosine_term,
+    decompose,
     split_interaction,
 )
 from kickres.predictor import (
+    SAMPLE_BLOCK,
     EpsilonMoments,
     ProductAngleDensity,
     RobustnessResult,
     WavepacketParams,
+    _eps_blocks,
     _t_quantile,
     agreement_time,
     classify_regimes,
@@ -46,9 +50,12 @@ from oracles import (
     S_ODD_TENTH,
     S_ODD_UNIT,
     displacement_stats_reference,
+    epsilon_moments_reference,
+    epsilon_sample_reference,
     epsilon_second_moments_reference,
     linregress_fit,
     slin_curve_reference,
+    slin_exact_reference,
     t_quantile,
     uniform_cos_moment,
     wavepacket_reference,
@@ -60,23 +67,38 @@ from oracles import (
 # and coherent, were 6.7e-16 on value and 4.3e-18 on std_error
 ROTATION_VALUE_TOL = 2e-15
 ROTATION_ERROR_TOL = 2e-17
+# the blocked pass against the full-array oracle: block means merged
+# pairwise round differently from np.mean over the whole draw.  The worst
+# differences over fig1, fig2, a coherent start and random_case seeds
+# 0-23 at 40 000 samples were 2.2e-16 on a value, 5.6e-17 on a standard
+# error
+PASS_TOL = 1e-15
+
+
+def pass_and_oracle(v_i, shift_set, density, part, count, seed, times=()):
+    """The blocked pass over `times` and the full-array oracle's draw."""
+    return (
+        epsilon_sample(v_i, shift_set, density, part, count, seed, times),
+        epsilon_sample_reference(v_i, shift_set, density, part, count, seed),
+    )
 
 
 def assert_close_to_reference(sample, got, want, value_tol, error_tol):
     """slin_exact's (t, value, std_error) rows against the oracle's.
 
-    A row that slin_exact rotates from the step one stride earlier is
-    compared within the bounds; every other row must match exactly.
+    A row that the pass rotates from the step one stride earlier (the
+    pass always reduces t = 1) is compared within the bounds; every other
+    row's value within PASS_TOL and its std_error within error_tol.
     """
     stride = 1 if sample.v_minus.is_zero else 2
-    asked = {t for t, _, _ in want}
+    reduced = {t for t, _, _ in want} | {1}
     for row, (t, value, std_error) in zip(got, want, strict=True):
         assert row[0] == t
-        if sample.v_plus.is_zero or t - stride not in asked:
-            assert row[1:] == (value, std_error), t
-        else:
-            assert abs(row[1] - value) <= value_tol, t
-            assert abs(row[2] - std_error) <= error_tol, t
+        rotated = not sample.v_plus.is_zero and t - stride in reduced
+        assert abs(row[1] - value) <= (
+            value_tol if rotated else PASS_TOL
+        ), t
+        assert abs(row[2] - std_error) <= error_tol, t
 
 
 def fig1_potential():
@@ -427,44 +449,143 @@ class TestEpsilonSample:
     def test_sample_is_read_only(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
         sample = epsilon_sample(
-            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 3
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 3, (0, 1, 2)
         )
-        with pytest.raises(ValueError):
-            sample.eps_plus[0] = 1.0
-        with pytest.raises(ValueError):
-            sample.eps_minus[0] = 1.0
+        with pytest.raises(TypeError):
+            sample.stats["eps_minus"] = (0.0, 0.0)
+        with pytest.raises(TypeError):
+            sample.rows[0, 1] = (0.0, 0.0)
         with pytest.raises(AttributeError):
-            sample.eps_plus = np.ones(20_000)
+            sample.rows = {}
 
     def test_parity_parts_and_sizes(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
         sample = epsilon_sample(
-            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 3
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 3, range(9)
         )
         assert sample.v_plus.is_zero and not sample.v_minus.is_zero
         assert sample.sample_count == 20_000
-        assert sample.eps_plus.shape == sample.eps_minus.shape == (20_000,)
-        assert not np.any(sample.eps_plus)
+        for name in ("eps_plus", "eps_plus_sq", "eps_cross"):
+            assert sample.stats[name] == (0.0, 0.0)
+        # eps_plus == 0: nine steps reduce to the even and the odd row
+        assert set(sample.rows) == {(0, 0), (0, 1)}
 
-    def test_moments_spreads_equal_numpy_std(self):
-        # epsilon_moments takes each mean once and reuses it for the
-        # spread; the standard errors keep np.std's bytes
+    def test_moments_and_spreads_match_full_draw(self):
+        # the blocked pass against np.mean and np.std over the whole draw
         _, _, v_i = split_interaction(fig2_potential(True), (0,))
-        sample = epsilon_sample(
+        sample, full = pass_and_oracle(
             v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 30_000, 8
         )
         em = epsilon_moments(sample)
-        plus, minus = sample.eps_plus, sample.eps_minus
+        plus, minus = full.eps_plus, full.eps_minus
         root = math.sqrt(30_000)
         cos_eps = np.cos(plus + minus)
-        assert em.s_odd == float(1.0 - np.mean(cos_eps))
-        assert em.eps_plus_mean == float(np.mean(plus))
-        assert em.eps_minus_mean == float(np.mean(minus))
-        assert em.std_errors["s_odd"] == float(np.std(cos_eps)) / root
-        assert em.std_errors["eps_plus_mean"] == float(np.std(plus)) / root
-        assert em.std_errors["eps_minus_mean"] == (
-            float(np.std(minus)) / root
+        pins = (
+            (em.s_odd, float(1.0 - np.mean(cos_eps))),
+            (em.eps_plus_mean, float(np.mean(plus))),
+            (em.eps_minus_mean, float(np.mean(minus))),
+            (em.std_errors["s_odd"], float(np.std(cos_eps)) / root),
+            (em.std_errors["eps_plus_mean"], float(np.std(plus)) / root),
+            (em.std_errors["eps_minus_mean"], float(np.std(minus)) / root),
         )
+        for got, want in pins:
+            assert abs(got - want) <= PASS_TOL
+
+    @pytest.mark.parametrize("bad", [2e5, "20000", True, 20_000.0])
+    def test_non_integer_sample_count_rejected(self, bad):
+        _, _, v_i = split_interaction(fig1_potential(), (0,))
+        with pytest.raises(ValidationError, match="sample_count"):
+            epsilon_sample(v_i, PLAN_MIXED.shift_set, UNIFORM, PART, bad, 1)
+
+
+def blocked_pass_cases():
+    """(id, interaction, shift set, density, bipartition, seed)."""
+    cases = []
+    for name, potential, plan in (
+        ("fig1", fig1_potential(), PLAN_MIXED),
+        ("fig2", fig2_potential(), PLAN_BOTH),
+    ):
+        _, _, v_i = split_interaction(potential, (0,))
+        cases.append((name, v_i, plan.shift_set, UNIFORM, PART, 12345))
+    _, _, v_i = split_interaction(fig2_potential(True), (0,))
+    coherent = ProductAngleDensity.from_factors(
+        [coherent_factor(0.4, 0.3, 0.7), coherent_factor(-1, 1, 1)]
+    )
+    cases.append(("coherent", v_i, PLAN_BOTH.shift_set, coherent, PART, 3))
+    for seed in range(8):
+        for flag in (False, True):
+            pot, plan, part, density = random_case(seed, flag)
+            _, _, v_i = split_interaction(pot, part.part_a)
+            cases.append(
+                (f"random{seed}-{int(flag)}", v_i, plan.shift_set, density,
+                 part, seed)
+            )
+    return cases
+
+
+class TestBlockedPass:
+    # the pass draws the full-array oracle's per-sample values block by
+    # block and merges the blocks' moments; 40 000 samples are two whole
+    # blocks and a partial one
+    COUNT = 40_000
+    TIMES = range(201)
+
+    @pytest.mark.parametrize(
+        "case", blocked_pass_cases(), ids=lambda case: case[0]
+    )
+    def test_matches_full_array_oracle(self, case):
+        _, v_i, shift, density, part, seed = case
+        assert self.COUNT % SAMPLE_BLOCK
+        v_plus, v_minus = decompose(v_i, shift)
+        blocks = list(
+            _eps_blocks(v_plus, v_minus, density, part, self.COUNT, seed)
+        )
+        sample, full = pass_and_oracle(
+            v_i, shift, density, part, self.COUNT, seed, self.TIMES
+        )
+        for got, want in zip(zip(*blocks), (full.eps_plus, full.eps_minus)):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+
+        em = epsilon_moments(sample)
+        want = epsilon_moments_reference(full)
+        for name in ("eps_plus_sq", "eps_minus_sq", "eps_cross", "norm"):
+            assert getattr(em, name) == getattr(want, name)
+        for name in ("s_odd", "eps_plus_mean", "eps_minus_mean"):
+            assert abs(getattr(em, name) - getattr(want, name)) <= PASS_TOL
+        assert em.std_errors.keys() == want.std_errors.keys()
+        for name, value in em.std_errors.items():
+            assert abs(value - want.std_errors[name]) <= PASS_TOL, name
+
+        curve = slin_exact(sample, self.TIMES)
+        for got, ref in zip(
+            curve, slin_exact_reference(full, self.TIMES), strict=True
+        ):
+            assert got.t == ref.t
+            assert abs(got.value - ref.value) <= PASS_TOL, got.t
+            assert abs(got.std_error - ref.std_error) <= PASS_TOL, got.t
+        assert (curve[1].value, curve[1].std_error) == (
+            em.s_odd,
+            em.std_errors["s_odd"],
+        )
+
+    def test_memory_does_not_grow_with_sample_count(self):
+        # tracemalloc peak of the pass: ten times the draws may add less
+        # than a one-block pass peaks at
+        _, _, v_i = split_interaction(fig2_potential(True), (0,))
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                epsilon_sample(
+                    v_i, PLAN_BOTH.shift_set, UNIFORM, PART, count, 1,
+                    range(101),
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = peak(SAMPLE_BLOCK)
+        assert peak(400_000) - peak(40_000) < one_block
 
 
 class TestEpsilonMoments:
@@ -529,14 +650,10 @@ class TestEpsilonMoments:
             v_i, PLAN_BOTH.shift_set, density, PART, 200_000, 13
         )
         em = epsilon_moments(sample)
-        plus, minus = sample.eps_plus, sample.eps_minus
-        draws = {
-            "eps_plus_sq": (em.eps_plus_sq, plus**2),
-            "eps_minus_sq": (em.eps_minus_sq, minus**2),
-            "eps_cross": (em.eps_cross, plus * minus),
-        }
-        for name, (exact, samples) in draws.items():
-            assert abs(exact - np.mean(samples)) < 4 * em.std_errors[name]
+        for name in ("eps_plus_sq", "eps_minus_sq", "eps_cross"):
+            drawn, _ = sample.stats[name]
+            exact = getattr(em, name)
+            assert abs(exact - drawn) < 4 * em.std_errors[name]
         assert abs(em.eps_cross) > 10 * em.std_errors["eps_cross"]
         assert (em.eps_plus_sq, em.eps_minus_sq, em.eps_cross) == (
             pytest.approx(epsilon_second_moments_reference(sample), rel=1e-13)
@@ -560,10 +677,11 @@ class TestEpsilonMoments:
 class TestSlinExact:
     def test_antisymmetric_even_steps_vanish(self):
         _, _, v_i = split_interaction(fig1_potential(), (0,))
+        times = (0, 2, 6)
         sample = epsilon_sample(
-            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 50_000, 5
+            v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 50_000, 5, times
         )
-        for est in slin_exact(sample, (0, 2, 6)):
+        for est in slin_exact(sample, times):
             assert est.value == pytest.approx(0.0, abs=1e-14)
             assert est.std_error == pytest.approx(0.0, abs=1e-14)
 
@@ -583,10 +701,11 @@ class TestSlinExact:
 
     def test_symmetric_small_t_quadratic(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
+        times = (1, 2, 4)
         sample = epsilon_sample(
-            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 200_000, 9
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 200_000, 9, times
         )
-        for est in slin_exact(sample, (1, 2, 4)):
+        for est in slin_exact(sample, times):
             t = est.t
             assert abs(est.value - 0.01 * t * t) / (0.01 * t * t) < 0.1
 
@@ -594,7 +713,7 @@ class TestSlinExact:
         _, _, v_i = split_interaction(fig2_potential(), (0,))
         times = (142, 143, 200)  # ||eps|| t > 20
         sample = epsilon_sample(
-            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 100_000, 13
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 100_000, 13, times
         )
         for est in slin_exact(sample, times):
             assert 0.9 <= est.value <= 1.0
@@ -604,10 +723,11 @@ class TestSlinExact:
         # quartic Bessel sum for <cos(t eps)>
         v_i = PotentialSpec(2, (cosine_term(0.1, (1, -1)),))
         shift = PLAN_BOTH.shift_set
+        times = (1, 3, 7)
         sample = epsilon_sample(
-            v_i, shift, UNIFORM, PART, 400_000, 31
+            v_i, shift, UNIFORM, PART, 400_000, 31, times
         )
-        for est in slin_exact(sample, (1, 3, 7)):
+        for est in slin_exact(sample, times):
             exact = 1.0 - uniform_cos_moment(0.1, est.t)
             assert abs(est.value - exact) < 3 * est.std_error
 
@@ -643,15 +763,16 @@ class TestSlinExact:
     )
     def test_row_reuse_matches_per_step_reference(self, potential, plan):
         _, _, v_i = split_interaction(potential(), (0,))
-        sample = epsilon_sample(v_i, plan.shift_set, UNIFORM, PART, 20_000, 6)
         times = (0, 1, 2, 3, 4, 7, 8, 3, 0, 30, 31, 12)
+        sample, full = pass_and_oracle(
+            v_i, plan.shift_set, UNIFORM, PART, 20_000, 6, times
+        )
         got = [
             (est.t, est.value, est.std_error)
             for est in slin_exact(sample, times)
         ]
-        want = slin_curve_reference(sample, times)
+        want = slin_curve_reference(full, times)
         assert got[3] == got[7] and got[0] == got[8]
-        assert got[:2] == want[:2]
         assert_close_to_reference(
             sample, got, want, ROTATION_VALUE_TOL, ROTATION_ERROR_TOL
         )
@@ -659,7 +780,8 @@ class TestSlinExact:
     def test_generator_times_are_read_once(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
         sample = epsilon_sample(
-            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 20_000, 4
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 20_000, 4,
+            (t for t in range(5)),
         )
         from_tuple = slin_exact(sample, tuple(range(5)))
         from_generator = slin_exact(sample, (t for t in range(5)))
@@ -674,6 +796,22 @@ class TestSlinExact:
         )
         with pytest.raises(ValidationError):
             slin_exact(sample, (0, 1, bad))
+        with pytest.raises(ValidationError):
+            epsilon_sample(
+                v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 20_000, 4,
+                (0, 1, bad),
+            )
+
+    def test_step_outside_the_pass_rejected(self):
+        # a symmetric coupling has one row per step: only the steps the
+        # pass reduced, and t = 1, can be read
+        _, _, v_i = split_interaction(fig2_potential(), (0,))
+        sample = epsilon_sample(
+            v_i, PLAN_BOTH.shift_set, UNIFORM, PART, 20_000, 4, (0, 2)
+        )
+        assert [est.t for est in slin_exact(sample, (2, 1, 0))] == [2, 1, 0]
+        with pytest.raises(ValidationError, match="step 3 "):
+            slin_exact(sample, (0, 3))
 
     def test_crossover_time(self):
         _, _, v_i = split_interaction(fig2_potential(), (0,))
@@ -711,7 +849,7 @@ class TestSlinExact:
                 continue
             s_lin = 1.0 - schmidt_purity(state, PART)
             sample = epsilon_sample(
-                v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 200_000, t
+                v_i, PLAN_MIXED.shift_set, UNIFORM, PART, 200_000, t, (t,)
             )
             (est,) = slin_exact(sample, (t,))
             band = max(3 * est.std_error, 1e-10)
@@ -719,23 +857,22 @@ class TestSlinExact:
 
 
 class TestSlinRotation:
-    # slin_exact rotates exp(i(t eps_plus + p eps_minus)) along each parity
-    # chain; the per-step cos loop it replaced is the oracle
+    # the pass rotates exp(i(t eps_plus + p eps_minus)) along each parity
+    # chain; the per-step cos loop over the full draw is the oracle
     @pytest.mark.parametrize("coherent", [False, True])
     @pytest.mark.parametrize("seed", range(12))
     def test_curve_matches_per_step_reference(self, seed, coherent):
         pot, plan, part, density = random_case(seed, coherent)
         _, _, v_i = split_interaction(pot, part.part_a)
-        sample = epsilon_sample(
-            v_i, plan.shift_set, density, part, 20_000, seed
-        )
         times = range(201)
+        sample, full = pass_and_oracle(
+            v_i, plan.shift_set, density, part, 20_000, seed, times
+        )
         got = [
             (est.t, est.value, est.std_error)
             for est in slin_exact(sample, times)
         ]
-        want = slin_curve_reference(sample, times)
-        assert got[:2] == want[:2]
+        want = slin_curve_reference(full, times)
         assert_close_to_reference(
             sample, got, want, ROTATION_VALUE_TOL, ROTATION_ERROR_TOL
         )
@@ -745,14 +882,14 @@ class TestSlinRotation:
     @pytest.mark.parametrize("seed", range(6))
     def test_sparse_unordered_times(self, seed):
         # gaps, repeats and shuffled order: a step whose chain
-        # predecessor is not asked for gets a fresh cos
+        # predecessor is not reduced gets a fresh cos
         pot, plan, part, density = random_case(seed, seed % 2 == 1)
         _, _, v_i = split_interaction(pot, part.part_a)
-        sample = epsilon_sample(
-            v_i, plan.shift_set, density, part, 20_000, seed
-        )
         rng = np.random.default_rng(seed)
         times = [int(t) for t in rng.choice(120, size=70)]
+        sample, full = pass_and_oracle(
+            v_i, plan.shift_set, density, part, 20_000, seed, times
+        )
         got = [
             (est.t, est.value, est.std_error)
             for est in slin_exact(sample, times)
@@ -760,42 +897,48 @@ class TestSlinRotation:
         assert_close_to_reference(
             sample,
             got,
-            slin_curve_reference(sample, times),
+            slin_curve_reference(full, times),
             ROTATION_VALUE_TOL,
             ROTATION_ERROR_TOL,
         )
 
     @pytest.mark.parametrize("coherent", [False, True])
     def test_eps_plus_zero_curve_is_exact(self, coherent):
+        # no rotation: the curve is the even and the odd row, each
+        # within PASS_TOL of the per-step cos over the full draw
         _, _, v_i = split_interaction(fig1_potential(), (0,))
         density = UNIFORM
         if coherent:
             density = ProductAngleDensity.from_factors(
                 [coherent_factor(0.4, 0.3, 0.7), coherent_factor(-1, 1, 1)]
             )
-        sample = epsilon_sample(
-            v_i, PLAN_MIXED.shift_set, density, PART, 20_000, 3
+        times = range(201)
+        sample, full = pass_and_oracle(
+            v_i, PLAN_MIXED.shift_set, density, PART, 20_000, 3, times
         )
         assert sample.v_plus.is_zero
-        times = range(201)
         got = [
             (est.t, est.value, est.std_error)
             for est in slin_exact(sample, times)
         ]
-        assert got == slin_curve_reference(sample, times)
+        assert len(set(row[1:] for row in got)) == 2
+        for row, want in zip(got, slin_curve_reference(full, times)):
+            assert row[0] == want[0]
+            assert abs(row[1] - want[1]) <= PASS_TOL
+            assert abs(row[2] - want[2]) <= ROTATION_ERROR_TOL
 
     def test_long_curve(self):
         # roundoff grows along a chain; the oracle's own argument t eps_plus
         # also rounds, by up to half an ulp of |t eps_plus| ~ 10^4
         pot, plan, part, density = random_case(3, False)
         _, _, v_i = split_interaction(pot, part.part_a)
-        sample = epsilon_sample(
-            v_i, plan.shift_set, density, part, 10_000, 3
+        sample, full = pass_and_oracle(
+            v_i, plan.shift_set, density, part, 10_000, 3, range(10_001)
         )
         assert not sample.v_plus.is_zero
         curve = slin_exact(sample, range(10_001))
         times = [*range(0, 10_001, 50), *range(9_990, 10_001)]
-        for t, value, std_error in slin_curve_reference(sample, times):
+        for t, value, std_error in slin_curve_reference(full, times):
             assert abs(curve[t].value - value) <= 1e-13, t
             assert abs(curve[t].std_error - std_error) <= 1e-15, t
 

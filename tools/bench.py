@@ -18,7 +18,9 @@ The layers:
   box of 129 x 137 (``after_purity``), as in a simulate step;
 - ``block_purity``: the Gram purity of a random matrix of 45 x 81, of
   fig7's whole 101 x 101 window and of full fig4's last box, 864 x 945;
-- ``slin_exact``: the S_lin curve of ``predict fig2`` over its sample;
+- ``mc_pass``: the Monte-Carlo pass of ``predict fig2`` (``epsilon_sample``
+  over its steps, then ``epsilon_moments`` and ``slin_exact``), with the
+  ``tracemalloc`` peak of one more, untimed pass as ``peak_bytes``;
 - ``potential_evaluate``: fig2's potential at 200 000 random angle pairs;
 - ``top_jz_moments``: ``TopEngine.measure_jz_moments`` on fig7's j = 50
   pair after 50 steps, from a fresh state (marginals and box included);
@@ -37,6 +39,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +51,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from kickres.cli import _initial_density, load_config  # noqa: E402
 from kickres.entanglement import BipartitionSpec, _block_purity  # noqa: E402
 from kickres.potential import split_interaction  # noqa: E402
-from kickres.predictor import epsilon_sample, slin_exact  # noqa: E402
+from kickres.predictor import (  # noqa: E402
+    epsilon_moments,
+    epsilon_sample,
+    slin_exact,
+)
 from kickres.rotor_engine import (  # noqa: E402
     RotorEngine,
     RotorLattice,
@@ -64,6 +71,8 @@ EVALUATE_SAMPLES = 200_000
 TOP_STEPS = 50
 PART = BipartitionSpec(2, (0,))
 CAP = 1 << 26
+# layers whose memory is recorded too, from a pass after the timed reps
+PEAK_LAYERS = ("mc_pass/fig2",)
 
 
 def _random_amplitudes(shape, rng) -> np.ndarray:
@@ -111,14 +120,20 @@ def _purity_layers(rng) -> dict:
 def _predictor_layers(rng) -> dict:
     cfg = _config("fig2", "predict")
     _, _, v_i = split_interaction(cfg.potential, cfg.part.part_a)
-    sample = epsilon_sample(
-        v_i, cfg.plan.shift_set, _initial_density(cfg), cfg.part,
-        cfg.samples, cfg.seed,
-    )
+    density = _initial_density(cfg)
     times = range(cfg.steps + 1)
+
+    def mc_pass():
+        sample = epsilon_sample(
+            v_i, cfg.plan.shift_set, density, cfg.part, cfg.samples,
+            cfg.seed, times,
+        )
+        epsilon_moments(sample)
+        slin_exact(sample, times)
+
     angles = [rng.uniform(0.0, 2 * np.pi, EVALUATE_SAMPLES) for _ in range(2)]
     return {
-        "slin_exact/fig2": lambda: _timed(slin_exact, sample, times),
+        "mc_pass/fig2": lambda: _timed(mc_pass),
         f"potential_evaluate/{EVALUATE_SAMPLES}": (
             lambda: _timed(cfg.potential.evaluate, angles)
         ),
@@ -152,6 +167,16 @@ def _timed(call, *args) -> float:
     started = time.perf_counter()
     call(*args)
     return time.perf_counter() - started
+
+
+def _peak_bytes(run) -> int:
+    """tracemalloc's peak over one call of ``run``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _git(*args: str) -> str:
@@ -212,7 +237,8 @@ def environment() -> dict:
 
 def measure(reps: int, seed: int = 0) -> dict:
     """Median and IQR in seconds of each layer over ``reps`` reps, run in
-    turn within each rep so drift in the host's speed hits every layer."""
+    turn within each rep so drift in the host's speed hits every layer,
+    and the peak traced bytes of each of PEAK_LAYERS."""
     rng = np.random.default_rng(seed)
     layers = {
         **_kick_layers(rng),
@@ -230,6 +256,8 @@ def measure(reps: int, seed: int = 0) -> dict:
     for name, values in samples.items():
         q1, median, q3 = np.percentile(values, [25, 50, 75])
         out[name] = {"median_s": median, "iqr_s": q3 - q1, "reps": reps}
+    for name in PEAK_LAYERS:
+        out[name]["peak_bytes"] = _peak_bytes(layers[name])
     return out
 
 
