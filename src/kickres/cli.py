@@ -63,6 +63,7 @@ from .predictor import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_THRESHOLD,
+    MAX_SAMPLE_ROWS,
     MIN_SAMPLE_COUNT,
     ProductAngleDensity,
     RobustnessResult,
@@ -484,6 +485,15 @@ def load_config(
             _PREDICTOR,
             {},
         )
+    if command == "predict":
+        # the pass reduces each sample into up to steps + 1 S_lin rows;
+        # like the element cap, the cap fails a run before any work
+        samples, rows = eff["predictor"]["samples"], eff["steps"] + 1
+        if samples * rows > MAX_SAMPLE_ROWS:
+            raise ResourceCapError(
+                f"predictor.samples: {samples} samples x {rows} S_lin rows "
+                f"is {samples * rows}, cap is {MAX_SAMPLE_ROWS}"
+            )
 
     scan = eff.get("detune_scan", _NO_SCAN)
     if scan is not _NO_SCAN:

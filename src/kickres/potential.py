@@ -318,7 +318,7 @@ class ResonancePlan:
     def __post_init__(self) -> None:
         rationals = []
         for pair in self.rationals:
-            r, s = (int(x) for x in pair)
+            r, s = (_check_int(x, "rationals") for x in pair)
             if r < 1 or s < 1:
                 raise ValidationError(
                     f"resonance ratio ({r}, {s}) must have positive numerator "

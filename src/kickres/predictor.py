@@ -56,6 +56,7 @@ from .top_engine import TopSpec, build_spin_ops
 MIN_SAMPLE_COUNT = 10_000
 SAMPLE_BLOCK = 16_384  # draws per block of the Monte-Carlo pass
 DEFAULT_SAMPLES = 200_000
+MAX_SAMPLE_ROWS = 10**10  # samples x S_lin rows one predict run may reduce
 DEFAULT_SEED = 12345
 DEFAULT_THRESHOLD = 0.01  # relative deviation that ends agreement_time
 

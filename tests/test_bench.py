@@ -1,6 +1,6 @@
 """Self-test of ``tools/bench.py``: a ``--quick`` run writes a BENCH file
-with every layer the README's performance notes cite, and the Monte-Carlo
-pass's memory peak."""
+with every layer the README's performance notes cite, and the memory
+peaks of the Monte-Carlo pass and the fig4_head rotor walk."""
 
 import importlib.util
 import json
@@ -21,6 +21,7 @@ LAYERS = {
     "block_purity/864x945",
     "mc_pass/fig2",
     "potential_evaluate/200000",
+    "rotor_walk/fig4_head",
     "top_jz_moments/j50",
     "top_step/j50",
 }
@@ -45,3 +46,6 @@ def test_quick_run_writes_every_layer(tmp_path):
         assert timing["reps"] == 2
         assert timing["median_s"] > 0 and timing["iqr_s"] >= 0
     assert report["layers"]["mc_pass/fig2"]["peak_bytes"] > 0
+    # the first step's new state; the in-place steps add none
+    walk = report["layers"]["rotor_walk/fig4_head"]["peak_bytes"]
+    assert 945 * 960 * 16 < walk < 2 * 945 * 960 * 16

@@ -29,7 +29,10 @@ from kickres.cli import (
     main,
 )
 from kickres.potential import PotentialSpec
+from kickres.errors import ResourceCapError
 from kickres.predictor import (
+    DEFAULT_SAMPLES,
+    MAX_SAMPLE_ROWS,
     SAMPLE_BLOCK,
     EpsilonMoments,
     ProductAngleDensity,
@@ -911,6 +914,50 @@ class TestPredict:
             "rows": 2 * 20000,
             "evaluate": blocks,
         }
+
+    def test_oversized_sample_count_exits_4_before_sampling(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # streamed in blocks, 1e11 samples would run for hours instead of
+        # failing at allocation; the cap fails the run at load
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled past the cap")
+
+        monkeypatch.setattr(ProductAngleDensity, "sample", no_sampling)
+        body = fig1_body(steps=60)
+        body["predictor"] = {"samples": 100000000000}
+        path = write_config(tmp_path, "huge.yaml", body)
+        out = tmp_path / "out"
+        assert run("predict", path, out) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err == (
+            "resource cap exceeded: predictor.samples: 100000000000 samples "
+            f"x 61 S_lin rows is 6100000000000, cap is {MAX_SAMPLE_ROWS}\n"
+        )
+        assert not out.exists()
+
+    def test_sample_cap_counts_samples_times_rows(self, tmp_path):
+        body = fig1_body(steps=9)
+        body["predictor"] = {"samples": MAX_SAMPLE_ROWS // 10}
+        path = write_config(tmp_path, "edge.yaml", body)
+        assert load_config(path, "predict").samples == MAX_SAMPLE_ROWS // 10
+        assert load_config(path, "simulate").steps == 9
+        body["predictor"]["samples"] += 1
+        path = write_config(tmp_path, "over.yaml", body)
+        with pytest.raises(ResourceCapError, match="^predictor.samples: "):
+            load_config(path, "predict")
+        load_config(path, "simulate")  # no Monte-Carlo pass to cap
+
+    def test_every_bundled_config_fits_the_sample_cap(self):
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted(root.glob("configs/*.yaml")) + sorted(
+            root.glob("perfbench/configs/*.yaml")
+        )
+        assert paths
+        for path in paths:
+            body = yaml.safe_load(path.read_text())
+            samples = body.get("predictor", {}).get("samples", DEFAULT_SAMPLES)
+            assert samples * (body["steps"] + 1) <= MAX_SAMPLE_ROWS, path
 
     def test_empty_interaction_predict(self, tmp_path):
         body = fig1_body(steps=4)

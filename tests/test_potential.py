@@ -281,6 +281,19 @@ class TestResonancePlan:
         with pytest.raises(ValidationError):
             ResonancePlan(((1, 1), (1, 2)), (1e-3,))
 
+    @pytest.mark.parametrize(
+        "rationals", [((1.5, 2.9),), ((1, 2.0),), ((True, 2),), (("1", 2),)]
+    )
+    def test_rejects_non_integer_ratios(self, rationals):
+        # int() truncated (1.5, 2.9) to (1, 2)
+        with pytest.raises(ValidationError, match="rationals"):
+            ResonancePlan(rationals)
+
+    def test_numpy_integer_ratios_pass(self):
+        plan = ResonancePlan(((np.int64(2), np.int32(4)),))
+        assert plan.rationals == ((1, 2),)
+        assert all(type(x) is int for x in plan.rationals[0])
+
 
 class TestResonanceSymmetry:
     def test_divisibility_rule(self):

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from kickres import (
     BipartitionSpec,
+    FourierTerm,
     PotentialSpec,
     ResonancePlan,
     ResourceCapError,
@@ -23,24 +25,31 @@ from kickres import (
 from kickres.entanglement import schmidt_purity
 from kickres.potential import accumulated_potential
 from kickres.rotor_engine import (
+    GROW_TRIGGER,
     MARGINAL_BLOCK,
+    SAFETY,
     MomentRecord,
     RotorEngine,
     RotorLattice,
     RotorState,
+    _bessel_weights,
     _smooth_length,
     measure_moments,
     observe,
 )
 from oracles import (
     displacement_stats_reference,
+    edge_bound_reference,
+    edge_mass_reference,
     fixed_window_engine,
     fixed_window_run,
     fixed_window_states,
+    kernel_tails_reference,
     kick_matrix_quadrature,
     kick_table_reference,
     kick_variance,
     momentum_marginals_reference,
+    plain_step,
 )
 
 # tracemalloc slack over the arrays a bound names: the FFT's and the
@@ -80,6 +89,26 @@ def fig4_potential():
             cosine_term(0.1, (1, -1)),
         ),
     )
+
+
+def random_model(seed):
+    """(potential, plan) in the style of test_predictor's random_case, on
+    two rotors: a 0-1 coupling plus random terms with modes in -2..2 and
+    random phases, resonance orders 1 and 2, and a detuning of 0 or 1e-3
+    per rotor."""
+    rng = np.random.default_rng(seed)
+    terms = [FourierTerm(rng.normal(), (1, -1), 0.3)]
+    for _ in range(int(rng.integers(2, 6))):
+        modes = tuple(int(m) for m in rng.integers(-2, 3, size=2))
+        if any(modes):
+            terms.append(
+                FourierTerm(rng.normal(), modes, rng.uniform(0.0, 2 * np.pi))
+            )
+    plan = ResonancePlan(
+        tuple((1, int(s)) for s in rng.integers(1, 3, 2)),
+        tuple(float(d) for d in rng.choice([0.0, 1e-3], 2)),
+    )
+    return PotentialSpec(2, tuple(terms)), plan
 
 
 def is_smooth(n):
@@ -161,6 +190,19 @@ class TestLattice:
         with pytest.raises(ResourceCapError):
             RotorLattice(((-5000, 5000), (-5000, 5000)), element_cap=10**6)
 
+    @pytest.mark.parametrize(
+        "windows", [((-3.7, 5.2),), ((0, 9), (-4.0, 4)), (("0", 9),)]
+    )
+    def test_rejects_non_integer_windows(self, windows):
+        # int() truncated (-3.7, 5.2) to the window (-3, 5)
+        with pytest.raises(ValidationError, match="windows"):
+            RotorLattice(windows)
+
+    def test_numpy_integer_windows_pass(self):
+        lat = RotorLattice(((np.int64(-3), np.int32(5)),))
+        assert lat.windows == ((-3, 5),)
+        assert all(type(x) is int for x in lat.windows[0])
+
     def test_momenta_axis(self):
         lat = RotorLattice(((-3, 3), (1, 6)))
         assert lat.shape == (7, 6)
@@ -180,6 +222,18 @@ class TestStates:
         lat = RotorLattice(((-5, 5),))
         with pytest.raises(ValidationError):
             RotorState.momentum_eigenstate(lat, (9,))
+
+    @pytest.mark.parametrize("momenta", [[0.6, 0], [0, 2.0], [0, True]])
+    def test_eigenstate_rejects_non_integer_momenta(self, momenta):
+        # int() truncated [0.6, 0] to momentum 0
+        lat = RotorLattice(((-5, 5), (-5, 5)))
+        with pytest.raises(ValidationError, match="momenta"):
+            RotorState.momentum_eigenstate(lat, momenta)
+
+    def test_eigenstate_takes_numpy_integer_momenta(self):
+        lat = RotorLattice(((-5, 5), (-5, 5)))
+        state = RotorState.momentum_eigenstate(lat, np.array([3, -2]))
+        assert measure_moments(state).mean == (3.0, -2.0)
 
     def test_norm_enforced(self):
         lat = RotorLattice(((-3, 3),))
@@ -736,6 +790,120 @@ class TestObserve:
             )
 
 
+def count_in_place(engine):
+    """Wrap ``engine.step`` to count the steps written into the input's own
+    buffer; returns the list each such step appends its state to."""
+    step, in_place = engine.step, []
+
+    def counted(state, out=None):
+        if out is not None:
+            assert np.shares_memory(out, state.amplitudes)
+            in_place.append(state)
+        return step(state, out=out)
+
+    engine.step = counted
+    return in_place
+
+
+class TestInPlaceSteps:
+    def test_a_state_kept_from_trajectory_is_unchanged(self):
+        # trajectory hands every state to its caller, so none is written
+        # after it is yielded, across steps and grows
+        pot = fig1_potential()
+        lat = RotorLattice.start_window(pot, (0, 0), 100)
+        engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
+        in_place = count_in_place(engine)
+        start = RotorState.momentum_eigenstate(lat, (0, 0))
+        kept = [
+            (state, state.amplitudes.copy())
+            for _, state in engine.trajectory(start, 100)
+        ]
+        assert engine.grow_events >= 1 and not in_place
+        for state, amplitudes in kept:
+            np.testing.assert_array_equal(state.amplitudes, amplitudes)
+
+    @pytest.mark.parametrize("start", ["eigenstate", "coherent"])
+    def test_observe_and_evolve_leave_the_callers_state(self, start):
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        lat = RotorLattice.start_window(pot, (0, 0), 100)
+        if start == "eigenstate":
+            state = RotorState.momentum_eigenstate(lat, (0, 0))
+        else:
+            state = RotorState.coherent_product(
+                lat, ((0.5, 0.0), (1.0, 3.0)), 1.5
+            )
+        before = state.amplitudes.copy()
+        runs = {
+            "observe": lambda engine: observe(
+                engine, state, 100, measure_moments
+            )[0][-1],
+            "evolve": lambda engine: measure_moments(
+                engine.evolve(state, 100)
+            ),
+        }
+        finals = {}
+        for name, run in runs.items():
+            engine = RotorEngine(pot, plan, lat)
+            in_place = count_in_place(engine)
+            finals[name] = run(engine)
+            # measured 86 (eigenstate) and 42 (coherent) of 100 steps
+            assert len(in_place) >= 40 and engine.grow_events >= 1, name
+            np.testing.assert_array_equal(state.amplitudes, before)
+        *_, (_, last) = RotorEngine(pot, plan, lat).trajectory(state, 100)
+        want = measure_moments(last, 100).second
+        assert finals["evolve"].second == finals["observe"].second == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_in_place_steps_equal_the_plain_step(self, seed):
+        # random models stepped through their grows: each step the bound
+        # clears would not have grown, and its bits are those of the
+        # out-of-place oracle step
+        pot, plan = random_model(seed)
+        lat = RotorLattice.start_window(pot, (0, 0), 40)
+        engine = RotorEngine(pot, plan, lat)
+        step, checked = engine.step, []
+
+        def checked_step(state, out=None):
+            if out is None:
+                return step(state)
+            want = plain_step(engine, state.amplitudes)
+            assert max(edge_mass_reference(want)) <= GROW_TRIGGER
+            got = step(state, out=out)
+            np.testing.assert_array_equal(got.amplitudes, want)
+            checked.append(state)
+            return got
+
+        engine.step = checked_step
+        start = RotorState.momentum_eigenstate(lat, (0, 0))
+        observe(engine, start, 40, measure_moments)
+        # measured 9 to 26 in-place steps per model, and every model but
+        # one grows 4 to 9 times
+        assert len(checked) >= 5
+        assert engine.grow_events >= (0 if seed == 0 else 1)
+
+    def test_a_failed_bound_stops_the_run_naming_the_step(self, monkeypatch):
+        # with the kernel tails forced to 0 the bound clears every step,
+        # so a growing run steps in place into its edges: the run must stop
+        # at the step an out-of-place run grows at, not keep aliased bits
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        lat = RotorLattice.start_window(pot, (0, 0), 60)
+        engine = RotorEngine(pot, plan, lat)
+        start = RotorState.momentum_eigenstate(lat, (0, 0))
+        for t, _ in engine.trajectory(start, 60):
+            if engine.grow_events:
+                break
+        assert t > 1
+        monkeypatch.setattr(
+            RotorEngine,
+            "_kernel_tails",
+            lambda self, rotor: np.zeros(self.lattice.shape[rotor] // 2 + 1),
+        )
+        with pytest.raises(RuntimeError, match=f"^in-place step {t} "):
+            observe(RotorEngine(pot, plan, lat), start, 60, measure_moments)
+
+
 class TestWorkingMemory:
     def test_kick_table_holds_the_table_and_the_potential(self):
         # cos V and -sin V go into the two halves of one complex array:
@@ -780,6 +948,33 @@ class TestWorkingMemory:
             tracemalloc.stop()
         assert grown >= 3
 
+    def test_a_cleared_step_allocates_no_window_array(self):
+        # a step the edge bound clears writes the kick, its phase and the
+        # free rotation into the state's own buffer: it holds the state,
+        # the table and one |a|^2 block of the edge check.  Each
+        # out-of-place step holds a second window array, 1.4 MB here
+        pot = fig1_potential()
+        lat = RotorLattice(((-150, 149), (-150, 149)))
+        engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
+        start = RotorState.momentum_eigenstate(lat, (0, 0))
+        steps = engine.trajectory(start, 8, _in_place=True)
+        _, current = next(steps)
+        _, current = next(steps)  # the first step is out of place
+        block = 8 * MARGINAL_BLOCK
+        assert block + SLACK < current.amplitudes.nbytes
+        tracemalloc.start()
+        try:
+            for _ in range(7):
+                assert engine._edge_bound(current) <= GROW_TRIGGER / SAFETY
+                tracemalloc.reset_peak()
+                _, nxt = next(steps)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert nxt.amplitudes is current.amplitudes
+                assert peak < block + SLACK
+                current = nxt
+        finally:
+            tracemalloc.stop()
+
     def test_marginals_hold_one_block_of_probability(self):
         # 1001 rows of 400: six blocks of 163 rows and one of 23.  The
         # whole-lattice |a|^2 took 0.50 lattices
@@ -807,6 +1002,80 @@ PIN_WINDOWS = [
 ]
 
 
+def pin_potential(n):
+    """One cosine per rotor, plus a coupling of them all on two or more."""
+    terms = [
+        cosine_term(0.7 + 0.3 * j, tuple(int(k == j) for k in range(n)))
+        for j in range(n)
+    ]
+    if n > 1:
+        terms.append(cosine_term(2.5, (1, -1) + (1,) * (n - 2)))
+    return PotentialSpec(n, tuple(terms))
+
+
+class TestEdgeBound:
+    # FFT roundoff in the numeric kernel tails: measured up to 6.6e-13 on
+    # 945 x 960 and 6.4e-13 on 864 x 945
+    KERNEL_NOISE = 1e-12
+
+    @pytest.mark.parametrize(
+        "potential, windows",
+        [
+            (fig1_potential(), ((-22, 22), (-22, 22))),  # fig1's start
+            (fig1_potential(), ((-40, 40), (-22, 22))),  # and its end
+            (fig4_potential(), ((-431, 432), (-472, 472))),  # fig4's end
+        ]
+        + [(pin_potential(len(w)), w) for w in PIN_WINDOWS],
+    )
+    def test_analytic_tails_cover_the_kernel(self, potential, windows):
+        lat = RotorLattice(windows)
+        plan = ResonancePlan(((1, 1),) * lat.rotor_count)
+        engine = RotorEngine(potential, plan, lat)
+        for j, want in enumerate(kernel_tails_reference(engine)):
+            got = engine._kernel_tails(j)
+            assert got.shape == want.shape
+            assert np.all(got >= want - self.KERNEL_NOISE)
+
+    @pytest.mark.parametrize(
+        "model, steps",
+        [((fig1_potential(), ResonancePlan(((1, 1), (1, 2)))), 100)]
+        + [(random_model(seed), 40) for seed in (1, 5, 10)],
+    )
+    def test_the_bound_covers_the_next_step(self, model, steps):
+        # at every state of a growing run, the engine's bound is at least
+        # the bound formed cell by cell from the numeric kernel, and the
+        # next step's edge mass stays under it (up to its roundoff, far
+        # below the trigger)
+        pot, plan = model
+        lat = RotorLattice.start_window(pot, (0, 0), steps)
+        engine = RotorEngine(pot, plan, lat)
+        start = RotorState.momentum_eigenstate(lat, (0, 0))
+        numeric = {}
+        for _, state in engine.trajectory(start, steps):
+            shape = engine.lattice.shape
+            if shape not in numeric:
+                numeric[shape] = kernel_tails_reference(engine)
+            margs = state.momentum_marginals()
+            want = max(edge_bound_reference(numeric[shape], margs))
+            noise = self.KERNEL_NOISE * max(np.sqrt(m).sum() for m in margs)
+            got = engine._edge_bound(state)
+            assert math.sqrt(got) >= math.sqrt(want) - noise
+            after = edge_mass_reference(plain_step(engine, state.amplitudes))
+            assert max(after) <= got + 1e-28
+        assert engine.grow_events >= 1
+
+    @pytest.mark.parametrize("kappa", [0.1, -1.0, 2.5, 9.0, 10.0, 40.0])
+    def test_bessel_weights_and_what_they_miss(self, kappa):
+        weights, missed = _bessel_weights(kappa)
+        order = len(weights) // 2
+        n = np.arange(-order, order + 1)
+        np.testing.assert_allclose(
+            weights, np.abs(jv(n, kappa)), rtol=0, atol=1e-14
+        )
+        beyond = np.arange(order + 1, order + 400)
+        assert 2 * np.abs(jv(beyond, kappa)).sum() <= missed <= 1e-25
+
+
 class TestBlockedKernels:
     @pytest.mark.parametrize("windows", PIN_WINDOWS)
     def test_marginals_match_one_probability_array(self, windows):
@@ -827,13 +1096,7 @@ class TestBlockedKernels:
     def test_kick_table_matches_the_complex_exponential(self, windows):
         # measured bit for bit on every lattice here
         n = len(windows)
-        terms = [
-            cosine_term(0.7 + 0.3 * j, tuple(int(k == j) for k in range(n)))
-            for j in range(n)
-        ]
-        if n > 1:
-            terms.append(cosine_term(2.5, (1, -1) + (1,) * (n - 2)))
-        pot = PotentialSpec(n, tuple(terms))
+        pot = pin_potential(n)
         lat = RotorLattice(windows)
         engine = RotorEngine(pot, ResonancePlan(((1, 1),) * n), lat)
         np.testing.assert_array_equal(

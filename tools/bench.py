@@ -22,6 +22,10 @@ The layers:
   over its steps, then ``epsilon_moments`` and ``slin_exact``), with the
   ``tracemalloc`` peak of one more, untimed pass as ``peak_bytes``;
 - ``potential_evaluate``: fig2's potential at 200 000 random angle pairs;
+- ``rotor_walk``: the 4-step ``observe`` pass of
+  ``perfbench/configs/fig4_head.yaml`` (moments only, on its 945 x 960
+  window), with the ``tracemalloc`` peak of one more, untimed pass as
+  ``peak_bytes``;
 - ``top_jz_moments``: ``TopEngine.measure_jz_moments`` on fig7's j = 50
   pair after 50 steps, from a fresh state (marginals and box included);
 - ``top_step``: one ``TopEngine.step`` of fig7 (j = 50, a skipped and a
@@ -48,7 +52,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 # kickres from this checkout, imported after the path is set
-from kickres.cli import _initial_density, load_config  # noqa: E402
+from kickres.cli import (  # noqa: E402
+    _initial_density,
+    _rotor_run_pieces,
+    load_config,
+)
 from kickres.entanglement import BipartitionSpec, _block_purity  # noqa: E402
 from kickres.potential import split_interaction  # noqa: E402
 from kickres.predictor import (  # noqa: E402
@@ -60,6 +68,8 @@ from kickres.rotor_engine import (  # noqa: E402
     RotorEngine,
     RotorLattice,
     RotorState,
+    measure_moments,
+    observe,
 )
 from kickres.top_engine import TopEngine, TopSpec, TopState  # noqa: E402
 
@@ -72,7 +82,7 @@ TOP_STEPS = 50
 PART = BipartitionSpec(2, (0,))
 CAP = 1 << 26
 # layers whose memory is recorded too, from a pass after the timed reps
-PEAK_LAYERS = ("mc_pass/fig2",)
+PEAK_LAYERS = ("mc_pass/fig2", "rotor_walk/fig4_head")
 
 
 def _random_amplitudes(shape, rng) -> np.ndarray:
@@ -137,6 +147,19 @@ def _predictor_layers(rng) -> dict:
         f"potential_evaluate/{EVALUATE_SAMPLES}": (
             lambda: _timed(cfg.potential.evaluate, angles)
         ),
+    }
+
+
+def _rotor_walk_layers() -> dict:
+    path = ROOT / "perfbench" / "configs" / "fig4_head.yaml"
+    cfg = load_config(path, "simulate")
+    # fig4_head never grows its windows and observe never writes the
+    # caller's state, so one engine and one start serve every rep
+    engine, state = _rotor_run_pieces(cfg)
+    return {
+        "rotor_walk/fig4_head": lambda: _timed(
+            observe, engine, state, cfg.steps, measure_moments
+        )
     }
 
 
@@ -244,6 +267,7 @@ def measure(reps: int, seed: int = 0) -> dict:
         **_kick_layers(rng),
         **_purity_layers(rng),
         **_predictor_layers(rng),
+        **_rotor_walk_layers(),
         **_top_layers(),
     }
     for run in layers.values():  # warm-up: FFT plans, first-touch pages
