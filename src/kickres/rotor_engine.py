@@ -17,24 +17,17 @@ reach of its first ``START_STEPS`` kicks plus the margin; after each step,
 every rotor whose edge mass passes ``GROW_TRIGGER`` (far below the
 ``tail_tol`` the element cap may stop growth at) grows by
 ``GROWTH_FACTOR``, at least by its minimum pad, and the step is redone
-from the pre-step state.  ``dressed_evolve`` cannot grow, so its callers
+on the wider window.  ``dressed_evolve`` cannot grow, so its callers
 size the windows for the worst-case reach of all the steps.  Every length
 is rounded up to a 7-smooth one (prime factors 2, 3, 5, 7), which numpy's
 FFT handles at full speed (Frigo & Johnson, Proc. IEEE 93(2), 2005).
 
-A step that cannot grow needs no pre-step state to redo from.  Before each
-step of a state the engine owns (``observe`` and ``evolve``), the engine
-bounds every rotor's post-step edge mass from the pre-step marginals; when
-the bound clears the trigger by ``SAFETY`` the step overwrites the state's
-own buffer, so it holds two window-size arrays (the state and the kick
-table) instead of three.  The bound: for rotor j with window length M and
-marginal m, cell i lies d(i) = max(0, min(i, M-1-i) - 1) cells from the
-edge band, and T(d) is the l1 mass of the kick's convolution kernel at
-circular axis-j distance >= d.  The kick is unitary, so the shell x_j = i
-sends at most its own norm into the band, and by Young's inequality at
-most T(d(i)) times it; the free rotation is a unimodular diagonal.  So the
-band's mass is at most (sum_i min(1, T(d(i))) sqrt(m(i)))^2.  T comes from
-the potential's terms by Jacobi-Anger, once per lattice.
+A run's first step writes a new working state, and every later step runs
+in place on it, holding two window-size arrays: the state and the kick
+table.  The redo needs no pre-step state: a step is unitary on its own
+window, even once its edges have filled and wrapped, so the inverse step
+recovers the pre-step state to roundoff in the same buffer, and a grow
+holds the old state, the new table and the new state.
 """
 
 from __future__ import annotations
@@ -64,7 +57,6 @@ GROW_TRIGGER = 1e-20  # edge mass that makes a rotor's window grow
 GROWTH_FACTOR = 1.25
 GROW_MARGIN = 16  # minimum pad per side: this plus ceil(bandwidth)
 MARGINAL_BLOCK = 1 << 16  # |a|^2 elements per block in axis_marginals
-SAFETY = 4.0  # an in-place step's edge bound stays this far below the trigger
 
 
 def _smooth_length(n: int) -> int:
@@ -241,31 +233,6 @@ def axis_marginals(amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(margs)
 
 
-def _bessel_weights(kappa: float) -> tuple[np.ndarray, float]:
-    """|J_n(kappa)| for n = -N..N, and a bound on the l1 mass they miss.
-
-    By Jacobi-Anger exp(-i kappa cos x) = sum_n (-i)^n J_n(kappa) e^{inx},
-    so |J_n| is the modulus of a Fourier coefficient, read here from an FFT
-    of exp(-i kappa cos theta) on at least 4(N + 1) points.  N is the first
-    order where 2 sum_{n>N} (|kappa|/2)^n / n!, which bounds
-    sum_{|n|>N} |J_n| since |J_n(x)| <= |x/2|^n / n!, is below 1e-30.
-    Aliasing moves each coefficient by at most that much, so (2N + 2)
-    times it bounds what the weights miss.
-    """
-    x = abs(kappa) / 2.0
-    order = math.ceil(2.0 * x)  # from here on each series term halves
-    while True:
-        lead = (order + 1) * math.log(x) - math.lgamma(order + 2)
-        tail = 2.0 * math.exp(lead) / (1.0 - x / (order + 2))
-        if tail <= 1e-30:
-            break
-        order += 1
-    size = 1 << (4 * order + 3).bit_length()
-    theta = 2.0 * np.pi * np.arange(size) / size
-    coeffs = np.abs(np.fft.fft(np.exp(-1j * kappa * np.cos(theta)))) / size
-    return np.roll(coeffs, order)[: 2 * order + 1], (2 * order + 2) * tail
-
-
 class RotorState:
     """Normalized momentum amplitude tensor over a lattice.  It owns its
     amplitudes, so its kept marginals stay valid: a caller's array is
@@ -344,9 +311,9 @@ class RotorState:
     def momentum_marginals(self) -> tuple[np.ndarray, ...]:
         """Probability over each rotor's momentum window.
 
-        Computed on first use and kept: a state's amplitudes are not
-        changed after construction, so the trajectory's edge check and the
-        caller's moments share one pass.
+        Computed on first use and kept, so the trajectory's edge check and
+        the caller's moments share one pass.  An in-place step hands its
+        result over in a new state, which forms its own.
         """
         if self._marginals is None:
             self._marginals = axis_marginals(self.amplitudes)
@@ -398,8 +365,9 @@ def observe(
 
     ``engine`` is a RotorEngine or a TopEngine: anything whose
     ``trajectory(state, steps)`` yields (t, state) for t = 0..steps.  A
-    RotorEngine steps in place where it can, so a yielded state is valid
-    only until the next one: ``measure`` and ``purity`` must not keep it.
+    RotorEngine yields the one state it steps in place, so a yielded state
+    is valid only until the next one: ``measure`` and ``purity`` must not
+    keep it.
     ``measure(state, t)`` gives each step's moments and ``purity(state)``,
     when given, its bipartite purity.  Each record is kept with its
     displacement D, squared displacement sigma^2 and variance filled
@@ -439,12 +407,11 @@ class RotorEngine:
 
     trajectory() widens a rotor's window whenever its edge mass passes
     GROW_TRIGGER, so the tail tolerance comes into play only where the
-    element cap stops the growth.  A step holds three window-size arrays
-    (the state, the next state and the kick table); a grow holds the old
-    state, the new state and the new table.  ``observe`` and ``evolve``
-    step a state the engine made in place when the pre-step edge bound
-    (see the module docstring) clears the trigger: two arrays, the state
-    and the table.  The caller's initial state is never written.
+    element cap stops the growth.  The first step writes a new working
+    state, so it holds three window-size arrays (the caller's state, the
+    working state and the kick table); every later step runs in place and
+    holds two (the state and the table), and a grow the old state, the
+    new table and the new state.  The caller's state is never written.
     """
 
     def __init__(
@@ -464,9 +431,6 @@ class RotorEngine:
         self.tail_tol = float(tail_tol)
         self.tail_budget = float(tail_budget)
         self.grow_events = 0
-        self._bessel = [
-            _bessel_weights(term.coefficient) for term in potential.terms
-        ]
         self._pads = [
             GROW_MARGIN + math.ceil(potential.kick_bandwidth(j))
             for j in range(potential.rotor_count)
@@ -480,57 +444,6 @@ class RotorEngine:
         self._free_phase = [
             self._free_axis_phase(j, 1) for j in range(lattice.rotor_count)
         ]
-        self._edge_reach = []
-        for j, m in enumerate(lattice.shape):
-            i = np.arange(m)
-            distance = np.maximum(np.minimum(i, m - 1 - i) - 1, 0)
-            self._edge_reach.append(
-                np.minimum(self._kernel_tails(j)[distance], 1.0)
-            )
-
-    def _kernel_tails(self, rotor: int) -> np.ndarray:
-        """T(d) for d = 0..M//2, M the rotor's window length: the l1 mass
-        of the kick's convolution kernel at circular distance >= d along
-        the rotor's axis.
-
-        The kernel is the product over terms c cos(m . theta + phi) of
-        sum_n (-i)^n J_n(c) e^{in(m . theta + phi)}, so its modulus summed
-        onto this axis is at most the convolution of each term's |J_n(c)|
-        placed at shift n m_rotor (a term with m_rotor = 0 only scales it
-        by its total), wrapped onto the window.  The mass the truncated
-        Bessel series misses may land anywhere, so it is added at every d.
-        """
-        m_len = self.lattice.shape[rotor]
-        shifts, scale = np.ones(1), 1.0
-        for term, (weights, _) in zip(self.potential.terms, self._bessel):
-            m = term.modes[rotor]
-            if m == 0:
-                scale *= weights.sum()
-                continue
-            spread = np.zeros(abs(m) * (len(weights) - 1) + 1)
-            spread[:: abs(m)] = weights if m > 0 else weights[::-1]
-            shifts = np.convolve(shifts, spread)
-        # prod(S + r) - prod(S) <= sum_k r_k prod_{i != k} (S_i + r_i)
-        totals = [(w.sum(), r) for w, r in self._bessel]
-        full = math.prod(s + r for s, r in totals)
-        missed = full * sum(r / (s + r) for s, r in totals)
-        half = (len(shifts) - 1) // 2
-        wrapped = np.bincount(
-            np.arange(-half, half + 1) % m_len, shifts, minlength=m_len
-        )
-        cells = np.arange(m_len)
-        by_distance = np.bincount(np.minimum(cells, m_len - cells), wrapped)
-        return scale * np.cumsum(by_distance[::-1])[::-1] + missed
-
-    def _edge_bound(self, state: RotorState) -> float:
-        """The largest rotor's bound on the edge mass one step from
-        ``state`` can make, from its cached marginals (module docstring)."""
-        return max(
-            float(np.dot(reach, np.sqrt(marg)))
-            for reach, marg in zip(
-                self._edge_reach, state.momentum_marginals()
-            )
-        ) ** 2
 
     def _kick_table(self, potential: PotentialSpec) -> np.ndarray:
         """exp(-i V) on the lattice's angle grid, written as cos V and
@@ -620,13 +533,13 @@ class RotorEngine:
 
         Raises TruncationError past ``tail_budget`` and ResourceCapError
         where the element cap stops a needed growth, each naming the step.
-        Each yielded state keeps its amplitudes, unless ``_in_place``
-        (``observe`` and ``evolve`` only): then a step from a state this
-        trajectory made overwrites it wherever the pre-step edge bound
-        clears ``trigger / SAFETY``, so a yielded state is valid only until
-        the next one.  Such a step cannot grow, and every other step runs
-        out of place with its redo, so both modes grow alike and yield the
-        same bits.
+        The caller's state is never written: the first step writes a new
+        array, and every later step, redo included, runs in place on that
+        working state.  Each later yielded state is a copy of it, so
+        states kept from a trajectory do not change, unless ``_in_place``
+        (``observe`` and ``evolve`` only): then the working state itself
+        is yielded, valid only until the next one.  Both modes run the same
+        steps and yield the same bits.
         """
         _check_step(steps)
         self._check_state(state)
@@ -634,22 +547,12 @@ class RotorEngine:
         cumulative_tail = 0.0
         yield 0, state
         for t in range(1, steps + 1):
-            in_place = (
-                _in_place
-                and t > 1  # the caller's state is never written
-                and self._edge_bound(state) <= trigger / SAFETY
-            )
-            nxt = self.step(state, out=state.amplitudes if in_place else None)
-            edges = nxt.edge_mass()
-            if in_place and max(edges) > trigger:
-                raise RuntimeError(
-                    f"in-place step {t} left edge mass {max(edges):.3e} above "
-                    f"the grow trigger {trigger:.1e}: the pre-step edge "
-                    "bound failed"
-                )
+            # the first step writes a new array, so the caller's is not
+            state = self.step(state, out=None if t == 1 else state.amplitudes)
+            edges = state.edge_mass()
             # A step whose edges fill has already aliased across the window
-            # boundary, so growing must redo it from the pre-step state on
-            # the wider window rather than keep the tainted result.
+            # boundary, so growing takes it back and redoes it on the wider
+            # window rather than keep the tainted result.
             while True:
                 rotors = [j for j, e in enumerate(edges) if e > trigger]
                 if not rotors:
@@ -663,18 +566,33 @@ class RotorEngine:
                             f"mass {max(edges):.3e})"
                         )
                     break  # the cap stops growth inside the tail tolerance
-                del nxt  # the tainted result goes before the grow allocates
+                self._undo(state.amplitudes)
                 state = self._embed_wider(state, wider)
-                nxt = self.step(state)
-                edges = nxt.edge_mass()
+                state = self.step(state, out=state.amplitudes)
+                edges = state.edge_mass()
             cumulative_tail += max(edges)
             if cumulative_tail > self.tail_budget:
                 raise TruncationError(
                     f"cumulative tail mass {cumulative_tail:.3e} exceeds "
                     f"budget {self.tail_budget:.1e} at step {t}"
                 )
-            state = nxt
-            yield t, state
+            if _in_place:
+                yield t, state
+                continue
+            kept = RotorState(state.lattice, state.amplitudes)
+            kept._marginals = state._marginals  # the edge check's pass
+            yield t, kept
+
+    def _undo(self, a: np.ndarray) -> None:
+        """Take one step on this lattice back in ``a``'s own buffer: the
+        step is unitary on its window, even with its edges filled, so
+        dividing out the free phases and then the kick leaves the pre-step
+        state to roundoff (the tests pin it within 1e-15 per amplitude)."""
+        for j, phase in enumerate(self._free_phase):
+            a /= self.lattice.axis_view(j, phase)
+        np.fft.ifftn(a, out=a)
+        a /= self._kick_phase
+        np.fft.fftn(a, out=a)
 
     def _wider_lattice(self, rotors: Sequence[int]) -> RotorLattice | None:
         """The lattice with the windows of ``rotors`` grown.

@@ -47,7 +47,7 @@ import numpy as np
 
 from .entanglement import BipartitionSpec, _block_purity, _occupied_box
 from .errors import ResourceCapError, ValidationError
-from .potential import ResonancePlan, _check_step
+from .potential import ResonancePlan, _check_int, _check_step
 from .rotor_engine import (
     DEFAULT_ELEMENT_CAP,
     MomentRecord,
@@ -70,8 +70,8 @@ class FieldTerm:
 
     def __post_init__(self) -> None:
         try:
-            powers = tuple(int(k) for k in self.powers)
-        except (TypeError, ValueError):
+            powers = tuple(_check_int(k, "powers") for k in self.powers)
+        except TypeError:  # not iterable
             raise ValidationError(
                 f"powers must be a sequence of integers, not {self.powers!r}"
             ) from None
@@ -255,7 +255,7 @@ class TopState:
         amps = np.zeros(spec.shape, dtype=complex)
         index = []
         for m in m_values:
-            m = int(m)
+            m = _check_int(m, "m_values")
             if abs(m) > spec.j_tot:
                 raise ValidationError(f"|m| = {abs(m)} exceeds j_tot")
             index.append(m + spec.j_tot)

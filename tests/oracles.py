@@ -239,39 +239,6 @@ def kick_table_reference(potential, lattice):
     return np.exp(-1j * potential.evaluate(axes))
 
 
-def kernel_tails_reference(engine):
-    """Per rotor, T(d) for d = 0..M//2: the l1 mass of the kick's
-    convolution kernel at circular distance >= d along the rotor's axis,
-    read off the engine's own kick table.  The kick is fftn(table *
-    ifftn(a)), a circular convolution with fftn(table) / size."""
-    table = engine._kick_phase
-    kernel = np.abs(np.fft.fftn(table)) / table.size
-    tails = []
-    for j, m in enumerate(table.shape):
-        shifts = kernel.sum(axis=tuple(k for k in range(table.ndim) if k != j))
-        cells = np.arange(m)
-        by_distance = np.bincount(np.minimum(cells, m - cells), shifts)
-        tails.append(np.cumsum(by_distance[::-1])[::-1])
-    return tails
-
-
-def edge_bound_reference(tails, marginals):
-    """Per rotor, (sum_i min(1, T(d(i))) sqrt(m(i)))^2 cell by cell, where
-    d(i) is the circular distance from cell i to the nearest of the
-    outermost two cells at either end of the window."""
-    bounds = []
-    for tail, marg in zip(tails, marginals):
-        m = len(marg)
-        amplitude = 0.0
-        for i in range(m):
-            d = min(
-                min(abs(i - b), m - abs(i - b)) for b in (0, 1, m - 2, m - 1)
-            )
-            amplitude += min(1.0, tail[d]) * math.sqrt(marg[i])
-        bounds.append(amplitude * amplitude)
-    return bounds
-
-
 def plain_step(engine, amplitudes):
     """One engine period through fresh arrays: ifftn, the kick table,
     fftn, then each rotor's free phase.  The step an in-place one must

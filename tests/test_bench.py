@@ -1,6 +1,6 @@
 """Self-test of ``tools/bench.py``: a ``--quick`` run writes a BENCH file
 with every layer the README's performance notes cite, and the memory
-peaks of the Monte-Carlo pass and the fig4_head rotor walk."""
+peaks of the Monte-Carlo pass and the fig4_head and scan3 rotor walks."""
 
 import importlib.util
 import json
@@ -22,6 +22,7 @@ LAYERS = {
     "mc_pass/fig2",
     "potential_evaluate/200000",
     "rotor_walk/fig4_head",
+    "rotor_walk/scan3_ideal",
     "top_jz_moments/j50",
     "top_step/j50",
 }
@@ -49,3 +50,9 @@ def test_quick_run_writes_every_layer(tmp_path):
     # the first step's new state; the in-place steps add none
     walk = report["layers"]["rotor_walk/fig4_head"]["peak_bytes"]
     assert 945 * 960 * 16 < walk < 2 * 945 * 960 * 16
+    # the last grow, 350 x 60 to 441 x 60: the old state, the new table,
+    # the new state, one |a|^2 block and the FFT's buffers, and no redo
+    # array (measured 1.54 MB; 1.97 MB with one)
+    scan = report["layers"]["rotor_walk/scan3_ideal"]["peak_bytes"]
+    old, new, block = 350 * 60 * 16, 441 * 60 * 16, 441 * 60 * 8
+    assert old + 2 * new < scan < old + 2 * new + block + 256 * 1024

@@ -23,8 +23,8 @@ CONFIG_DIRS = (ROOT / "configs", ROOT / "perfbench" / "configs")
 
 GOLDEN = {
     "simulate fig1": {
-        "entropy.csv": "825322761aeceac1250caf9013e0a28a086489c78711093f421a12d7f79c31cd",
-        "moments.csv": "998c6492281f4d12c5521d591a562cec279874673db9cfd337ef6cfc7ce6e388",
+        "entropy.csv": "7db5e27642baa9fa2b821d31cbd7f480e5dd8c9dce72da5850f3e97b88f5470f",
+        "moments.csv": "ffc3bdfe2de72121d8e1de1e0a3702529394d70bfbf858eb13a2d0233ba6d92a",
     },
     "predict fig1": {
         "predicted_entropy.csv": "918bda4c7d0d10c1ce282837936f120d68df5238ecdc6f780751a5d4c2ed61e5",
@@ -40,7 +40,7 @@ GOLDEN = {
         "report.yaml": "89247d9449fd84e4ca8c83486d27d5cd469158f9cee589d3de371e3bf8e85744",
     },
     "detune-scan fig5": {
-        "delta_1.csv": "603cfada1ce8d540ad3c43c6f6887e286fc3b615749ebec2ef5e50869b8a0811",
+        "delta_1.csv": "166bfb1b22c360c5981601b587823e21bcb17f3889d849636b42fbe9b73f5057",
         "report.yaml": "4eb26f027f5acfc0b29419d93be331c432992660021d0e05d015dde06c0da994",
         "tD.csv": "29e913c1c7fc790fd13526c15bd3b5e31f2941402ab2a2363b4681263a3f0cb7",
     },
@@ -54,13 +54,13 @@ GOLDEN = {
         "report.yaml": "7594b577f45c35a73d7cd1672975e060b55925e9f4e00db7e2a96ae649c3e2f5",
     },
     "simulate fig3": {
-        "entropy.csv": "a84e97e2c09cfb016d520e6f819a3f504c0c6ab6c9c77d4417f84562c0d241f4",
-        "moments.csv": "a66d7ddd9cc49786acc772d0a3ce46bdcbfca6f0e0eeef2fcef8d2e67519e0b6",
+        "entropy.csv": "1bf4ee1756ec8125afbe27fd840ab3829811f37593e1a4f51ebee7d90697376b",
+        "moments.csv": "088d29d16e45053df74909ca2ac4cd2890a6926acabced181b0819031a5a775b",
     },
     "detune-scan scan3": {
-        "delta_1.csv": "8b39db13ef46c03352ab8a7d71dc8fe841aedb6c77b1472931f9d645967200b2",
-        "delta_2.csv": "50ae6f64f189411b5974a43e3823bb5e141a037dc080efc4d08ac3ffa4dc9fb6",
-        "delta_3.csv": "5cea95da4c8e823e4665e0b4177ecb44e5a6af772b1afbeb2e5dffe14db38d34",
+        "delta_1.csv": "f74514f7ed23d42c75ca60653e29a8be69d38659042d99914eeaf7b95319cf6d",
+        "delta_2.csv": "6ac094a5ee73b9bbf6f05c5b5f08dad903d29382305cd7c31b0a51923c3c1b39",
+        "delta_3.csv": "84496c6d24877a3f5c414ef3c11f3a285c005df3c459148707f59aab911fa54e",
         "report.yaml": "b4c7e3f79417e38ff38af69a0eb045a7ed02fc41afba41a96551070c28c767cd",
         "tD.csv": "faeb92b5785acd45649b7a178cea91c7a5111aecd13432db5b9f7f3bcf9f07ba",
     },
@@ -112,8 +112,8 @@ OFF_ORIGIN_BODIES = {
 
 OFF_ORIGIN = {
     "fig1 from [3, -2]": {
-        "entropy.csv": "0046af27156ed780149258ac8e1be2cbefa7730cc7864836353687ec48a3fabb",
-        "moments.csv": "81022750a6bd5c1d2874334ebc304105a33770480e5cf5827ccb693b16e58c91",
+        "entropy.csv": "415c3248d27f22a9344cff87d09c869207f9f36b4a5fe4fd95040d8b840cffa3",
+        "moments.csv": "d55b4325f87531492cb6d19b84e2ebe17e2ef122ad7e1014bb4ebc6cf7891620",
     },
     "fig1 coherent": {
         "entropy.csv": "cf9dfaa410e55bb890071e6e0b348bf663c980998bf67506fd1a65d3bb695a81",

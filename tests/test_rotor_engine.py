@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import jv
 
 from kickres import (
     BipartitionSpec,
@@ -27,24 +26,20 @@ from kickres.potential import accumulated_potential
 from kickres.rotor_engine import (
     GROW_TRIGGER,
     MARGINAL_BLOCK,
-    SAFETY,
     MomentRecord,
     RotorEngine,
     RotorLattice,
     RotorState,
-    _bessel_weights,
     _smooth_length,
     measure_moments,
     observe,
 )
 from oracles import (
     displacement_stats_reference,
-    edge_bound_reference,
     edge_mass_reference,
     fixed_window_engine,
     fixed_window_run,
     fixed_window_states,
-    kernel_tails_reference,
     kick_matrix_quadrature,
     kick_table_reference,
     kick_variance,
@@ -807,8 +802,9 @@ def count_in_place(engine):
 
 class TestInPlaceSteps:
     def test_a_state_kept_from_trajectory_is_unchanged(self):
-        # trajectory hands every state to its caller, so none is written
-        # after it is yielded, across steps and grows
+        # every step after the first runs in place on the working state,
+        # but trajectory yields a copy of it, so no state is written after
+        # it is yielded, across steps and grows
         pot = fig1_potential()
         lat = RotorLattice.start_window(pot, (0, 0), 100)
         engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
@@ -818,7 +814,8 @@ class TestInPlaceSteps:
             (state, state.amplitudes.copy())
             for _, state in engine.trajectory(start, 100)
         ]
-        assert engine.grow_events >= 1 and not in_place
+        assert engine.grow_events >= 1
+        assert len(in_place) == 99 + engine.grow_events
         for state, amplitudes in kept:
             np.testing.assert_array_equal(state.amplitudes, amplitudes)
 
@@ -847,8 +844,9 @@ class TestInPlaceSteps:
             engine = RotorEngine(pot, plan, lat)
             in_place = count_in_place(engine)
             finals[name] = run(engine)
-            # measured 86 (eigenstate) and 42 (coherent) of 100 steps
-            assert len(in_place) >= 40 and engine.grow_events >= 1, name
+            # every step after the first, and every redo, runs in place
+            assert engine.grow_events >= 1, name
+            assert len(in_place) == 99 + engine.grow_events, name
             np.testing.assert_array_equal(state.amplitudes, before)
         *_, (_, last) = RotorEngine(pot, plan, lat).trajectory(state, 100)
         want = measure_moments(last, 100).second
@@ -856,52 +854,29 @@ class TestInPlaceSteps:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_in_place_steps_equal_the_plain_step(self, seed):
-        # random models stepped through their grows: each step the bound
-        # clears would not have grown, and its bits are those of the
-        # out-of-place oracle step
+        # random models stepped through their grows: every step of the
+        # working state, those whose edges fill and are then taken back
+        # included, has the bits of the out-of-place oracle step
         pot, plan = random_model(seed)
         lat = RotorLattice.start_window(pot, (0, 0), 40)
         engine = RotorEngine(pot, plan, lat)
-        step, checked = engine.step, []
+        step, checked, filled = engine.step, [], []
 
         def checked_step(state, out=None):
-            if out is None:
-                return step(state)
             want = plain_step(engine, state.amplitudes)
-            assert max(edge_mass_reference(want)) <= GROW_TRIGGER
             got = step(state, out=out)
             np.testing.assert_array_equal(got.amplitudes, want)
             checked.append(state)
+            if max(edge_mass_reference(want)) > GROW_TRIGGER:
+                filled.append(state)
             return got
 
         engine.step = checked_step
         start = RotorState.momentum_eigenstate(lat, (0, 0))
         observe(engine, start, 40, measure_moments)
-        # measured 9 to 26 in-place steps per model, and every model but
-        # one grows 4 to 9 times
-        assert len(checked) >= 5
-        assert engine.grow_events >= (0 if seed == 0 else 1)
-
-    def test_a_failed_bound_stops_the_run_naming_the_step(self, monkeypatch):
-        # with the kernel tails forced to 0 the bound clears every step,
-        # so a growing run steps in place into its edges: the run must stop
-        # at the step an out-of-place run grows at, not keep aliased bits
-        pot = fig1_potential()
-        plan = ResonancePlan(((1, 1), (1, 2)))
-        lat = RotorLattice.start_window(pot, (0, 0), 60)
-        engine = RotorEngine(pot, plan, lat)
-        start = RotorState.momentum_eigenstate(lat, (0, 0))
-        for t, _ in engine.trajectory(start, 60):
-            if engine.grow_events:
-                break
-        assert t > 1
-        monkeypatch.setattr(
-            RotorEngine,
-            "_kernel_tails",
-            lambda self, rotor: np.zeros(self.lattice.shape[rotor] // 2 + 1),
-        )
-        with pytest.raises(RuntimeError, match=f"^in-place step {t} "):
-            observe(RotorEngine(pot, plan, lat), start, 60, measure_moments)
+        # measured 4 to 9 grows in every model but one
+        assert len(checked) == 40 + engine.grow_events
+        assert len(filled) == engine.grow_events >= (0 if seed == 0 else 1)
 
 
 class TestWorkingMemory:
@@ -918,11 +893,12 @@ class TestWorkingMemory:
 
     def test_a_growing_step_holds_old_state_new_state_and_table(self):
         # traced from before the engine exists, so the peak counts every
-        # live array.  A growing step holds the old state (still the
-        # caller's), the new table, the new state, the redo's next state
-        # and one |a|^2 block; the tainted result and the old table go
-        # first.  Keeping them, and building the table through a complex
-        # temporary, read 1.3-1.7 lattices more
+        # live array.  On the public path a growing step holds the old
+        # state (the caller's copy), the new table, the new working state,
+        # the copy yielded of it and one |a|^2 block; the old table goes
+        # before the new one is built, and the old working state once it
+        # is embedded.  Keeping them, and building the table through a
+        # complex temporary, read 1.3-1.7 lattices more
         pot = fig1_potential()
         plan = ResonancePlan(((1, 1), (1, 1)))
         tracemalloc.start()
@@ -948,24 +924,53 @@ class TestWorkingMemory:
             tracemalloc.stop()
         assert grown >= 3
 
-    def test_a_cleared_step_allocates_no_window_array(self):
-        # a step the edge bound clears writes the kick, its phase and the
+    def test_a_grow_holds_old_state_new_table_and_new_state(self):
+        # on the working state a grow takes the step back in place, builds
+        # the new table, embeds the state and redoes the step in place: it
+        # holds the old state, the new table, the new state and one |a|^2
+        # block, with no redo array
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 1)))
+        tracemalloc.start()
+        try:
+            lat = RotorLattice.start_window(pot, (0, 0), 60)
+            engine = RotorEngine(pot, plan, lat)
+            state = RotorState.momentum_eigenstate(lat, (0, 0))
+            steps = engine.trajectory(state, 60, _in_place=True)
+            del state
+            _, current = next(steps)
+            grown = 0
+            for _ in range(60):
+                old, grows = current.amplitudes.nbytes, engine.grow_events
+                tracemalloc.reset_peak()
+                _, current = next(steps)
+                peak = tracemalloc.get_traced_memory()[1]
+                if engine.grow_events > grows:
+                    grown += 1
+                    size = current.amplitudes.size
+                    block = 8 * min(MARGINAL_BLOCK, size)
+                    assert peak < old + 2 * 16 * size + block + SLACK
+        finally:
+            tracemalloc.stop()
+        assert grown >= 3
+
+    def test_every_step_after_the_first_allocates_no_window_array(self):
+        # each step of the working state writes the kick, its phase and the
         # free rotation into the state's own buffer: it holds the state,
-        # the table and one |a|^2 block of the edge check.  Each
-        # out-of-place step holds a second window array, 1.4 MB here
+        # the table and one |a|^2 block of the edge check.  An out-of-place
+        # step holds a second window array, 1.4 MB here
         pot = fig1_potential()
         lat = RotorLattice(((-150, 149), (-150, 149)))
         engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
         start = RotorState.momentum_eigenstate(lat, (0, 0))
         steps = engine.trajectory(start, 8, _in_place=True)
         _, current = next(steps)
-        _, current = next(steps)  # the first step is out of place
+        _, current = next(steps)  # the first step writes a new array
         block = 8 * MARGINAL_BLOCK
         assert block + SLACK < current.amplitudes.nbytes
         tracemalloc.start()
         try:
             for _ in range(7):
-                assert engine._edge_bound(current) <= GROW_TRIGGER / SAFETY
                 tracemalloc.reset_peak()
                 _, nxt = next(steps)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -1013,67 +1018,39 @@ def pin_potential(n):
     return PotentialSpec(n, tuple(terms))
 
 
-class TestEdgeBound:
-    # FFT roundoff in the numeric kernel tails: measured up to 6.6e-13 on
-    # 945 x 960 and 6.4e-13 on 864 x 945
-    KERNEL_NOISE = 1e-12
-
-    @pytest.mark.parametrize(
-        "potential, windows",
-        [
-            (fig1_potential(), ((-22, 22), (-22, 22))),  # fig1's start
-            (fig1_potential(), ((-40, 40), (-22, 22))),  # and its end
-            (fig4_potential(), ((-431, 432), (-472, 472))),  # fig4's end
-        ]
-        + [(pin_potential(len(w)), w) for w in PIN_WINDOWS],
-    )
-    def test_analytic_tails_cover_the_kernel(self, potential, windows):
+class TestUndo:
+    @pytest.mark.parametrize("detuned", [False, True])
+    @pytest.mark.parametrize("windows", PIN_WINDOWS)
+    def test_undo_takes_a_step_back(self, windows, detuned):
+        # a full random state puts far more than the trigger on every edge,
+        # so the step wraps around the window; the inverse step still
+        # gives the start back, in the state's own buffer
+        n = len(windows)
         lat = RotorLattice(windows)
-        plan = ResonancePlan(((1, 1),) * lat.rotor_count)
-        engine = RotorEngine(potential, plan, lat)
-        for j, want in enumerate(kernel_tails_reference(engine)):
-            got = engine._kernel_tails(j)
-            assert got.shape == want.shape
-            assert np.all(got >= want - self.KERNEL_NOISE)
+        rationals = tuple((1, j + 2) for j in range(n))
+        plan = ResonancePlan(rationals, (1e-3 if detuned else 0.0,) * n)
+        engine = RotorEngine(pin_potential(n), plan, lat)
+        start = full_random_state(lat, 3)
+        state = engine.step(RotorState(lat, start.amplitudes))
+        assert min(state.edge_mass()) > 1e6 * GROW_TRIGGER
+        a = state.amplitudes
+        _, peak = traced_peak(lambda: engine._undo(a))
+        assert np.abs(a - start.amplitudes).max() <= 1e-15
+        assert peak < SLACK
 
-    @pytest.mark.parametrize(
-        "model, steps",
-        [((fig1_potential(), ResonancePlan(((1, 1), (1, 2)))), 100)]
-        + [(random_model(seed), 40) for seed in (1, 5, 10)],
-    )
-    def test_the_bound_covers_the_next_step(self, model, steps):
-        # at every state of a growing run, the engine's bound is at least
-        # the bound formed cell by cell from the numeric kernel, and the
-        # next step's edge mass stays under it (up to its roundoff, far
-        # below the trigger)
-        pot, plan = model
-        lat = RotorLattice.start_window(pot, (0, 0), steps)
-        engine = RotorEngine(pot, plan, lat)
-        start = RotorState.momentum_eigenstate(lat, (0, 0))
-        numeric = {}
-        for _, state in engine.trajectory(start, steps):
-            shape = engine.lattice.shape
-            if shape not in numeric:
-                numeric[shape] = kernel_tails_reference(engine)
-            margs = state.momentum_marginals()
-            want = max(edge_bound_reference(numeric[shape], margs))
-            noise = self.KERNEL_NOISE * max(np.sqrt(m).sum() for m in margs)
-            got = engine._edge_bound(state)
-            assert math.sqrt(got) >= math.sqrt(want) - noise
-            after = edge_mass_reference(plain_step(engine, state.amplitudes))
-            assert max(after) <= got + 1e-28
-        assert engine.grow_events >= 1
-
-    @pytest.mark.parametrize("kappa", [0.1, -1.0, 2.5, 9.0, 10.0, 40.0])
-    def test_bessel_weights_and_what_they_miss(self, kappa):
-        weights, missed = _bessel_weights(kappa)
-        order = len(weights) // 2
-        n = np.arange(-order, order + 1)
+    def test_undo_after_a_filling_step_of_a_run(self):
+        # the first step of fig1's run whose edges pass the trigger
+        pot = fig1_potential()
+        lat = RotorLattice.start_window(pot, (0, 0), 100)
+        engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
+        state = RotorState.momentum_eigenstate(lat, (0, 0))
+        while max(engine.step(state).edge_mass()) <= GROW_TRIGGER:
+            state = engine.step(state)
+        stepped = engine.step(state)
+        engine._undo(stepped.amplitudes)
         np.testing.assert_allclose(
-            weights, np.abs(jv(n, kappa)), rtol=0, atol=1e-14
+            stepped.amplitudes, state.amplitudes, rtol=0, atol=1e-15
         )
-        beyond = np.arange(order + 1, order + 400)
-        assert 2 * np.abs(jv(beyond, kappa)).sum() <= missed <= 1e-25
 
 
 class TestBlockedKernels:

@@ -169,7 +169,10 @@ class TestSpecValidation:
             (1j, (1,), "coefficient must be a real number"),
             (None, (1, 0), "coefficient must be a real number"),
             (0.3, 5, "powers must be a sequence of integers, not 5"),
-            (0.3, ("x",), "powers must be a sequence of integers"),
+            (0.3, ("x",), "powers must be integers, got 'x'"),
+            # int() truncated these to the powers (1, 0)
+            (0.3, (1.5, 0.9), "powers must be integers, got 1.5"),
+            (0.3, (1, True), "powers must be integers, got True"),
         ],
     )
     def test_field_term_input_errors_name_the_argument(
@@ -177,6 +180,11 @@ class TestSpecValidation:
     ):
         with pytest.raises(ValidationError, match=re.escape(named)):
             FieldTerm(coefficient, powers)
+
+    def test_field_term_takes_numpy_integer_powers(self):
+        term = FieldTerm(0.3, (np.int64(1), np.int32(2)))
+        assert term.powers == (1, 2)
+        assert all(type(k) is int for k in term.powers)
 
     def test_field_term_weight(self):
         assert FieldTerm(0.5, (1, 2)).weight(4) == 0.5 * 4.0**-2
@@ -210,6 +218,22 @@ class TestStateConstruction:
         )
         with pytest.raises(ValidationError):
             TopState.jz_product(spec, (3,))
+
+    @pytest.mark.parametrize("m_values", [(0.6, 0), (0, 1.0), (True, 0)])
+    def test_jz_product_rejects_non_integer_m(self, m_values):
+        # int() truncated 0.6 to m = 0
+        spec = TopSpec(
+            top_count=2, j_tot=2, plan=make_plan((1, 1), (1, 2)), field_terms=()
+        )
+        with pytest.raises(ValidationError, match="^m_values must be integers"):
+            TopState.jz_product(spec, m_values)
+
+    def test_jz_product_takes_numpy_integer_m(self):
+        spec = TopSpec(
+            top_count=2, j_tot=2, plan=make_plan((1, 1), (1, 2)), field_terms=()
+        )
+        state = TopState.jz_product(spec, (np.int64(-2), np.int32(1)))
+        assert state.amplitudes[0, 3] == 1.0
 
     def test_norm_enforced(self):
         spec = TopSpec(

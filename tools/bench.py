@@ -24,8 +24,10 @@ The layers:
 - ``potential_evaluate``: fig2's potential at 200 000 random angle pairs;
 - ``rotor_walk``: the 4-step ``observe`` pass of
   ``perfbench/configs/fig4_head.yaml`` (moments only, on its 945 x 960
-  window), with the ``tracemalloc`` peak of one more, untimed pass as
-  ``peak_bytes``;
+  window, which never grows) and the 70-step ideal run of
+  ``perfbench/configs/scan3.yaml`` (moments only, from a fresh engine on
+  its 54 x 60 start window, which grows 7 times to 441 x 60), each with
+  the ``tracemalloc`` peak of one more, untimed pass as ``peak_bytes``;
 - ``top_jz_moments``: ``TopEngine.measure_jz_moments`` on fig7's j = 50
   pair after 50 steps, from a fresh state (marginals and box included);
 - ``top_step``: one ``TopEngine.step`` of fig7 (j = 50, a skipped and a
@@ -44,6 +46,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +85,11 @@ TOP_STEPS = 50
 PART = BipartitionSpec(2, (0,))
 CAP = 1 << 26
 # layers whose memory is recorded too, from a pass after the timed reps
-PEAK_LAYERS = ("mc_pass/fig2", "rotor_walk/fig4_head")
+PEAK_LAYERS = (
+    "mc_pass/fig2",
+    "rotor_walk/fig4_head",
+    "rotor_walk/scan3_ideal",
+)
 
 
 def _random_amplitudes(shape, rng) -> np.ndarray:
@@ -151,15 +158,24 @@ def _predictor_layers(rng) -> dict:
 
 
 def _rotor_walk_layers() -> dict:
-    path = ROOT / "perfbench" / "configs" / "fig4_head.yaml"
-    cfg = load_config(path, "simulate")
+    configs = ROOT / "perfbench" / "configs"
+    cfg = load_config(configs / "fig4_head.yaml", "simulate")
     # fig4_head never grows its windows and observe never writes the
     # caller's state, so one engine and one start serve every rep
     engine, state = _rotor_run_pieces(cfg)
+    scan = load_config(configs / "scan3.yaml", "detune-scan")
+    ideal = replace(scan, steps=max(max(scan.horizons), scan.steps))
+
+    def scan3_ideal():
+        # the run grows its engine's lattice, so each rep takes a fresh one
+        engine, state = _rotor_run_pieces(ideal)
+        return _timed(observe, engine, state, ideal.steps, measure_moments)
+
     return {
         "rotor_walk/fig4_head": lambda: _timed(
             observe, engine, state, cfg.steps, measure_moments
-        )
+        ),
+        "rotor_walk/scan3_ideal": scan3_ideal,
     }
 
 
