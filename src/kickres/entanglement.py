@@ -35,7 +35,7 @@ class BipartitionSpec:
     part_a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rotor_count < 2:
+        if _check_int(self.rotor_count, "rotor_count") < 2:
             raise ValidationError(
                 "a bipartition needs at least two rotors"
             )

@@ -119,7 +119,7 @@ class PotentialSpec:
     terms: tuple[FourierTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        n = int(self.rotor_count)
+        n = _check_int(self.rotor_count, "rotor_count")
         if n < 1:
             raise ValidationError("rotor_count must be >= 1")
         merged: dict[tuple[tuple[int, ...], float], float] = {}
@@ -149,6 +149,7 @@ class PotentialSpec:
 
     def kick_bandwidth(self, rotor: int) -> float:
         """sum_k |c_k * m_{k,rotor}| - bounds the per-kick momentum spread."""
+        _check_rotor(self, rotor)
         return float(
             sum(abs(t.coefficient * t.modes[rotor]) for t in self.terms)
         )
@@ -174,7 +175,7 @@ class PotentialSpec:
 
 
 def _check_rotor(spec: PotentialSpec, rotor: int) -> None:
-    if not 0 <= rotor < spec.rotor_count:
+    if not 0 <= _check_int(rotor, "rotor") < spec.rotor_count:
         raise ValidationError(
             f"rotor index {rotor} out of range for {spec.rotor_count} rotors"
         )
@@ -186,7 +187,8 @@ def term_parity(term: FourierTerm, shift_set: Iterable[int]) -> int:
     Even terms are invariant under the half-turn shift on ``shift_set``,
     odd terms change sign.  Pure integer arithmetic.
     """
-    return sum(term.modes[j] for j in shift_set) % 2
+    modes = term.modes
+    return sum(modes[_check_int(j, "shift_set")] for j in shift_set) % 2
 
 
 def decompose(
@@ -241,7 +243,7 @@ def split_interaction(
     lies in the complement, and to the interaction V_I otherwise.  The three
     parts partition the term list.
     """
-    a = frozenset(int(j) for j in part_a)
+    a = frozenset(_check_int(j, "part_a") for j in part_a)
     full = frozenset(range(spec.rotor_count))
     if not a or not a < full:
         raise ValidationError(
@@ -272,12 +274,13 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
-def _check_step(steps) -> None:
-    """ValidationError unless ``steps`` is a step count: an integer >= 0,
-    not a bool."""
-    _check_int(steps, "steps")
+def _check_step(steps, name: str = "steps") -> int:
+    """``int(steps)``, or ValidationError naming the argument unless
+    ``steps`` is a step count: an integer >= 0, not a bool."""
+    steps = _check_int(steps, name)
     if steps < 0:
-        raise ValidationError("steps must be >= 0")
+        raise ValidationError(f"{name} must be >= 0")
+    return steps
 
 
 def accumulated_potential(

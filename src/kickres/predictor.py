@@ -95,7 +95,7 @@ class ProductAngleDensity:
     factors: tuple
 
     def __post_init__(self) -> None:
-        if self.rotor_count < 1:
+        if _check_int(self.rotor_count, "rotor_count") < 1:
             raise ValidationError("rotor_count must be >= 1")
         if len(self.factors) != self.rotor_count:
             raise ValidationError(
@@ -121,7 +121,8 @@ class ProductAngleDensity:
 
     @classmethod
     def uniform(cls, rotor_count: int) -> "ProductAngleDensity":
-        return cls(rotor_count, (None,) * rotor_count)
+        count = _check_int(rotor_count, "rotor_count")
+        return cls(count, (None,) * count)
 
     @classmethod
     def from_factors(cls, factors: Sequence) -> "ProductAngleDensity":
@@ -129,8 +130,8 @@ class ProductAngleDensity:
 
     def char(self, rotor: int, n: int) -> complex:
         """chi_j(n) = <exp(i n theta_j)> for one rotor."""
-        factor = self.factors[rotor]
-        n = int(n)
+        factor = self.factors[_check_int(rotor, "rotor")]
+        n = _check_int(n, "n")
         if factor is None:
             return 1.0 + 0.0j if n == 0 else 0.0j
         size = factor.size
@@ -141,6 +142,7 @@ class ProductAngleDensity:
         return complex(np.conj(np.vdot(factor[-n:], factor[: size + n])))
 
     def char_vector(self, modes: Sequence[int]) -> complex:
+        modes = [_check_int(n, "modes") for n in modes]
         out = 1.0 + 0.0j
         for j, n in enumerate(modes):
             if out == 0.0j:
@@ -167,24 +169,16 @@ class ProductAngleDensity:
             out.append((cdf, edges))
         return tuple(out)
 
-    def sample(
-        self, rng: np.random.Generator, count: int, stride: int | None = None
-    ) -> np.ndarray:
-        """Draw `count` independent angle vectors, one column per rotor.
-
-        Each column takes `count` consecutive draws of `rng`'s stream.
-        With `stride`, consecutive columns start `stride` draws apart: from
-        `rng` advanced by b draws this returns rows b .. b + count - 1 of
-        what sample(rng, stride) returns.
-        """
-        out = np.empty((count, self.rotor_count))
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw `count` independent angle vectors, one row each, from one
+        rng.random((count, rotor_count)) call, so consecutive calls on
+        one stream continue its rows."""
+        out = rng.random((_check_int(count, "count"), self.rotor_count))
         for j, inverse in enumerate(self._inverse_cdfs):
-            if j and stride is not None:
-                rng.bit_generator.advance(stride - count)
             if inverse is None:
-                out[:, j] = rng.uniform(0.0, TWO_PI, size=count)
+                out[:, j] *= TWO_PI
             else:
-                out[:, j] = np.interp(rng.uniform(size=count), *inverse)
+                out[:, j] = np.interp(out[:, j], *inverse)
         return out
 
 
@@ -329,7 +323,7 @@ def predict_moments(params: WavepacketParams, t: int):
     Odd steps add the odd-part offsets: D gains alpha_minus and
     sigma^2 gains 2 t kappa + lambda_minus.
     """
-    _check_step(t)
+    _check_step(t, "t")
     displacement = []
     spread = []
     for j in range(params.rotor_count):
@@ -531,22 +525,17 @@ def _eps_blocks(v_plus, v_minus, initial, part, sample_count, seed):
     """Yield (eps_plus, eps_minus) over consecutive blocks of at most
     SAMPLE_BLOCK draws, in order.
 
-    The draw is the one sample(rng, sample_count) per copy would make:
-    each (copy, rotor) column takes sample_count consecutive draws of the
-    seed's stream, the unprimed copy's columns first.  Each block starts
-    from the seed's state advanced to its rows of those columns.
+    The unprimed copy (A, B) and the primed copy (A', B') each read the
+    rows of their own child stream, SeedSequence(seed).spawn(2), so each
+    block continues where the last one stopped and the per-sample values
+    do not depend on SAMPLE_BLOCK.
     """
     series = [_four_block(v, part) for v in (v_plus, v_minus)]
-    rng = np.random.default_rng(seed)
-    origin = rng.bit_generator.state
-    copy_draws = initial.rotor_count * sample_count
+    children = np.random.SeedSequence(seed).spawn(2)
+    rngs = [np.random.default_rng(child) for child in children]
     for start in range(0, sample_count, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, sample_count - start)
-        copies = []
-        for copy in range(2):
-            rng.bit_generator.state = origin
-            rng.bit_generator.advance(copy * copy_draws + start)
-            copies.append(initial.sample(rng, rows, stride=sample_count))
+        copies = [initial.sample(rng, rows) for rng in rngs]
         # the doubled angles of _four_block, one column each
         columns = [
             block[:, j]
@@ -628,13 +617,11 @@ def epsilon_sample(
     random couplings).
     """
     _check_interaction_inputs(v_i, initial, part, sample_count)
-    times = tuple(times)
-    for t in times:
-        _check_step(t)
+    times = tuple(_check_step(t, "times") for t in times)
     v_plus, v_minus = decompose(v_i, shift_set)
     stride = 1 if v_minus.is_zero else 2
     keys = sorted(
-        {_row_key(v_plus, v_minus, int(t)) for t in times + (1,)},
+        {_row_key(v_plus, v_minus, t) for t in times + (1,)},
         key=lambda key: (key[1], key[0]),
     )
     wanted = set(keys)
@@ -767,12 +754,10 @@ def slin_exact(
     odd step t = 1's.
     Returns one SlinEstimate per entry of `times`, in order.
     """
-    times = tuple(times)
-    for t in times:
-        _check_step(t)
+    times = tuple(_check_step(t, "times") for t in times)
     root = math.sqrt(sample.sample_count)
     out = []
-    for t in map(int, times):
+    for t in times:
         key = _row_key(sample.v_plus, sample.v_minus, t)
         if key not in sample.rows:
             raise ValidationError(

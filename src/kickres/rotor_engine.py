@@ -92,6 +92,7 @@ class RotorLattice:
     element_cap: int = DEFAULT_ELEMENT_CAP
 
     def __post_init__(self) -> None:
+        _check_int(self.element_cap, "element_cap")
         windows = []
         for pair in self.windows:
             lo, hi = (_check_int(x, "windows") for x in pair)
@@ -132,10 +133,11 @@ class RotorLattice:
         """
         if len(initial_momenta) != potential.rotor_count:
             raise ValidationError("need one initial momentum per rotor")
+        steps, margin = _check_step(steps), _check_int(margin, "margin")
         windows = []
         for j in range(potential.rotor_count):
             half = math.ceil(steps * potential.kick_bandwidth(j)) + margin
-            p0 = int(initial_momenta[j])
+            p0 = _check_int(initial_momenta[j], "initial_momenta")
             windows.append((p0 - half, p0 + half))
         exact = cls(tuple(windows), element_cap)
         smooth = [_smooth_length(m) for m in exact.shape]
@@ -153,7 +155,7 @@ class RotorLattice:
         and ``element_cap`` keywords; the engine's trajectory widens the
         windows as their edges fill.
         """
-        reach = min(steps, START_STEPS)
+        reach = min(_check_step(steps), START_STEPS)
         return cls.for_run(potential, initial_momenta, reach, **sizing)
 
     @property
@@ -165,17 +167,17 @@ class RotorLattice:
         return tuple(hi - lo + 1 for lo, hi in self.windows)
 
     def momenta(self, rotor: int) -> np.ndarray:
-        lo, hi = self.windows[rotor]
+        lo, hi = self.windows[_check_int(rotor, "rotor")]
         return np.arange(lo, hi + 1, dtype=np.int64)
 
     def angles(self, rotor: int) -> np.ndarray:
-        m = self.shape[rotor]
+        m = self.shape[_check_int(rotor, "rotor")]
         return 2.0 * np.pi * np.arange(m) / m
 
     def axis_view(self, rotor: int, values: np.ndarray) -> np.ndarray:
         """Reshape a per-rotor 1-D array so it broadcasts along its axis."""
         shape = [1] * self.rotor_count
-        shape[rotor] = len(values)
+        shape[_check_int(rotor, "rotor")] = len(values)
         return values.reshape(shape)
 
     def resized(self, lengths: Sequence[int]) -> "RotorLattice":
@@ -183,6 +185,7 @@ class RotorLattice:
         (an odd extra cell goes on top)."""
         windows = []
         for (lo, hi), m in zip(self.windows, lengths):
+            m = _check_int(m, "lengths")
             lo -= (m - (hi - lo + 1)) // 2
             windows.append((lo, lo + m - 1))
         return RotorLattice(tuple(windows), self.element_cap)
@@ -349,7 +352,7 @@ def marginal_moments(
     for weights, v in zip(marginals, values, strict=True):
         means.append(float(np.dot(weights, v)))
         seconds.append(float(np.dot(weights, v * v)))
-    return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
+    return MomentRecord(_check_int(t, "t"), tuple(means), tuple(seconds))
 
 
 def measure_moments(state: RotorState, t: int = 0) -> MomentRecord:
@@ -430,6 +433,10 @@ class RotorEngine:
         self.plan = plan
         self.tail_tol = float(tail_tol)
         self.tail_budget = float(tail_budget)
+        for name in ("tail_tol", "tail_budget"):
+            # a NaN fails every comparison, so no tail check would trip
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0")
         self.grow_events = 0
         self._pads = [
             GROW_MARGIN + math.ceil(potential.kick_bandwidth(j))

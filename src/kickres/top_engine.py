@@ -112,16 +112,11 @@ class TopSpec:
     element_cap: int = DEFAULT_ELEMENT_CAP
 
     def __post_init__(self) -> None:
-        if self.top_count < 1:
+        _check_int(self.element_cap, "element_cap")
+        if _check_int(self.top_count, "top_count") < 1:
             raise ValidationError("top_count must be >= 1")
-        if not isinstance(self.j_tot, (int, np.integer)) or isinstance(
-            self.j_tot, bool
-        ):
-            raise ValidationError(
-                "j_tot must be an integer; half-integer spins break the "
-                "secondary-twist periodicity"
-            )
-        if self.j_tot < 1:
+        # half-integer spins break the secondary-twist periodicity
+        if _check_int(self.j_tot, "j_tot") < 1:
             raise ValidationError("j_tot must be >= 1")
         if self.plan.rotor_count != self.top_count:
             raise ValidationError(
@@ -488,7 +483,7 @@ class TopEngine:
                 means.append(0.0)
             np.square(applied, out=applied)
             seconds.append(float(applied.sum()))
-        return MomentRecord(t=int(t), mean=tuple(means), second=tuple(seconds))
+        return MomentRecord(_check_int(t, "t"), tuple(means), tuple(seconds))
 
     def measure_jx_moments(self, state: TopState, t: int = 0) -> MomentRecord:
         self._check_state(state)

@@ -385,13 +385,15 @@ class FullEpsilonSample:
 def epsilon_sample_reference(
     v_i, shift_set, initial, part, sample_count, seed
 ) -> FullEpsilonSample:
-    """Both copies drawn whole, sample(rng, sample_count) each, and the
-    four-block series evaluated on every sample at once."""
+    """Both copies drawn whole, sample(rng, sample_count) each from its
+    own child stream of SeedSequence(seed).spawn(2), and the four-block
+    series evaluated on every sample at once."""
     _check_interaction_inputs(v_i, initial, part, sample_count)
     v_plus, v_minus = decompose(v_i, shift_set)
-    rng = np.random.default_rng(seed)
-    plain = initial.sample(rng, sample_count)
-    primed = initial.sample(rng, sample_count)
+    plain, primed = (
+        initial.sample(np.random.default_rng(child), sample_count)
+        for child in np.random.SeedSequence(seed).spawn(2)
+    )
     columns = [
         block[:, j]
         for j in range(initial.rotor_count)

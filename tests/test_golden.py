@@ -27,14 +27,14 @@ GOLDEN = {
         "moments.csv": "ffc3bdfe2de72121d8e1de1e0a3702529394d70bfbf858eb13a2d0233ba6d92a",
     },
     "predict fig1": {
-        "predicted_entropy.csv": "918bda4c7d0d10c1ce282837936f120d68df5238ecdc6f780751a5d4c2ed61e5",
+        "predicted_entropy.csv": "9e21f35018e0f7a8d1127431aa8083625aab0b87e1e63a8b877121e3e1c69176",
         "predicted_moments.csv": "91c93c2731b9978ea98f2c2710cc3343a89fcbdfbaa7066232e03d8abf3e072d",
-        "report.yaml": "a434d3b7a67daaf6b9ec1efa6c3fbbb8debf834b8bfc826dfc0184b55dba8887",
+        "report.yaml": "65297ba2093930007a6f6b2811ba53e0c0a9045034d6a8e282eaa8e9fb0fdc68",
     },
     "predict fig2": {
-        "predicted_entropy.csv": "91ab85758a61e50a048aa504310250670fa92e0076f3f00970a1146401456991",
+        "predicted_entropy.csv": "7113b5a9fd6d2862aed8f01ae0e36e22bd323b62dccd39d97f5884bfcf023ffc",
         "predicted_moments.csv": "781f6792eb2549d132f6b23497b14ac922bac5d3798928e9ceaa287be7262457",
-        "report.yaml": "6fd22c3f0c0685e63c76141efff9b579d1ed3f78a95a2841daa382b36ccd0e6b",
+        "report.yaml": "510c688d322c62ce3028767289e88fa68bd8ea81cc369870900f5d75e46331a3",
     },
     "classify fig3": {
         "report.yaml": "89247d9449fd84e4ca8c83486d27d5cd469158f9cee589d3de371e3bf8e85744",
@@ -49,9 +49,9 @@ GOLDEN = {
         "moments.csv": "4a356e45a6c13a34d8d7578c585f9a65a8cdacaf8685fc235000e7936def6c18",
     },
     "predict fig2c": {
-        "predicted_entropy.csv": "840f1989adeccb63a86e1734ab71be60bf601a22dc0074a5e54824ecbdef85a4",
+        "predicted_entropy.csv": "22d81e411a411bdc78d3b5d9ab3390a4e1b484fcd4dc2606a69122051d8975b7",
         "predicted_moments.csv": "10e88d060404d226ec455e202df973464f31c7105819423a640987b347071398",
-        "report.yaml": "7594b577f45c35a73d7cd1672975e060b55925e9f4e00db7e2a96ae649c3e2f5",
+        "report.yaml": "bb7613c3a25fe5b1a848f3d3de2e666ca821809d12447f9d919483d5a8c624d0",
     },
     "simulate fig3": {
         "entropy.csv": "1bf4ee1756ec8125afbe27fd840ab3829811f37593e1a4f51ebee7d90697376b",

@@ -568,6 +568,42 @@ class TestBlockedPass:
             em.std_errors["s_odd"],
         )
 
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in blocked_pass_cases() if c[0] in ("fig2", "coherent")],
+        ids=lambda case: case[0],
+    )
+    def test_draw_does_not_depend_on_block_size(self, case, monkeypatch):
+        # each copy reads the rows of its own child stream in order, so
+        # 1 000-row blocks give the same per-sample values as the default
+        # and only the merge order of the block moments differs
+        _, v_i, shift, density, part, seed = case
+        v_plus, v_minus = decompose(v_i, shift)
+        got = []
+        for block in (SAMPLE_BLOCK, 1_000):
+            monkeypatch.setattr("kickres.predictor.SAMPLE_BLOCK", block)
+            blocks = _eps_blocks(
+                v_plus, v_minus, density, part, self.COUNT, seed
+            )
+            got.append(
+                (
+                    [np.concatenate(eps).tobytes() for eps in zip(*blocks)],
+                    epsilon_sample(
+                        v_i, shift, density, part, self.COUNT, seed,
+                        self.TIMES,
+                    ),
+                )
+            )
+        (eps, sample), (eps_small, sample_small) = got
+        assert eps == eps_small
+        for table in ("stats", "rows"):
+            want = getattr(sample, table)
+            have = getattr(sample_small, table)
+            assert want.keys() == have.keys()
+            for key, pair in want.items():
+                for x, y in zip(pair, have[key], strict=True):
+                    assert abs(x - y) <= PASS_TOL, (table, key)
+
     def test_memory_does_not_grow_with_sample_count(self):
         # tracemalloc peak of the pass: ten times the draws may add less
         # than a one-block pass peaks at

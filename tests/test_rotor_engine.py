@@ -545,6 +545,21 @@ class TestTruncationHandling:
             engine.evolve(state, 6)
         assert engine.grow_events >= 1
 
+    @pytest.mark.parametrize("name", ["tail_tol", "tail_budget"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-8])
+    def test_tail_bounds_must_be_finite_and_positive(self, name, bad):
+        # a window the cap pins at 21 cells must grow at step 1; with a
+        # NaN tolerance and budget no comparison trips and the run went on
+        # for 30 steps on the truncated window without a word
+        pot = PotentialSpec(1, (cosine_term(3.0, (1,)),))
+        plan = ResonancePlan(((1, 2),))
+        lat = RotorLattice(((-10, 10),), element_cap=21)
+        state = RotorState.momentum_eigenstate(lat, (0,))
+        with pytest.raises(ResourceCapError, match="at step 1 "):
+            RotorEngine(pot, plan, lat).evolve(state, 30)
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            RotorEngine(pot, plan, lat, **{name: bad})
+
     def test_growth_falls_back_under_the_element_cap(self):
         # bandwidth 2: minimum pad 16 + 2 per side.  Growth takes 1.25x
         # onto a 7-smooth length (252) where the cap allows, else as much
