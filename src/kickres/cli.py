@@ -31,7 +31,6 @@ block).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -42,6 +41,14 @@ from typing import Sequence
 
 import numpy as np
 import yaml
+
+try:  # hashlib loads OpenSSL, 3.5 MiB or more of RSS, for one ~1 kB digest
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .entanglement import BipartitionSpec, schmidt_purity
@@ -571,9 +578,7 @@ def _write_outputs(
         "warnings": warnings,
         "outputs": sorted(files),
     }
-    content_hash = hashlib.sha256(
-        _canonical_yaml(identity).encode()
-    ).hexdigest()
+    content_hash = sha256(_canonical_yaml(identity).encode()).hexdigest()
     manifest = {
         "identity": identity,
         "content_hash": content_hash,

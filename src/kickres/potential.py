@@ -174,11 +174,15 @@ class PotentialSpec:
         return out
 
 
-def _check_rotor(spec: PotentialSpec, rotor: int) -> None:
-    if not 0 <= _check_int(rotor, "rotor") < spec.rotor_count:
+def _check_rotor(owner, rotor: int) -> int:
+    """``rotor`` as an index into ``owner``'s ``rotor_count`` rotors; a
+    negative one is out of range, not counted from the end."""
+    index = _check_int(rotor, "rotor")
+    if not 0 <= index < owner.rotor_count:
         raise ValidationError(
-            f"rotor index {rotor} out of range for {spec.rotor_count} rotors"
+            f"rotor index {index} out of range for {owner.rotor_count} rotors"
         )
+    return index
 
 
 def term_parity(term: FourierTerm, shift_set: Iterable[int]) -> int:

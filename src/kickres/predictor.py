@@ -42,6 +42,7 @@ from .potential import (
     ResonancePlan,
     SymmetryClass,
     _check_int,
+    _check_rotor,
     _check_step,
     _parity_class,
     classify,
@@ -130,7 +131,7 @@ class ProductAngleDensity:
 
     def char(self, rotor: int, n: int) -> complex:
         """chi_j(n) = <exp(i n theta_j)> for one rotor."""
-        factor = self.factors[_check_int(rotor, "rotor")]
+        factor = self.factors[_check_rotor(self, rotor)]
         n = _check_int(n, "n")
         if factor is None:
             return 1.0 + 0.0j if n == 0 else 0.0j

@@ -43,6 +43,7 @@ from .potential import (
     PotentialSpec,
     ResonancePlan,
     _check_int,
+    _check_rotor,
     _check_step,
     accumulated_potential,
     satisfies_resonance_symmetry,
@@ -167,17 +168,17 @@ class RotorLattice:
         return tuple(hi - lo + 1 for lo, hi in self.windows)
 
     def momenta(self, rotor: int) -> np.ndarray:
-        lo, hi = self.windows[_check_int(rotor, "rotor")]
+        lo, hi = self.windows[_check_rotor(self, rotor)]
         return np.arange(lo, hi + 1, dtype=np.int64)
 
     def angles(self, rotor: int) -> np.ndarray:
-        m = self.shape[_check_int(rotor, "rotor")]
+        m = self.shape[_check_rotor(self, rotor)]
         return 2.0 * np.pi * np.arange(m) / m
 
     def axis_view(self, rotor: int, values: np.ndarray) -> np.ndarray:
         """Reshape a per-rotor 1-D array so it broadcasts along its axis."""
         shape = [1] * self.rotor_count
-        shape[_check_int(rotor, "rotor")] = len(values)
+        shape[_check_rotor(self, rotor)] = len(values)
         return values.reshape(shape)
 
     def resized(self, lengths: Sequence[int]) -> "RotorLattice":

@@ -33,7 +33,8 @@ one kernel for each.
 Every state holds its J_x-frame amplitudes from construction, and no
 read changes what a later call returns: ``amplitudes`` rotates an
 engine-made state back, one single-top transform per axis, and stores
-nothing.  No matrix exponentials are taken at run time.
+nothing.  A run takes no matrix exponential and no LAPACK call: the J_x
+eigenbasis comes from a three-term recursion (``TopSpec._jx_eigenbasis``).
 """
 
 from __future__ import annotations
@@ -154,16 +155,54 @@ class TopSpec:
 
     @cached_property
     def _jx_eigenbasis(self) -> tuple:
-        """(eigenvalues, W) of one top's J_x, J_x = W diag W^T.
+        """(eigenvalues, W) of one top's J_x, J_x = W diag W^T, with no
+        LAPACK or BLAS call: elementwise numpy only.
 
-        J_x is real symmetric, so W is real orthogonal.  It is held as a
-        complex array: a real product over a float view of the amplitudes
-        does half the flops, but at j = 50 its last bits change with the
-        BLAS thread count, and the complex product's do not.
+        The eigenvalues are k = -j..j exactly.  Column k of W is the
+        eigenvector c over m = -j..j.  Row m of J_x c = k c reads
+        a_{m-1} c_{m-1} + a_m c_{m+1} = 2 k c_m, a_m = sqrt(j(j+1) - m(m+1)),
+        so c_{m-1} = (2 k c_m - a_m c_{m+1}) / a_{m-1} runs in to m = 0 from
+        the edge entry c_j = 2^-j sqrt(C(2j, j+k)), the J_x coherent
+        state's binomial amplitude; inward from the edge it follows the
+        growing solution, so it is stable.  J_x commutes with the
+        reflection m -> -m, which gives c_{-m} = (-1)^(j-k) c_m and an exact
+        zero at m = 0 for odd j - k.  Each column is then scaled to unit
+        norm.  Every edge entry is positive, which fixes the column signs.
+
+        The edge entries start from their logarithms, since 2^-j
+        underflows past j = 1074: a start below 2^-400 is raised to it,
+        and a column whose entry passes 2^400 is divided by 2^400, its rows
+        so far too.  Entries that small beside the column's largest are
+        zero in double precision anyway.
+
+        W is held as a complex array: a real product over a float view of
+        the amplitudes does half the flops, but at j = 50 its last bits
+        change with the BLAS thread count, and the complex product's do
+        not.
         """
-        j_x, _ = build_spin_ops(self.j_tot)
-        values, vectors = np.linalg.eigh(j_x.real)
-        return values, vectors.astype(complex)
+        j = self.j_tot
+        k = np.arange(-j, j + 1, dtype=float)
+        m = np.arange(j + 1, dtype=float)
+        ladder = np.sqrt(j * (j + 1) - m * (m + 1))  # a_m for m = 0..j
+        log_fact = np.array([math.lgamma(j + x + 1) for x in k])
+        log_edge = 0.5 * (math.lgamma(2 * j + 1) - log_fact - log_fact[::-1])
+        log_edge -= j * math.log(2.0)
+        big = 2.0**400
+        w = np.zeros((2 * j + 1, 2 * j + 1))  # row j + m holds c_m
+        w[-1] = np.exp(np.maximum(log_edge, -math.log(big)))
+        for i in range(j, 0, -1):  # c_{i-1} from c_i and c_{i+1}
+            above = w[j + i + 1] if i < j else 0.0
+            row = (2.0 * k * w[j + i] - ladder[i] * above) / ladder[i - 1]
+            grown = np.abs(row) > big
+            if grown.any():
+                row[grown] /= big
+                w[j + i :, grown] /= big
+            w[j + i - 1] = row
+        reflect = np.where((j - k) % 2, -1.0, 1.0)
+        w[:j] = w[:j:-1] * reflect
+        w[j, reflect < 0] = 0.0
+        w /= np.sqrt(np.square(w).sum(axis=0))
+        return k, w.astype(complex)
 
     def unit_factors(self, factors: Sequence) -> list[np.ndarray]:
         """One flat factor per top, each checked, then normalized."""
@@ -330,30 +369,27 @@ class TopEngine:
         # 2 * after) float view of its axis.  The last axis's band is
         # repeated over each (re, im) pair, so numpy runs one contiguous
         # loop there rather than one loop of length 2 per index.
-        band = np.pad(self._jx_frame_jz_band(basis), 1)[:, None]
+        band = np.pad(self._jx_frame_jz_band(), 1)[:, None]
         last = spec.top_count - 1
         self._jz_bands = tuple(
             np.repeat(band, 2, axis=1) if n == last else band
             for n in range(spec.top_count)
         )
 
-    def _jx_frame_jz_band(self, basis: np.ndarray) -> np.ndarray:
+    def _jx_frame_jz_band(self) -> np.ndarray:
         """Off-diagonal of one top's J_z over its J_x eigenbasis.
 
-        A quarter turn about y takes J_x to J_z, so W^T J_z W is
+        A quarter turn about y takes J_x to J_z, so B = W^T J_z W is
         tridiagonal with a zero diagonal and band magnitudes
-        sqrt(j(j+1) - k(k+1)) / 2 for k = -j..j-1.  The magnitudes are
-        taken exactly; only the signs, which follow eigh's choice of
-        column signs, are read off the dense product.
+        b_k = sqrt(j(j+1) - k(k+1)) / 2 for k = -j..j-1.  The signs follow
+        from W's positive edge row e: row m = j of J_z W = W B reads
+        j e_k = B_{k-1,k} e_{k-1} + B_{k,k+1} e_{k+1}, which the binomial
+        e_k satisfy with every entry +b_k, and, solved from k = -j up,
+        with no other signs.  So the band is exact and positive.
         """
         j = self.spec.j_tot
         k = np.arange(-j, j, dtype=float)
-        real = basis.real
-        rotated = real.T @ (np.arange(-j, j + 1)[:, None] * real)
-        return np.copysign(
-            0.5 * np.sqrt(j * (j + 1) - k * (k + 1)),
-            np.diagonal(rotated, 1),
-        )
+        return 0.5 * np.sqrt(j * (j + 1) - k * (k + 1))
 
     def _jx_frame_twist(self, n: int, basis: np.ndarray) -> tuple:
         """(form, operand) of top n's twist over its J_x eigenbasis.

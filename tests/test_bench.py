@@ -1,6 +1,7 @@
 """Self-test of ``tools/bench.py``: a ``--quick`` run writes a BENCH file
-with every layer the README's performance notes cite, and the memory
-peaks of the Monte-Carlo pass and the fig4_head and scan3 rotor walks."""
+with every layer the README's performance notes cite, the memory peaks
+of the Monte-Carlo pass and the fig4_head and scan3 rotor walks, and the
+high-water marks of the CLI footprint children."""
 
 import importlib.util
 import json
@@ -25,6 +26,9 @@ LAYERS = {
     "rotor_walk/scan3_ideal",
     "top_jz_moments/j50",
     "top_step/j50",
+    "footprint/import_kickres.cli",
+    "footprint/top-simulate/fig7",
+    "footprint/detune-scan/scan3",
 }
 
 
@@ -47,6 +51,14 @@ def test_quick_run_writes_every_layer(tmp_path):
         assert timing["reps"] == 2
         assert timing["median_s"] > 0 and timing["iqr_s"] >= 0
     assert report["layers"]["mc_pass/fig2"]["peak_bytes"] > 0
+    # each child's own high-water mark: a run's lies above a bare import's
+    hwm = {
+        name.split("/", 1)[1]: timing["vm_hwm_mib"]
+        for name, timing in report["layers"].items()
+        if name.startswith("footprint/")
+    }
+    assert 0 < hwm["import_kickres.cli"] < hwm["top-simulate/fig7"]
+    assert hwm["import_kickres.cli"] < hwm["detune-scan/scan3"]
     # the first step's new state; the in-place steps add none
     walk = report["layers"]["rotor_walk/fig4_head"]["peak_bytes"]
     assert 945 * 960 * 16 < walk < 2 * 945 * 960 * 16

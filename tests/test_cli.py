@@ -120,6 +120,17 @@ def run(command, config, out_dir, *flags):
     )
 
 
+def child_env(**extra):
+    """os.environ with this checkout's kickres first on PYTHONPATH, for a
+    child interpreter."""
+    src = str(Path(kickres.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    return env
+
+
 class TestConfigValidation:
     def test_missing_required_field_names_path(self, tmp_path):
         path = write_config(tmp_path, "bad.yaml", {"system": "rotor"})
@@ -1135,14 +1146,9 @@ class TestDetuneScan:
                 "assert 'concurrent.futures' not in sys.modules",
             )
         )
-        src = str(Path(kickres.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH")))
-        )
         done = subprocess.run(
             [sys.executable, "-c", code, str(path), str(out)],
-            env=env,
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -1210,14 +1216,9 @@ class TestTopSimulate:
              simulated),
             ("predict", root / "configs" / "fig2.yaml", predicted),
         ]
-        src = str(Path(kickres.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, (src, env.get("PYTHONPATH")))
-            )
-            env["OPENBLAS_NUM_THREADS"] = threads
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
             files = []
             for k, (command, path, names) in enumerate(runs):
                 out = tmp_path / f"threads{threads}" / str(k)
@@ -1242,6 +1243,15 @@ class TestTopSimulate:
                     files.append((out / name).read_bytes())
             outputs.append(files)
         assert outputs[0] == outputs[1]
+
+    def test_runs_without_lapack(self, tmp_path, monkeypatch):
+        # the J_x eigenbasis comes from its three-term recursion
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        path = write_config(tmp_path, "top.yaml", top_body(steps=4))
+        assert run("top-simulate", path, tmp_path / "out") == EXIT_OK
 
     def test_purity_workspace_cap_exit_code(self, tmp_path):
         # the 5 x 5 state fits the cap of 30, its purity workspace does not
@@ -1280,11 +1290,7 @@ def test_cli_process_flushes_output_and_keeps_exit_code(tmp_path, launch):
     bad_body = top_body(steps=2)
     bad_body["j_tot"] = 2.5
     bad = write_config(tmp_path, "bad.yaml", bad_body)
-    src = str(Path(kickres.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH")))
-    )
+    env = child_env()
     entry = ["-m", "kickres.cli"] if launch == "module" else _script_launch()
     done = [
         subprocess.run(
@@ -1301,6 +1307,40 @@ def test_cli_process_flushes_output_and_keeps_exit_code(tmp_path, launch):
     assert done[1].returncode == EXIT_VALIDATION
     assert done[1].stderr.startswith("validation error:")
     assert done[1].stdout == ""
+
+
+def test_runs_without_random_numbers_load_no_openssl(tmp_path):
+    # the manifest hash comes from the interpreter's own sha256, so only
+    # predict maps OpenSSL's libcrypto: numpy.random imports secrets, and
+    # that imports hmac and _hashlib
+    runs = {
+        "simulate": fig1_body(steps=2),
+        "classify": fig1_body(steps=2),
+        "detune-scan": TestDetuneScan().scan_body([3e-3], [15]),
+        "top-simulate": top_body(steps=2),
+    }
+    argv = []
+    for command, body in runs.items():
+        argv += [command, str(write_config(tmp_path, f"{command}.yaml", body))]
+    code = "\n".join(
+        (
+            "import sys",
+            "from kickres.cli import main",
+            "args = sys.argv[1:]",
+            "for command, path in zip(args[::2], args[1::2]):",
+            "    run = [command, '--config', path, '--out-dir',"
+            " path + '.out', '--quiet']",
+            "    assert main(run) == 0, run",
+            "assert '_hashlib' not in sys.modules",
+        )
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_threads_flag_validated(tmp_path):

@@ -200,3 +200,20 @@ def test_non_integer_is_rejected_by_name(case, bad):
 def test_numpy_integer_is_accepted(case):
     _, call, good = CASES[case]
     call(np.int64(good))
+
+
+# The rotor-index cases also range-check: -1 used to read the last
+# rotor's windows and density, and rotor_count raised a bare IndexError.
+ROTOR_INDEX_CASES = (
+    "momenta rotor", "angles rotor", "axis_view rotor", "char rotor"
+)
+
+
+@pytest.mark.parametrize("index", (-1, 2))
+@pytest.mark.parametrize("case", ROTOR_INDEX_CASES)
+def test_rotor_index_out_of_range_is_rejected(case, index):
+    _, call, _ = CASES[case]
+    with pytest.raises(
+        ValidationError, match=f"^rotor index {index} out of range for 2 "
+    ):
+        call(index)

@@ -65,8 +65,8 @@ GOLDEN = {
         "tD.csv": "faeb92b5785acd45649b7a178cea91c7a5111aecd13432db5b9f7f3bcf9f07ba",
     },
     "top-simulate fig7": {
-        "entropy.csv": "56090b32e781edf890dd9e5d0703f39e24f9caee190c5d4dffa3eb110f561d73",
-        "moments.csv": "c2613bcac723bb526f2e9a546411e6b0fda5434720647963455815de0d6773c6",
+        "entropy.csv": "7733b45b4010d6d4c4f3246d78ebe3741b11aba2b227c94283a4cf2fa092a56f",
+        "moments.csv": "af16ae75aab46a12430f795bb71d9466450a013aa69a6fee0f5f1bed4fca6162",
     },
 }
 

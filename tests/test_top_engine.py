@@ -103,6 +103,40 @@ class TestSpinOps:
             build_spin_ops(0)
 
 
+class TestJxEigenbasis:
+    """W comes from the three-term recursion, with no LAPACK call; eigh
+    is the reference, up to its own choice of column signs."""
+
+    @staticmethod
+    def basis(j):
+        values, w = TopSpec(1, j, make_plan((1, 1)), ())._jx_eigenbasis
+        assert w.dtype == complex and not np.any(w.imag)
+        return values, w.real
+
+    @pytest.mark.parametrize("j", [1, 2, 50, 200])
+    def test_pinned_to_eigh(self, j):
+        values, w = self.basis(j)
+        assert np.array_equal(values, np.arange(-j, j + 1))
+        _, reference = np.linalg.eigh(build_spin_ops(j)[0].real)
+        signs = np.sign((reference * w).sum(axis=0))
+        assert np.max(np.abs(reference * signs - w)) <= 1e-13
+        # the edge row m = j is positive, which fixes each column's sign
+        assert np.all(w[-1] > 0)
+
+    def test_past_the_underflow_of_the_edge_entry(self):
+        # the edge entry c_j(+-j) = 2^-j is below the smallest double
+        j = 1075
+        values, w = self.basis(j)
+        assert np.isfinite(w).all()
+        assert np.max(np.abs(np.sqrt(np.square(w).sum(axis=0)) - 1)) <= 1e-13
+        m = np.arange(-j, j, dtype=float)
+        half = 0.5 * np.sqrt(j * (j + 1) - m * (m + 1))[:, None]
+        residual = w * -values  # J_x W - W diag(k), J_x tridiagonal
+        residual[1:] += half * w[:-1]
+        residual[:-1] += half * w[1:]
+        assert np.max(np.abs(residual)) <= 1e-12 * j
+
+
 class TestSpecValidation:
     def test_half_integer_spin_rejected(self):
         with pytest.raises(ValidationError):

@@ -31,7 +31,12 @@ The layers:
 - ``top_jz_moments``: ``TopEngine.measure_jz_moments`` on fig7's j = 50
   pair after 50 steps, from a fresh state (marginals and box included);
 - ``top_step``: one ``TopEngine.step`` of fig7 (j = 50, a skipped and a
-  reversed twist) on that same evolved state.
+  reversed twist) on that same evolved state;
+- ``footprint``: a fresh interpreter that imports ``kickres.cli`` and, for
+  ``top-simulate/fig7`` and ``detune-scan/scan3``, runs that invocation;
+  its wall time, and as ``vm_hwm_mib`` the median of its own ``VmHWM``,
+  read from /proc/self/status inside it.  The child's ``ru_maxrss`` is
+  no use here: it starts from the launcher's high-water mark at exec.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
@@ -90,6 +96,26 @@ PEAK_LAYERS = (
     "rotor_walk/fig4_head",
     "rotor_walk/scan3_ideal",
 )
+# the CLI arguments of each footprint child, after its import
+FOOTPRINTS = {
+    "footprint/import_kickres.cli": [],
+    "footprint/top-simulate/fig7": [
+        "top-simulate", "--config", str(ROOT / "configs" / "fig7.yaml"),
+    ],
+    "footprint/detune-scan/scan3": [
+        "detune-scan",
+        "--config",
+        str(ROOT / "perfbench" / "configs" / "scan3.yaml"),
+    ],
+}
+FOOTPRINT_CHILD = """
+import sys
+import kickres.cli
+if sys.argv[1:] and kickres.cli.main(sys.argv[1:]) != 0:
+    sys.exit(f"{sys.argv[1]} failed")
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")))
+"""
 
 
 def _random_amplitudes(shape, rng) -> np.ndarray:
@@ -202,6 +228,23 @@ def _top_layers() -> dict:
     }
 
 
+def _footprint(args: list, out_dir: str) -> tuple[float, float]:
+    """(wall seconds, VmHWM in MiB) of one fresh CLI child."""
+    if args:
+        args = [*args, "--out-dir", out_dir, "--threads", "1", "--quiet"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_CHILD, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    wall = time.perf_counter() - started
+    return wall, int(done.stdout.split()[1]) / 1024.0
+
+
 def _timed(call, *args) -> float:
     started = time.perf_counter()
     call(*args)
@@ -301,6 +344,27 @@ def measure(reps: int, seed: int = 0) -> dict:
     return out
 
 
+def footprints(reps: int) -> dict:
+    """Median and IQR of each footprint child's wall time and its median
+    VmHWM, the children run in turn within each rep."""
+    samples = {name: [] for name in FOOTPRINTS}
+    with tempfile.TemporaryDirectory() as out_dir:
+        for _ in range(reps):
+            for name, args in FOOTPRINTS.items():
+                samples[name].append(_footprint(args, out_dir))
+    out = {}
+    for name, values in samples.items():
+        walls, hwms = zip(*values)
+        q1, median, q3 = np.percentile(walls, [25, 50, 75])
+        out[name] = {
+            "median_s": median,
+            "iqr_s": q3 - q1,
+            "reps": reps,
+            "vm_hwm_mib": float(np.median(hwms)),
+        }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="writes BENCH_<n>.json")
@@ -314,7 +378,7 @@ def main(argv=None) -> int:
         "src_dirty": bool(_git("status", "--porcelain", "--", "src")),
         "src_sha256": _source_digest(),
         "environment": environment(),
-        "layers": measure(reps),
+        "layers": {**measure(reps), **footprints(reps)},
     }
     out = args.out or ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
