@@ -24,10 +24,13 @@ FFT handles at full speed (Frigo & Johnson, Proc. IEEE 93(2), 2005).
 
 A run's first step writes a new working state, and every later step runs
 in place on it, holding two window-size arrays: the state and the kick
-table.  The redo needs no pre-step state: a step is unitary on its own
-window, even once its edges have filled and wrapped, so the inverse step
-recovers the pre-step state to roundoff in the same buffer, and a grow
-holds the old state, the new table and the new state.
+table.  ``trajectory`` yields that working state itself, read-only while
+the walk is suspended, so a yielded state is valid until the next step
+and a caller that keeps one copies it.  The redo needs no pre-step state:
+a step is unitary on its own window, even once its edges have filled and
+wrapped, so the inverse step recovers the pre-step state to roundoff in
+the same buffer, and a grow holds the old state, the new table and the
+new state.
 """
 
 from __future__ import annotations
@@ -369,14 +372,12 @@ def observe(
 
     ``engine`` is a RotorEngine or a TopEngine: anything whose
     ``trajectory(state, steps)`` yields (t, state) for t = 0..steps.  A
-    RotorEngine yields the one state it steps in place, so a yielded state
-    is valid only until the next one: ``measure`` and ``purity`` must not
-    keep it.
-    ``measure(state, t)`` gives each step's moments and ``purity(state)``,
-    when given, its bipartite purity.  Each record is kept with its
-    displacement D, squared displacement sigma^2 and variance filled
-    against the first, which must be the t=0 record (ValidationError
-    otherwise).  sigma^2 uses <p^2>_t - 2<p>_t <p>_0 + <p^2>_0, which
+    yielded state is valid until the next step (``RotorEngine.trajectory``
+    says why), so ``measure(state, t)``, which gives each step's moments,
+    and ``purity(state)``, when given, its bipartite purity, must not keep
+    it.  Each record is kept with its displacement D, squared displacement
+    sigma^2 and variance filled against the first, which must be the t=0
+    record (ValidationError otherwise).  sigma^2 uses <p^2>_t - 2<p>_t <p>_0 + <p^2>_0, which
     equals the Heisenberg squared displacement exactly when the initial
     state is a momentum eigenstate (the only case the closed-form laws
     address) and stays non-negative for any initial state.  Returns the
@@ -385,11 +386,7 @@ def observe(
     through unchanged, naming its step.
     """
     records, purities = [], []
-    if isinstance(engine, RotorEngine):
-        states = engine.trajectory(state, steps, _in_place=True)
-    else:
-        states = engine.trajectory(state, steps)
-    for t, current in states:
+    for t, current in engine.trajectory(state, steps):
         rec = measure(current, t)
         if not records and rec.t != 0:
             raise ValidationError("the first record must be the t=0 reference")
@@ -530,12 +527,12 @@ class RotorEngine:
         return self.free_rotation(kicked, out=kicked.amplitudes)
 
     def evolve(self, state: RotorState, steps: int) -> RotorState:
-        for _, state in self.trajectory(state, steps, _in_place=True):
+        for _, state in self.trajectory(state, steps):
             pass
         return state
 
     def trajectory(
-        self, state: RotorState, steps: int, *, _in_place: bool = False
+        self, state: RotorState, steps: int
     ) -> Iterator[tuple[int, RotorState]]:
         """Yield (t, state) for t = 0..steps using the generic propagator.
 
@@ -543,11 +540,11 @@ class RotorEngine:
         where the element cap stops a needed growth, each naming the step.
         The caller's state is never written: the first step writes a new
         array, and every later step, redo included, runs in place on that
-        working state.  Each later yielded state is a copy of it, so
-        states kept from a trajectory do not change, unless ``_in_place``
-        (``observe`` and ``evolve`` only): then the working state itself
-        is yielded, valid only until the next one.  Both modes run the same
-        steps and yield the same bits.
+        working state.  After t = 0 the working state itself is yielded,
+        its buffer read-only (a write raises ValueError) until the walk
+        resumes: a yielded state is valid until the next step, and a
+        caller that keeps one copies it.  The last state of a finished or
+        closed walk is writeable and belongs to the caller.
         """
         _check_step(steps)
         self._check_state(state)
@@ -584,12 +581,11 @@ class RotorEngine:
                     f"cumulative tail mass {cumulative_tail:.3e} exceeds "
                     f"budget {self.tail_budget:.1e} at step {t}"
                 )
-            if _in_place:
+            state.amplitudes.setflags(write=False)
+            try:
                 yield t, state
-                continue
-            kept = RotorState(state.lattice, state.amplitudes)
-            kept._marginals = state._marginals  # the edge check's pass
-            yield t, kept
+            finally:
+                state.amplitudes.setflags(write=True)
 
     def _undo(self, a: np.ndarray) -> None:
         """Take one step on this lattice back in ``a``'s own buffer: the

@@ -14,12 +14,12 @@ product J_x eigenbasis, so the engine keeps each state's amplitudes in
 that frame between steps and the field step is one elementwise phase.
 Each top's twist is taken into the same frame once, when the engine is
 built: at exact principal resonance it is skipped, at exact secondary
-resonance the pi-rotation maps J_x to -J_x and becomes a signed reversal
-of that axis (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and any
-other rational or a detuning keeps the dense matrix W^T T W.  A step is
-one pass: the dense twists in axis order, each reversal as a flipped
-view, then one multiply by a phase built with the engine, the field
-phase times every reversal's +-1 signs.  A kick makes one new array and
+resonance the pi-rotation maps J_x to -J_x and becomes a reversal of that
+axis times the sign (-1)^j (Haake, Kus & Scharf, Z. Phys. B 65, 381
+(1987)), and any other rational or a detuning keeps the dense W^T T W.
+A step is one pass: the dense twists in axis order, each reversal as a
+flipped view, then one multiply by a phase built with the engine, the
+field phase times every reversal's sign.  A kick makes one new array and
 one norm check; ``twist`` and ``field_rotation`` run the same pass with
 their own phases.  The J_z moments and the bipartite purity are read
 in the J_x frame too, so a run never rotates back: J_z is tridiagonal
@@ -395,9 +395,11 @@ class TopEngine:
         """(form, operand) of top n's twist over its J_x eigenbasis.
 
         ``skip``: exact principal resonance, the phase is exactly 1.
-        ``reverse``: exact secondary resonance; exp(-i pi J_z) maps the
-        J_x eigenvalue k to -k, so W^T T W is a reversal of the axis
-        times the +-1 vector returned (shaped to broadcast on axis n).
+        ``reverse``: exact secondary resonance; T = exp(-i pi J_z) maps the
+        J_x eigenvector c_k to +-c_{-k}, so W^T T W is a reversal of the
+        axis times the +-1 vector returned (shaped to broadcast on axis n).
+        Every sign is (-1)^j: the edge entry of T c_k is (-1)^j c_k(j), and
+        c_k(j) = c_{-k}(j) > 0, a binomial amplitude.
         ``dense``: any other rational or a detuning, the matrix W^T T W.
         """
         spec = self.spec
@@ -406,18 +408,16 @@ class TopEngine:
         delta = spec.plan.detunings[n]
         if s == 1 and delta == 0.0:
             return "skip", None
+        if s == 2 and delta == 0.0:
+            shape = [1] * spec.top_count
+            shape[n] = spec.dimension
+            return "reverse", np.full(shape, (-1.0) ** j)
         m = np.arange(-j, j + 1)
         residue = (r % s) * ((m * m) % s) % s
         phase = np.exp(-2j * np.pi * residue / s)
         if delta:
             phase = phase * np.exp(-1j * delta * (m * m) / (2.0 * j))
-        dense = basis.T @ (phase[:, None] * basis)
-        if s == 2 and delta == 0.0:
-            shape = [1] * spec.top_count
-            shape[n] = spec.dimension
-            signs = np.rint(np.diagonal(dense[:, ::-1]).real)
-            return "reverse", signs.reshape(shape)
-        return "dense", dense
+        return "dense", basis.T @ (phase[:, None] * basis)
 
     def _field_diagonal(self) -> np.ndarray:
         """H_f eigenvalue grid over the product J_x eigenbasis."""

@@ -689,6 +689,20 @@ def jz_frame_top_run(engine, amplitudes, steps):
     return out
 
 
+def dense_reversal_signs(spec, n):
+    """Top n's exact secondary twist over its J_x eigenbasis, read from
+    the dense W^T T W: the +-1 signs on its reversed diagonal.  This is
+    the (2j+1)^3 product that ``TopEngine._jx_frame_twist`` replaced with
+    the closed form (-1)^j."""
+    j = spec.j_tot
+    r, s = spec.plan.rationals[n]
+    m = np.arange(-j, j + 1)
+    phase = np.exp(-2j * np.pi * ((r % s) * ((m * m) % s) % s) / s)
+    _, basis = spec._jx_eigenbasis
+    dense = basis.T @ (phase[:, None] * basis)
+    return np.rint(np.diagonal(dense[:, ::-1]).real)
+
+
 def twist_then_field_step(engine, state):
     """One kick cycle of a TopEngine as a twist pass, then a field pass,
     each making a new array: the two-pass step that ``TopEngine.step``'s

@@ -818,21 +818,53 @@ def count_in_place(engine):
 class TestInPlaceSteps:
     def test_a_state_kept_from_trajectory_is_unchanged(self):
         # every step after the first runs in place on the working state,
-        # but trajectory yields a copy of it, so no state is written after
-        # it is yielded, across steps and grows
+        # which trajectory yields itself: a caller keeps a state by copying
+        # it, and the copies hold every step's bits across steps and grows
         pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
         lat = RotorLattice.start_window(pot, (0, 0), 100)
-        engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
+        engine = RotorEngine(pot, plan, lat)
         in_place = count_in_place(engine)
         start = RotorState.momentum_eigenstate(lat, (0, 0))
-        kept = [
-            (state, state.amplitudes.copy())
-            for _, state in engine.trajectory(start, 100)
-        ]
+        kept, buffers = [], []
+        for _, state in engine.trajectory(start, 100):
+            kept.append(RotorState(state.lattice, state.amplitudes))
+            if not any(state.amplitudes is b for b in buffers):
+                buffers.append(state.amplitudes)
         assert engine.grow_events >= 1
         assert len(in_place) == 99 + engine.grow_events
-        for state, amplitudes in kept:
-            np.testing.assert_array_equal(state.amplitudes, amplitudes)
+        # the start, the first step's new array and one per grow
+        assert len(buffers) == 2 + engine.grow_events
+        series, _ = observe(
+            RotorEngine(pot, plan, lat), start, 100, measure_moments
+        )
+        assert [measure_moments(s, t) for t, s in enumerate(kept)] == [
+            MomentRecord(r.t, r.mean, r.second) for r in series
+        ]
+
+    def test_a_yielded_state_is_read_only_until_the_walk_resumes(self):
+        pot = fig1_potential()
+        plan = ResonancePlan(((1, 1), (1, 2)))
+        lat = RotorLattice.start_window(pot, (0, 0), 100)
+        start = RotorState.momentum_eigenstate(lat, (0, 0))
+        engine = RotorEngine(pot, plan, lat)
+        for t, state in engine.trajectory(start, 100):
+            if t == 0:
+                assert state is start and start.amplitudes.flags.writeable
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                state.amplitudes[0, 0] = 0.0
+        assert engine.grow_events >= 1
+        # the last state of a finished walk, or of one the caller stopped,
+        # is the caller's
+        state.amplitudes[0, 0] = 0.0
+        steps = RotorEngine(pot, plan, lat).trajectory(start, 100)
+        for t, state in steps:
+            if t == 5:
+                break
+        assert not state.amplitudes.flags.writeable
+        steps.close()
+        state.amplitudes[0, 0] = 0.0
 
     @pytest.mark.parametrize("start", ["eigenstate", "coherent"])
     def test_observe_and_evolve_leave_the_callers_state(self, start):
@@ -853,6 +885,9 @@ class TestInPlaceSteps:
             "evolve": lambda engine: measure_moments(
                 engine.evolve(state, 100)
             ),
+            "trajectory": lambda engine: measure_moments(
+                [*engine.trajectory(state, 100)][-1][1]
+            ),
         }
         finals = {}
         for name, run in runs.items():
@@ -863,9 +898,8 @@ class TestInPlaceSteps:
             assert engine.grow_events >= 1, name
             assert len(in_place) == 99 + engine.grow_events, name
             np.testing.assert_array_equal(state.amplitudes, before)
-        *_, (_, last) = RotorEngine(pot, plan, lat).trajectory(state, 100)
-        want = measure_moments(last, 100).second
-        assert finals["evolve"].second == finals["observe"].second == want
+        seconds = {final.second for final in finals.values()}
+        assert len(seconds) == 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_in_place_steps_equal_the_plain_step(self, seed):
@@ -906,39 +940,6 @@ class TestWorkingMemory:
         )
         assert peak < 1.5 * engine._kick_phase.nbytes + SLACK
 
-    def test_a_growing_step_holds_old_state_new_state_and_table(self):
-        # traced from before the engine exists, so the peak counts every
-        # live array.  On the public path a growing step holds the old
-        # state (the caller's copy), the new table, the new working state,
-        # the copy yielded of it and one |a|^2 block; the old table goes
-        # before the new one is built, and the old working state once it
-        # is embedded.  Keeping them, and building the table through a
-        # complex temporary, read 1.3-1.7 lattices more
-        pot = fig1_potential()
-        plan = ResonancePlan(((1, 1), (1, 1)))
-        tracemalloc.start()
-        try:
-            lat = RotorLattice.start_window(pot, (0, 0), 60)
-            engine = RotorEngine(pot, plan, lat)
-            state = RotorState.momentum_eigenstate(lat, (0, 0))
-            steps = engine.trajectory(state, 60)
-            del state
-            _, current = next(steps)
-            grown = 0
-            for _ in range(60):
-                old, grows = current.amplitudes.nbytes, engine.grow_events
-                tracemalloc.reset_peak()
-                _, current = next(steps)
-                peak = tracemalloc.get_traced_memory()[1]
-                if engine.grow_events > grows:
-                    grown += 1
-                    size = current.amplitudes.size
-                    block = 8 * min(MARGINAL_BLOCK, size)
-                    assert peak < old + 3 * 16 * size + block + SLACK
-        finally:
-            tracemalloc.stop()
-        assert grown >= 3
-
     def test_a_grow_holds_old_state_new_table_and_new_state(self):
         # on the working state a grow takes the step back in place, builds
         # the new table, embeds the state and redoes the step in place: it
@@ -951,7 +952,7 @@ class TestWorkingMemory:
             lat = RotorLattice.start_window(pot, (0, 0), 60)
             engine = RotorEngine(pot, plan, lat)
             state = RotorState.momentum_eigenstate(lat, (0, 0))
-            steps = engine.trajectory(state, 60, _in_place=True)
+            steps = engine.trajectory(state, 60)
             del state
             _, current = next(steps)
             grown = 0
@@ -978,7 +979,7 @@ class TestWorkingMemory:
         lat = RotorLattice(((-150, 149), (-150, 149)))
         engine = RotorEngine(pot, ResonancePlan(((1, 1), (1, 2))), lat)
         start = RotorState.momentum_eigenstate(lat, (0, 0))
-        steps = engine.trajectory(start, 8, _in_place=True)
+        steps = engine.trajectory(start, 8)
         _, current = next(steps)
         _, current = next(steps)  # the first step writes a new array
         block = 8 * MARGINAL_BLOCK

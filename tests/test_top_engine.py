@@ -10,6 +10,7 @@ import scipy.linalg
 from oracles import (
     block_matrix,
     dense_purity,
+    dense_reversal_signs,
     displacement_stats_reference,
     jx_marginals_reference,
     jz_frame_top_run,
@@ -349,6 +350,22 @@ class TestTwistReduction:
         assert np.max(np.abs(twisted.amplitudes - expected)) < 1e-12
         again = engine.twist(twisted)
         assert np.max(np.abs(again.amplitudes - state.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("ratio", [(1, 2), (3, 2)])
+    @pytest.mark.parametrize("j", [1, 2, 5, 50])
+    def test_reversal_signs_are_the_closed_form(self, j, ratio):
+        # the engine writes (-1)^j without forming W^T T W; the dense
+        # product's reversed diagonal reads the same signs
+        spec = TopSpec(
+            top_count=2, j_tot=j, plan=make_plan((1, 1), ratio),
+            field_terms=(),
+        )
+        form, signs = TopEngine(spec)._twist_x[1]
+        assert form == "reverse"
+        assert signs.shape == (1, 2 * j + 1)
+        want = dense_reversal_signs(spec, 1)
+        assert set(want) == {(-1.0) ** j}
+        np.testing.assert_array_equal(signs.ravel(), want)
 
     def test_detuned_twist_matches_direct_phase(self):
         j = 6
