@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .potential import _check_int
+from .potential import _check_int, _check_rotor
 from .rotor_engine import RotorState
 
 
@@ -39,7 +39,9 @@ class BipartitionSpec:
             raise ValidationError(
                 "a bipartition needs at least two rotors"
             )
-        part = tuple(sorted({_check_int(j, "part_a") for j in self.part_a}))
+        part = tuple(sorted({
+            _check_rotor(self, _check_int(j, "part_a")) for j in self.part_a
+        }))
         if len(part) != len(self.part_a):
             raise ValidationError("part_a contains repeated indices")
         if not part:
@@ -48,11 +50,6 @@ class BipartitionSpec:
             raise ValidationError(
                 "part_a must be a proper subset of the rotor indices"
             )
-        for j in part:
-            if j < 0 or j >= self.rotor_count:
-                raise ValidationError(
-                    f"rotor index {j} outside 0..{self.rotor_count - 1}"
-                )
         object.__setattr__(self, "part_a", part)
 
     @cached_property

@@ -56,10 +56,8 @@ class FourierTerm:
             raise ValidationError("a term needs at least one rotor")
         if all(m == 0 for m in modes):
             raise ValidationError("constant terms (all modes zero) are not allowed")
-        coefficient = float(self.coefficient)
-        phase = float(self.phase)
-        if not math.isfinite(coefficient) or not math.isfinite(phase):
-            raise ValidationError("term coefficient and phase must be finite")
+        coefficient = _check_real(self.coefficient, "coefficient")
+        phase = _check_real(self.phase, "phase")
         first = next(m for m in modes if m != 0)
         if first < 0:
             modes = tuple(-m for m in modes)
@@ -278,6 +276,25 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _check_real(value, name: str, positive: bool = False) -> float:
+    """``float(value)``, or ValidationError naming the argument unless
+    ``value`` is a real number (a Python or numpy int or float, not a
+    bool) that is finite, an int beyond the float range counting as
+    infinite, and ``> 0`` where ``positive`` is set."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValidationError(f"{name} must be a real number, not {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real) or (positive and real <= 0.0):
+        bound = " and > 0" if positive else ""
+        raise ValidationError(f"{name} must be finite{bound}, got {real!r}")
+    return real
+
+
 def _check_step(steps, name: str = "steps") -> int:
     """``int(steps)``, or ValidationError naming the argument unless
     ``steps`` is a step count: an integer >= 0, not a bool."""
@@ -333,13 +350,11 @@ class ResonancePlan:
                 )
             g = math.gcd(r, s)
             rationals.append((r // g, s // g))
-        detunings = tuple(float(d) for d in self.detunings)
+        detunings = tuple(_check_real(d, "detunings") for d in self.detunings)
         if not detunings:
             detunings = (0.0,) * len(rationals)
         if len(detunings) != len(rationals):
             raise ValidationError("need one detuning per rotor")
-        if not all(math.isfinite(d) for d in detunings):
-            raise ValidationError("detunings must be finite")
         object.__setattr__(self, "rationals", tuple(rationals))
         object.__setattr__(self, "detunings", detunings)
 

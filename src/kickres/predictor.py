@@ -42,6 +42,7 @@ from .potential import (
     ResonancePlan,
     SymmetryClass,
     _check_int,
+    _check_real,
     _check_rotor,
     _check_step,
     _parity_class,
@@ -232,18 +233,13 @@ class WavepacketParams:
 
     def __post_init__(self) -> None:
         n = len(self.alpha_plus)
-        fields = (
-            self.alpha_minus,
-            self.lambda_plus,
-            self.lambda_minus,
-            self.kappa,
-            self.symmetry,
-        )
-        if any(len(f) != n for f in fields):
+        stats = ("alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus",
+                 "kappa")
+        if any(len(getattr(self, f)) != n for f in (*stats, "symmetry")):
             raise ValidationError("per-rotor fields must share length")
-        stats = (self.alpha_plus,) + fields[:-1]
-        if not all(math.isfinite(x) for f in stats for x in f):
-            raise ValidationError("kick statistics must be finite")
+        for name in stats:
+            for x in getattr(self, name):
+                _check_real(x, name)
         # roundoff allowances scale with the squares: a top's lambda at
         # j = 50 is of order 10^3
         for j in range(n):
@@ -428,6 +424,7 @@ def top_params(
 
 def saturation_time(spec: TopSpec, lambda_plus: float) -> float:
     """Step count at which ballistic spreading reaches the poles."""
+    lambda_plus = _check_real(lambda_plus, "lambda_plus")
     if lambda_plus <= 0.0:
         raise ValidationError(
             "saturation time undefined without quadratic growth"
@@ -894,8 +891,7 @@ def agreement_time(
     Returns math.inf when the deviation never reaches it (e.g. zero
     detuning).
     """
-    if threshold <= 0.0:
-        raise ValidationError("threshold must be positive")
+    threshold = _check_real(threshold, "threshold", positive=True)
     for t, delta in deltas:
         if delta >= threshold:
             return float(t)
@@ -957,12 +953,8 @@ def scaling_fit(pairs: Sequence) -> ScalingFit:
         )
     xs, ys = [], []
     for detuning, t_d in pairs:
-        if detuning <= 0.0:
-            raise ValidationError("detunings must be positive")
-        if not math.isfinite(t_d) or t_d <= 0.0:
-            raise ValidationError(
-                "agreement times must be finite and positive to fit"
-            )
+        detuning = _check_real(detuning, "detunings", positive=True)
+        t_d = _check_real(t_d, "agreement_times", positive=True)
         xs.append(math.log10(detuning))
         ys.append(math.log10(t_d))
     if min(xs) == max(xs):
@@ -1001,6 +993,7 @@ class RobustnessResult:
             raise ValidationError(
                 "one delta series required per detuning"
             )
+        detunings = tuple(_check_real(d, "detunings") for d in detunings)
         times = tuple(
             agreement_time(series, threshold) for series in delta_series
         )
@@ -1010,8 +1003,4 @@ class RobustnessResult:
             if math.isfinite(t)
         ]
         fit = scaling_fit(finite) if len(finite) >= 3 else None
-        return cls(
-            detunings=tuple(float(d) for d in detunings),
-            agreement_times=times,
-            fit=fit,
-        )
+        return cls(detunings=detunings, agreement_times=times, fit=fit)

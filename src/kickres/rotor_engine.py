@@ -46,6 +46,7 @@ from .potential import (
     PotentialSpec,
     ResonancePlan,
     _check_int,
+    _check_real,
     _check_rotor,
     _check_step,
     accumulated_potential,
@@ -292,12 +293,12 @@ class RotorState:
         standard deviation.  Amplitudes follow
         exp(-(l - p0)^2 / (4 width^2)) * exp(-i l theta0).
         """
-        if width <= 0:
-            raise ValidationError("width must be positive")
+        width = _check_real(width, "width", positive=True)
         if len(centers) != lattice.rotor_count:
             raise ValidationError("need one (theta0, p0) center per rotor")
         factors = []
-        for j, (theta0, p0) in enumerate(centers):
+        for j, center in enumerate(centers):
+            theta0, p0 = (_check_real(x, "centers") for x in center)
             lo, hi = lattice.windows[j]
             if p0 - 6.0 * width < lo or p0 + 6.0 * width > hi:
                 raise ValidationError(
@@ -429,12 +430,10 @@ class RotorEngine:
             raise ValidationError("lattice and potential disagree on rotor count")
         self.potential = potential
         self.plan = plan
-        self.tail_tol = float(tail_tol)
-        self.tail_budget = float(tail_budget)
-        for name in ("tail_tol", "tail_budget"):
-            # a NaN fails every comparison, so no tail check would trip
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0")
+        self.tail_tol = _check_real(tail_tol, "tail_tol", positive=True)
+        self.tail_budget = _check_real(
+            tail_budget, "tail_budget", positive=True
+        )
         self.grow_events = 0
         self._pads = [
             GROW_MARGIN + math.ceil(potential.kick_bandwidth(j))

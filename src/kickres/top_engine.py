@@ -19,14 +19,14 @@ axis times the sign (-1)^j (Haake, Kus & Scharf, Z. Phys. B 65, 381
 (1987)), and any other rational or a detuning keeps the dense W^T T W.
 A step is one pass: the dense twists in axis order, each reversal as a
 flipped view, then one multiply by a phase built with the engine, the
-field phase times every reversal's sign.  A kick makes one new array and
-one norm check; ``twist`` and ``field_rotation`` run the same pass with
-their own phases.  The J_z moments and the bipartite purity are read
-in the J_x frame too, so a run never rotates back: J_z is tridiagonal
-over the J_x eigenbasis, and the purity is invariant under the local
-change of frame W x ... x W.  Both are read over the occupied box of
-the J_x-frame marginals, which keeps every second index from a J_z = 0
-start (see entanglement.BOX_FLOOR).
+field phase times the reversals' one scalar sign.  A kick makes one
+new array and one norm check; ``twist`` and ``field_rotation`` run the
+same pass with their own phases.  The J_z moments and the bipartite
+purity are read in the J_x frame too, so a run never rotates back: J_z
+is tridiagonal over the J_x eigenbasis, and the purity is invariant
+under the local change of frame W x ... x W.  Both are read over the
+occupied box of the J_x-frame marginals, which keeps every second index
+from a J_z = 0 start (see entanglement.BOX_FLOOR).
 Those marginals and the unit-norm check are the rotor engine's
 ``axis_marginals`` and ``unit_norm``: a rotor state and a top state share
 one kernel for each.
@@ -48,7 +48,7 @@ import numpy as np
 
 from .entanglement import BipartitionSpec, _block_purity, _occupied_box
 from .errors import ResourceCapError, ValidationError
-from .potential import ResonancePlan, _check_int, _check_step
+from .potential import ResonancePlan, _check_int, _check_real, _check_step
 from .rotor_engine import (
     DEFAULT_ELEMENT_CAP,
     MomentRecord,
@@ -82,20 +82,13 @@ class FieldTerm:
             raise ValidationError(
                 "each field term must involve at least one spin operator"
             )
-        try:
-            finite = math.isfinite(self.coefficient)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        except TypeError:
-            raise ValidationError(
-                f"coefficient must be a real number, not {self.coefficient!r}"
-            ) from None
-        if not finite or self.coefficient == 0.0:
+        coefficient = _check_real(self.coefficient, "coefficient")
+        if coefficient == 0.0:
             raise ValidationError(
                 "field coefficients must be finite and nonzero"
             )
         object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        object.__setattr__(self, "coefficient", coefficient)
 
     def weight(self, j_tot: int) -> float:
         """coefficient * j^(1 - sum(powers)), the term's scale at spin j."""
@@ -355,14 +348,12 @@ class TopEngine:
             self._jx_frame_twist(n, basis) for n in range(spec.top_count)
         )
         self._field_phase = np.exp(-1j * self._field_diagonal())
-        # Every reversal's +-1 signs, and the field phase times them: a
-        # step is the twists' matrix parts, then one multiply by the
-        # latter.  Multiplying by +-1 is exact, so the bits match a twist
-        # followed by the field.
-        self._twist_signs = np.ones(())
-        for form, signs in self._twist_x:
-            if form == "reverse":
-                self._twist_signs = self._twist_signs * signs
+        # Every reversal's sign is (-1)^j, so their product is one scalar,
+        # and the field phase times it: a step is the twists' matrix parts,
+        # then one multiply by the latter.  Multiplying by +-1 is exact, so
+        # the bits match a twist followed by the field.
+        reversals = sum(form == "reverse" for form, _ in self._twist_x)
+        self._twist_signs = (-1.0) ** (spec.j_tot * reversals)
         self._step_phase = self._field_phase * self._twist_signs
         # Each top's J_z band b padded to bp with bp[q + 1] = b_q and
         # zeros at both ends, shaped to broadcast over the (before, dim,
@@ -397,9 +388,9 @@ class TopEngine:
         ``skip``: exact principal resonance, the phase is exactly 1.
         ``reverse``: exact secondary resonance; T = exp(-i pi J_z) maps the
         J_x eigenvector c_k to +-c_{-k}, so W^T T W is a reversal of the
-        axis times the +-1 vector returned (shaped to broadcast on axis n).
-        Every sign is (-1)^j: the edge entry of T c_k is (-1)^j c_k(j), and
-        c_k(j) = c_{-k}(j) > 0, a binomial amplitude.
+        axis times signs that are all (-1)^j: the edge entry of T c_k is
+        (-1)^j c_k(j), and c_k(j) = c_{-k}(j) > 0, a binomial amplitude.
+        The engine keeps that sign as one scalar, so no operand is returned.
         ``dense``: any other rational or a detuning, the matrix W^T T W.
         """
         spec = self.spec
@@ -409,9 +400,7 @@ class TopEngine:
         if s == 1 and delta == 0.0:
             return "skip", None
         if s == 2 and delta == 0.0:
-            shape = [1] * spec.top_count
-            shape[n] = spec.dimension
-            return "reverse", np.full(shape, (-1.0) ** j)
+            return "reverse", None
         m = np.arange(-j, j + 1)
         residue = (r % s) * ((m * m) % s) % s
         phase = np.exp(-2j * np.pi * residue / s)
@@ -458,7 +447,7 @@ class TopEngine:
         """U_f alone, one multiply by the field phase.  With
         ``after_twist``, the whole cycle U_f U_k in that same one pass: the
         twists' matrix parts, then one multiply by the field phase times
-        every reversal's signs.  ``step`` takes its pass here, so a span
+        the reversals' scalar sign.  ``step`` takes its pass here, so a span
         around this method times the work of every kick."""
         if after_twist:
             return self._kick(state, True, self._step_phase)

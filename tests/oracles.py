@@ -707,14 +707,19 @@ def twist_then_field_step(engine, state):
     """One kick cycle of a TopEngine as a twist pass, then a field pass,
     each making a new array: the two-pass step that ``TopEngine.step``'s
     single pass replaced.  Each reversal is a flip times its +-1 signs,
-    applied where its axis falls in the order."""
+    read from the dense W^T T W (``dense_reversal_signs``), applied where
+    its axis falls in the order."""
+    spec = engine.spec
     amps = state._jx
     for n, (form, operand) in enumerate(engine._twist_x):
         if form == "reverse":
-            amps = np.flip(amps, n) * operand
+            shape = [1] * spec.top_count
+            shape[n] = spec.dimension
+            signs = dense_reversal_signs(spec, n).reshape(shape)
+            amps = np.flip(amps, n) * signs
         elif form == "dense":
             amps = _along_axis(amps, operand, n)
-    return TopState._from_jx(engine.spec, amps * engine._field_phase)
+    return TopState._from_jx(spec, amps * engine._field_phase)
 
 
 def jz_moments_reference(state, t=0):

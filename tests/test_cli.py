@@ -565,7 +565,7 @@ SINGLE_FAULTS = [
      "bipartition.part_a",
      "part_a must be a proper subset of the rotor indices"),
     (fig1_body, "simulate", {"bipartition.part_a": [5]},
-     "bipartition.part_a", "rotor index 5 outside 0..1"),
+     "bipartition.part_a", "rotor index 5 out of range for 2 rotors"),
     (one_rotor_body, "simulate", {"bipartition": "x"}, "bipartition",
      "a single body has no bipartition"),
     (fig1_body, "simulate", {"steps": DROP}, "steps",

@@ -354,18 +354,17 @@ class TestTwistReduction:
     @pytest.mark.parametrize("ratio", [(1, 2), (3, 2)])
     @pytest.mark.parametrize("j", [1, 2, 5, 50])
     def test_reversal_signs_are_the_closed_form(self, j, ratio):
-        # the engine writes (-1)^j without forming W^T T W; the dense
-        # product's reversed diagonal reads the same signs
+        # the engine writes one scalar (-1)^j without forming W^T T W;
+        # the dense product's reversed diagonal reads that sign throughout
         spec = TopSpec(
             top_count=2, j_tot=j, plan=make_plan((1, 1), ratio),
             field_terms=(),
         )
-        form, signs = TopEngine(spec)._twist_x[1]
-        assert form == "reverse"
-        assert signs.shape == (1, 2 * j + 1)
+        engine = TopEngine(spec)
+        assert engine._twist_x[1] == ("reverse", None)
         want = dense_reversal_signs(spec, 1)
-        assert set(want) == {(-1.0) ** j}
-        np.testing.assert_array_equal(signs.ravel(), want)
+        assert want.shape == (2 * j + 1,)
+        assert set(want) == {engine._twist_signs} == {(-1.0) ** j}
 
     def test_detuned_twist_matches_direct_phase(self):
         j = 6
@@ -662,9 +661,15 @@ class TestJxFramePropagation:
         engine = TopEngine(spec)
         forms = [form for form, _ in engine._twist_x]
         assert forms == [form for _, _, form in cases]
-        for form, operand in engine._twist_x:
+        # the engine's scalar sign is the product of every reversal's
+        # dense signs, each of them one value along its axis
+        sign = 1.0
+        for n, (form, operand) in enumerate(engine._twist_x):
             if form == "reverse":
-                assert set(np.ravel(operand)) <= {-1.0, 1.0}
+                assert operand is None
+                (axis_sign,) = set(dense_reversal_signs(spec, n))
+                sign *= axis_sign
+        assert engine._twist_signs == sign
 
     def test_state_holds_jx_from_construction(self):
         state = TopState.jz_product(FIG7_SPEC, (0, 0))
