@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .potential import _check_int, _check_rotor
+from .potential import _check_complex, _check_int, _check_rotor, _check_seq
 from .rotor_engine import RotorState
 
 
@@ -39,10 +39,9 @@ class BipartitionSpec:
             raise ValidationError(
                 "a bipartition needs at least two rotors"
             )
-        part = tuple(sorted({
-            _check_rotor(self, _check_int(j, "part_a")) for j in self.part_a
-        }))
-        if len(part) != len(self.part_a):
+        part_a = _check_seq(self.part_a, "part_a")
+        part = tuple(sorted({_check_rotor(self, j) for j in part_a}))
+        if len(part) != len(part_a):
             raise ValidationError("part_a contains repeated indices")
         if not part:
             raise ValidationError("part_a must be nonempty")
@@ -188,12 +187,12 @@ def schmidt_purity(state: RotorState, part: BipartitionSpec) -> float:
 
 
 def _coefficient_weights(values: Sequence[complex], label: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex).ravel()
+    arr = np.array(_check_seq(values, label, check=_check_complex))
     if arr.size == 0:
         raise ValidationError(f"{label} must be nonempty")
     weights = np.abs(arr) ** 2
     total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-9:
+    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
         raise ValidationError(
             f"{label} must be normalized (sum of squares = {total:.3e})"
         )
@@ -218,9 +217,9 @@ def epsilon_second_moment(
     v = _coefficient_weights(phi_a, "phi_a")
     w = _coefficient_weights(chi_b, "chi_b")
     grid = np.asarray(energies, dtype=float)
-    if grid.ndim != 2 or grid.shape != (v.size, w.size):
+    if grid.shape != (v.size, w.size) or not np.isfinite(grid).all():
         raise ValidationError(
-            "energies must be a (len(phi_a), len(chi_b)) real matrix"
+            "energies must be a finite (len(phi_a), len(chi_b)) real matrix"
         )
     row_mean = grid @ w
     row_second = (grid**2) @ w

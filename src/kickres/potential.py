@@ -51,7 +51,7 @@ class FourierTerm:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        modes = tuple(_check_int(m, "modes") for m in self.modes)
+        modes = _check_seq(self.modes, "modes")
         if not modes:
             raise ValidationError("a term needs at least one rotor")
         if all(m == 0 for m in modes):
@@ -72,12 +72,12 @@ class FourierTerm:
 
 
 def cosine_term(coefficient: float, modes: Sequence[int]) -> FourierTerm:
-    return FourierTerm(coefficient, tuple(modes), 0.0)
+    return FourierTerm(coefficient, modes, 0.0)
 
 
 def sine_term(coefficient: float, modes: Sequence[int]) -> FourierTerm:
     """``c * sin(m . theta)`` expressed as a cosine term (phi = -pi/2)."""
-    return FourierTerm(coefficient, tuple(modes), -0.5 * math.pi)
+    return FourierTerm(coefficient, modes, -0.5 * math.pi)
 
 
 def term_text(term: FourierTerm) -> str:
@@ -121,7 +121,7 @@ class PotentialSpec:
         if n < 1:
             raise ValidationError("rotor_count must be >= 1")
         merged: dict[tuple[tuple[int, ...], float], float] = {}
-        for term in self.terms:
+        for term in _check_seq(self.terms, "terms", check=FourierTerm):
             if len(term.modes) != n:
                 raise ValidationError(
                     f"term has {len(term.modes)} modes, expected {n}"
@@ -189,8 +189,10 @@ def term_parity(term: FourierTerm, shift_set: Iterable[int]) -> int:
     Even terms are invariant under the half-turn shift on ``shift_set``,
     odd terms change sign.  Pure integer arithmetic.
     """
-    modes = term.modes
-    return sum(modes[_check_int(j, "shift_set")] for j in shift_set) % 2
+    shift, n = _check_seq(shift_set, "shift_set"), len(term.modes)
+    if not all(0 <= j < n for j in shift):
+        raise ValidationError(f"shift_set {shift} out of range for {n} rotors")
+    return sum(term.modes[j] for j in shift) % 2
 
 
 def decompose(
@@ -201,7 +203,7 @@ def decompose(
     The two parts partition the term list exactly, so ``even + odd``
     reconstructs the input.
     """
-    shift = frozenset(shift_set)
+    shift = frozenset(_check_seq(shift_set, "shift_set"))
     even = tuple(t for t in spec.terms if term_parity(t, shift) == 0)
     odd = tuple(t for t in spec.terms if term_parity(t, shift) == 1)
     return (
@@ -224,7 +226,8 @@ def _parity_class(parities: Iterable[int]) -> SymmetryClass:
 
 def classify(spec: PotentialSpec, shift_set: Iterable[int]) -> SymmetryClass:
     """Symmetry class of the whole series under the half-turn shift."""
-    return _parity_class(term_parity(t, shift_set) for t in spec.terms)
+    shift = _check_seq(shift_set, "shift_set")
+    return _parity_class(term_parity(t, shift) for t in spec.terms)
 
 
 def effective_potential(spec: PotentialSpec, rotor: int) -> PotentialSpec:
@@ -245,7 +248,7 @@ def split_interaction(
     lies in the complement, and to the interaction V_I otherwise.  The three
     parts partition the term list.
     """
-    a = frozenset(_check_int(j, "part_a") for j in part_a)
+    a = frozenset(_check_seq(part_a, "part_a"))
     full = frozenset(range(spec.rotor_count))
     if not a or not a < full:
         raise ValidationError(
@@ -276,6 +279,26 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _check_seq(values, name: str, count=None, check=_check_int) -> tuple:
+    """``values`` as a tuple of ``check(entry, name)``, or of the entries
+    themselves where ``check`` is None or a class they are instances of;
+    ValidationError naming the argument unless ``values`` is a sequence,
+    of ``count`` entries where that is set."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, not {values!r}") from None
+    if count is not None and len(values) != count:
+        raise ValidationError(f"{name} needs {count} entries, got {len(values)}")
+    if not isinstance(check, type):
+        return values if check is None else tuple(check(v, name) for v in values)
+    for v in values:
+        if not isinstance(v, check):
+            kind = f"{type(v).__name__}, not a {check.__name__}"
+            raise ValidationError(f"{name} entry is a {kind}")
+    return values
+
+
 def _check_real(value, name: str, positive: bool = False) -> float:
     """``float(value)``, or ValidationError naming the argument unless
     ``value`` is a real number (a Python or numpy int or float, not a
@@ -293,6 +316,14 @@ def _check_real(value, name: str, positive: bool = False) -> float:
         bound = " and > 0" if positive else ""
         raise ValidationError(f"{name} must be finite{bound}, got {real!r}")
     return real
+
+
+def _check_complex(value, name: str) -> complex:
+    """``complex(value)`` of a float or complex number, Python or numpy,
+    NaN and inf included; any other value must pass _check_real."""
+    if isinstance(value, (float, complex, np.inexact)):
+        return complex(value)
+    return complex(_check_real(value, name))
 
 
 def _check_step(steps, name: str = "steps") -> int:
@@ -314,7 +345,7 @@ def accumulated_potential(
     gives the zero potential (identity map).
     """
     _check_step(steps)
-    shift = frozenset(shift_set)
+    shift = frozenset(_check_seq(shift_set, "shift_set"))
     terms = []
     for t in spec.terms:
         if term_parity(t, shift) == 0:
@@ -341,8 +372,8 @@ class ResonancePlan:
 
     def __post_init__(self) -> None:
         rationals = []
-        for pair in self.rationals:
-            r, s = (_check_int(x, "rationals") for x in pair)
+        for pair in _check_seq(self.rationals, "rationals", check=None):
+            r, s = _check_seq(pair, "rationals", 2)
             if r < 1 or s < 1:
                 raise ValidationError(
                     f"resonance ratio ({r}, {s}) must have positive numerator "
@@ -350,11 +381,9 @@ class ResonancePlan:
                 )
             g = math.gcd(r, s)
             rationals.append((r // g, s // g))
-        detunings = tuple(_check_real(d, "detunings") for d in self.detunings)
-        if not detunings:
-            detunings = (0.0,) * len(rationals)
-        if len(detunings) != len(rationals):
-            raise ValidationError("need one detuning per rotor")
+        n = len(rationals)
+        detunings = _check_seq(self.detunings, "detunings", check=_check_real)
+        detunings = _check_seq(detunings or (0.0,) * n, "detunings", n, None)
         object.__setattr__(self, "rationals", tuple(rationals))
         object.__setattr__(self, "detunings", detunings)
 

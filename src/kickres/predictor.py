@@ -41,9 +41,11 @@ from .potential import (
     PotentialSpec,
     ResonancePlan,
     SymmetryClass,
+    _check_complex,
     _check_int,
     _check_real,
     _check_rotor,
+    _check_seq,
     _check_step,
     _parity_class,
     classify,
@@ -99,16 +101,13 @@ class ProductAngleDensity:
     def __post_init__(self) -> None:
         if _check_int(self.rotor_count, "rotor_count") < 1:
             raise ValidationError("rotor_count must be >= 1")
-        if len(self.factors) != self.rotor_count:
-            raise ValidationError(
-                "one factor (or None) required per rotor"
-            )
+        factors = _check_seq(self.factors, "factors", self.rotor_count, None)
         cleaned = []
-        for factor in self.factors:
+        for factor in factors:
             if factor is None:
                 cleaned.append(None)
                 continue
-            arr = np.asarray(factor, dtype=complex).ravel()
+            arr = np.array(_check_seq(factor, "factors", check=_check_complex))
             if arr.size == 0 or not np.all(np.isfinite(arr)):
                 raise ValidationError("factor amplitudes must be finite")
             norm = np.linalg.norm(arr)
@@ -128,7 +127,8 @@ class ProductAngleDensity:
 
     @classmethod
     def from_factors(cls, factors: Sequence) -> "ProductAngleDensity":
-        return cls(len(factors), tuple(factors))
+        factors = _check_seq(factors, "factors", check=None)
+        return cls(len(factors), factors)
 
     def char(self, rotor: int, n: int) -> complex:
         """chi_j(n) = <exp(i n theta_j)> for one rotor."""
@@ -144,9 +144,8 @@ class ProductAngleDensity:
         return complex(np.conj(np.vdot(factor[-n:], factor[: size + n])))
 
     def char_vector(self, modes: Sequence[int]) -> complex:
-        modes = [_check_int(n, "modes") for n in modes]
         out = 1.0 + 0.0j
-        for j, n in enumerate(modes):
+        for j, n in enumerate(_check_seq(modes, "modes", self.rotor_count)):
             if out == 0.0j:
                 return 0.0j
             out *= self.char(j, n)
@@ -232,14 +231,10 @@ class WavepacketParams:
     symmetry: tuple
 
     def __post_init__(self) -> None:
-        n = len(self.alpha_plus)
-        stats = ("alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus",
-                 "kappa")
-        if any(len(getattr(self, f)) != n for f in (*stats, "symmetry")):
-            raise ValidationError("per-rotor fields must share length")
-        for name in stats:
-            for x in getattr(self, name):
-                _check_real(x, name)
+        n = len(_check_seq(self.symmetry, "symmetry", check=SymmetryClass))
+        for name in ("alpha_plus", "alpha_minus", "lambda_plus",
+                     "lambda_minus", "kappa"):
+            _check_seq(getattr(self, name), name, n, _check_real)
         # roundoff allowances scale with the squares: a top's lambda at
         # j = 50 is of order 10^3
         for j in range(n):
@@ -388,7 +383,9 @@ def top_params(
     the moments of -i [J_nz, H_nf-].  The symmetry column names the
     parity blocks acting on each top, as classify does for a rotor.
     """
-    factors = spec.unit_factors(initial_factors)
+    factors = spec.unit_factors(
+        _check_seq(initial_factors, "initial_factors", spec.top_count, None)
+    )
     _check_equator(factors, spec.j_tot)
 
     # per-top operators A_m are Hermitian, so D+-psi is a sum of scaled
@@ -615,7 +612,7 @@ def epsilon_sample(
     random couplings).
     """
     _check_interaction_inputs(v_i, initial, part, sample_count)
-    times = tuple(_check_step(t, "times") for t in times)
+    times = _check_seq(times, "times", check=_check_step)
     v_plus, v_minus = decompose(v_i, shift_set)
     stride = 1 if v_minus.is_zero else 2
     keys = sorted(
@@ -752,7 +749,7 @@ def slin_exact(
     odd step t = 1's.
     Returns one SlinEstimate per entry of `times`, in order.
     """
-    times = tuple(_check_step(t, "times") for t in times)
+    times = _check_seq(times, "times", check=_check_step)
     root = math.sqrt(sample.sample_count)
     out = []
     for t in times:
@@ -864,8 +861,8 @@ def deviation_series(
     Delta_1(t) = |<p_1^2>_ideal - <p_1^2>_detuned| / <p_1^2>_ideal,
     evaluated at t >= 1 over two step-aligned moment series.
     """
-    if len(detuned) != len(ideal):
-        raise ValidationError("series lengths differ")
+    detuned = _check_seq(detuned, "detuned", check=MomentRecord)
+    ideal = _check_seq(ideal, "ideal", len(detuned), MomentRecord)
     out = []
     for rec_d, rec_i in zip(detuned, ideal):
         if rec_d.t != rec_i.t:
@@ -892,7 +889,8 @@ def agreement_time(
     detuning).
     """
     threshold = _check_real(threshold, "threshold", positive=True)
-    for t, delta in deltas:
+    for pair in _check_seq(deltas, "deltas", check=None):
+        t, delta = _check_seq(pair, "deltas", 2, _check_real)
         if delta >= threshold:
             return float(t)
     return math.inf
@@ -947,12 +945,14 @@ def _t_quantile(p: float, df: int) -> float:
 
 def scaling_fit(pairs: Sequence) -> ScalingFit:
     """Fit log10(t_D) against log10(delta_tau) by least squares."""
+    pairs = _check_seq(pairs, "pairs", check=None)
     if len(pairs) < 3:
         raise ValidationError(
             "at least 3 (detuning, agreement time) pairs are required"
         )
     xs, ys = [], []
-    for detuning, t_d in pairs:
+    for pair in pairs:
+        detuning, t_d = _check_seq(pair, "pairs", 2, None)
         detuning = _check_real(detuning, "detunings", positive=True)
         t_d = _check_real(t_d, "agreement_times", positive=True)
         xs.append(math.log10(detuning))
@@ -989,11 +989,9 @@ class RobustnessResult:
         detunings: Sequence[float],
         delta_series: Sequence,
     ) -> "RobustnessResult":
-        if len(detunings) != len(delta_series):
-            raise ValidationError(
-                "one delta series required per detuning"
-            )
-        detunings = tuple(_check_real(d, "detunings") for d in detunings)
+        threshold = _check_real(threshold, "threshold", positive=True)
+        detunings = _check_seq(detunings, "detunings", check=_check_real)
+        delta_series = _check_seq(delta_series, "delta_series", len(detunings), None)
         times = tuple(
             agreement_time(series, threshold) for series in delta_series
         )

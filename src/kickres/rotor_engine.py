@@ -48,6 +48,7 @@ from .potential import (
     _check_int,
     _check_real,
     _check_rotor,
+    _check_seq,
     _check_step,
     accumulated_potential,
     satisfies_resonance_symmetry,
@@ -99,8 +100,8 @@ class RotorLattice:
     def __post_init__(self) -> None:
         _check_int(self.element_cap, "element_cap")
         windows = []
-        for pair in self.windows:
-            lo, hi = (_check_int(x, "windows") for x in pair)
+        for pair in _check_seq(self.windows, "windows", check=None):
+            lo, hi = _check_seq(pair, "windows", 2)
             if hi - lo + 1 < 4:
                 raise ValidationError(
                     f"window [{lo}, {hi}] too small (need at least 4 levels)"
@@ -136,13 +137,11 @@ class RotorLattice:
         length is rounded up to a 7-smooth one around its center, unless
         that alone would pass the element cap.
         """
-        if len(initial_momenta) != potential.rotor_count:
-            raise ValidationError("need one initial momentum per rotor")
+        momenta = _check_seq(initial_momenta, "initial_momenta", potential.rotor_count)
         steps, margin = _check_step(steps), _check_int(margin, "margin")
         windows = []
-        for j in range(potential.rotor_count):
+        for j, p0 in enumerate(momenta):
             half = math.ceil(steps * potential.kick_bandwidth(j)) + margin
-            p0 = _check_int(initial_momenta[j], "initial_momenta")
             windows.append((p0 - half, p0 + half))
         exact = cls(tuple(windows), element_cap)
         smooth = [_smooth_length(m) for m in exact.shape]
@@ -189,8 +188,8 @@ class RotorLattice:
         """Windows of the given lengths, each centered on the current one
         (an odd extra cell goes on top)."""
         windows = []
+        lengths = _check_seq(lengths, "lengths", self.rotor_count)
         for (lo, hi), m in zip(self.windows, lengths):
-            m = _check_int(m, "lengths")
             lo -= (m - (hi - lo + 1)) // 2
             windows.append((lo, lo + m - 1))
         return RotorLattice(tuple(windows), self.element_cap)
@@ -265,12 +264,9 @@ class RotorState:
     def momentum_eigenstate(
         cls, lattice: RotorLattice, momenta: Sequence[int]
     ) -> "RotorState":
-        if len(momenta) != lattice.rotor_count:
-            raise ValidationError("need one momentum per rotor")
         idx = []
-        for j, l in enumerate(momenta):
+        for j, l in enumerate(_check_seq(momenta, "momenta", lattice.rotor_count)):
             lo, hi = lattice.windows[j]
-            l = _check_int(l, "momenta")
             if not lo <= l <= hi:
                 raise ValidationError(
                     f"momentum {l} outside window [{lo}, {hi}] of rotor {j}"
@@ -294,11 +290,10 @@ class RotorState:
         exp(-(l - p0)^2 / (4 width^2)) * exp(-i l theta0).
         """
         width = _check_real(width, "width", positive=True)
-        if len(centers) != lattice.rotor_count:
-            raise ValidationError("need one (theta0, p0) center per rotor")
+        centers = _check_seq(centers, "centers", lattice.rotor_count, None)
         factors = []
         for j, center in enumerate(centers):
-            theta0, p0 = (_check_real(x, "centers") for x in center)
+            theta0, p0 = _check_seq(center, "centers", 2, _check_real)
             lo, hi = lattice.windows[j]
             if p0 - 6.0 * width < lo or p0 + 6.0 * width > hi:
                 raise ValidationError(

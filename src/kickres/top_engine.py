@@ -48,7 +48,10 @@ import numpy as np
 
 from .entanglement import BipartitionSpec, _block_purity, _occupied_box
 from .errors import ResourceCapError, ValidationError
-from .potential import ResonancePlan, _check_int, _check_real, _check_step
+from .potential import (
+    ResonancePlan, _check_complex, _check_int, _check_real, _check_seq,
+    _check_step,
+)
 from .rotor_engine import (
     DEFAULT_ELEMENT_CAP,
     MomentRecord,
@@ -70,12 +73,7 @@ class FieldTerm:
     powers: tuple
 
     def __post_init__(self) -> None:
-        try:
-            powers = tuple(_check_int(k, "powers") for k in self.powers)
-        except TypeError:  # not iterable
-            raise ValidationError(
-                f"powers must be a sequence of integers, not {self.powers!r}"
-            ) from None
+        powers = _check_seq(self.powers, "powers")
         if any(k < 0 for k in powers):
             raise ValidationError("powers must be nonnegative")
         if sum(powers) < 1:
@@ -116,12 +114,8 @@ class TopSpec:
             raise ValidationError(
                 "twist plan must cover every top exactly once"
             )
-        terms = tuple(self.field_terms)
+        terms = _check_seq(self.field_terms, "field_terms", check=FieldTerm)
         for term in terms:
-            if not isinstance(term, FieldTerm):
-                raise ValidationError(
-                    f"field term is a {type(term).__name__}, not a FieldTerm"
-                )
             if len(term.powers) != self.top_count:
                 raise ValidationError(
                     "field term powers must cover every top"
@@ -199,11 +193,10 @@ class TopSpec:
 
     def unit_factors(self, factors: Sequence) -> list[np.ndarray]:
         """One flat factor per top, each checked, then normalized."""
-        if len(factors) != self.top_count:
-            raise ValidationError("one factor required per top")
+        factors = _check_seq(factors, "factors", self.top_count, None)
         unit = []
         for n, factor in enumerate(factors):
-            arr = np.asarray(factor, dtype=complex).ravel()
+            arr = np.array(_check_seq(factor, "factors", check=_check_complex))
             if arr.size != self.dimension:
                 raise ValidationError(
                     f"factor {n} has size {arr.size}; need {self.dimension}"
@@ -277,12 +270,9 @@ class TopState:
     @classmethod
     def jz_product(cls, spec: TopSpec, m_values: Sequence[int]) -> "TopState":
         """Product of J_z eigenstates |m_1> x ... x |m_N>."""
-        if len(m_values) != spec.top_count:
-            raise ValidationError("one m value required per top")
         amps = np.zeros(spec.shape, dtype=complex)
         index = []
-        for m in m_values:
-            m = _check_int(m, "m_values")
+        for m in _check_seq(m_values, "m_values", spec.top_count):
             if abs(m) > spec.j_tot:
                 raise ValidationError(f"|m| = {abs(m)} exceeds j_tot")
             index.append(m + spec.j_tot)

@@ -1,4 +1,4 @@
-"""The library's integer and real-number contract.
+"""The library's integer, real-number and sequence contract.
 
 Every public constructor and function that takes a count, an index, a
 mode, a momentum or a power rejects a non-integer there with a
@@ -14,11 +14,19 @@ it must be positive) with a ValidationError naming it; a second table
 drives them.  Before, float() took the string "2" and True, and NaN went
 through: agreement_time(deltas, nan) returned inf and saturation_time
 (spec, nan) nan.
+
+Every argument that is a sequence (of integers, reals, pairs or per-body
+items) takes a list, a tuple, a range or a numpy array, and rejects a
+non-sequence and a wrong entry count with a ValidationError naming it; a
+third table drives them.  Before, each site had its own loop:
+FourierTerm(1.0, 5) raised a bare TypeError, ResonancePlan(((1, 2, 3),))
+a ValueError from the unpack and PotentialSpec(2, (5,)) an AttributeError.
 """
 
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +41,7 @@ from kickres import (
     PotentialSpec,
     ProductAngleDensity,
     ResonancePlan,
+    ResourceCapError,
     RobustnessResult,
     RotorEngine,
     RotorLattice,
@@ -40,13 +49,16 @@ from kickres import (
     TopEngine,
     TopSpec,
     TopState,
+    SymmetryClass,
     ValidationError,
     WavepacketParams,
     agreement_time,
     classify,
     cosine_term,
     decompose,
+    deviation_series,
     epsilon_sample,
+    epsilon_second_moment,
     measure_moments,
     observe,
     predict_moments,
@@ -56,8 +68,10 @@ from kickres import (
     slin_exact,
     split_interaction,
     term_parity,
+    top_params,
     wavepacket_params,
 )
+from kickres.potential import accumulated_potential
 
 # 2.0 too: int() took an integral float, so TopSpec(2.0, ...) had 2 tops
 BAD = (2.5, 2.0, True, "1", None)
@@ -296,6 +310,10 @@ REAL_CASES = {
         lambda v: RobustnessResult.assemble(v, [1e-3], [DELTAS]),
         True,
     ),
+    # an empty scan calls agreement_time on no series at all
+    "RobustnessResult.assemble threshold (empty scan)": (
+        "threshold", lambda v: RobustnessResult.assemble(v, [], []), True
+    ),
     "RobustnessResult.assemble detunings": (
         "detunings",
         lambda v: RobustnessResult.assemble(1.0, [v], [DELTAS]).detunings[0],
@@ -369,12 +387,12 @@ def test_numpy_and_int_reals_are_accepted(case, kind):
 RESULT_RECORDS = ("EpsilonMoments", "ScalingFit", "SlinEstimate")
 
 
-def _real_parameters():
-    """Every scalar float-annotated argument of the public API, as
-    "<owner> <argument>" ids."""
+def _public_parameters():
+    """(public name, "<owner> <argument>", annotation) of every argument
+    and dataclass field of the public API."""
     for name in kickres.__all__:
         obj = getattr(kickres, name)
-        if not callable(obj) or name in RESULT_RECORDS or (
+        if not callable(obj) or (
             inspect.isclass(obj) and issubclass(obj, Exception)
         ):
             continue
@@ -395,8 +413,15 @@ def _real_parameters():
                     for p in inspect.signature(target).parameters.values()
                 ]
             for param, annotation in params:
-                if annotation in ("float", float):
-                    yield f"{owner} {param}"
+                yield name, f"{owner} {param}", annotation
+
+
+def _real_parameters():
+    """Every scalar float-annotated argument of the public API, as
+    "<owner> <argument>" ids."""
+    for name, param, annotation in _public_parameters():
+        if annotation in ("float", float) and name not in RESULT_RECORDS:
+            yield param
 
 
 def test_every_real_parameter_has_a_row():
@@ -429,3 +454,361 @@ def test_any_value_is_a_finite_real_or_a_validation_error(case, value):
     assert math.isfinite(float(value)) and (value > 0 or not positive)
     if case in STORED:
         assert type(got) is float and math.isfinite(got)
+
+
+ONE_ROTOR = WavepacketParams(
+    (0.0,), (0.0,), (1.0,), (0.0,), (0.0,), (SymmetryClass.SYMMETRIC,)
+)
+SERIES = tuple(observe(engine(), STATE, 2, measure_moments)[0])
+PAIRS = ((1e-3, 10.0), (1e-4, 20.0), (1e-5, 40.0))
+# the J_z = 0 state of each top, on the equator
+FACTORS = (np.eye(5)[2], np.eye(5)[2])
+
+
+def _wavepacket_row(field):
+    return (
+        field,
+        lambda v: dataclasses.replace(ONE_ROTOR, **{field: v}),
+        range(1),
+        None if field == "symmetry" else 1,
+        False,
+    )
+
+
+# id "<owner> <argument>": (the argument's name, a call with the value in
+# its place, a valid value, the entry count the call needs or None, and
+# whether the entries must be integers).  A "(pair)" row puts the value
+# in one pair of the argument.  A valid value given as a range is passed
+# as a list, a tuple, the range and a numpy integer array.
+SEQ_CASES = {
+    "FourierTerm modes": (
+        "modes", lambda v: FourierTerm(1.0, v), range(1, 3), None, True
+    ),
+    "cosine_term modes": (
+        "modes", lambda v: cosine_term(1.0, v), range(1, 3), None, True
+    ),
+    "sine_term modes": (
+        "modes", lambda v: sine_term(1.0, v), range(1, 3), None, True
+    ),
+    "PotentialSpec terms": (
+        "terms", lambda v: PotentialSpec(2, v), POT.terms, None, False
+    ),
+    "term_parity shift_set": (
+        "shift_set",
+        lambda v: term_parity(POT.terms[0], v),
+        range(2),
+        None,
+        True,
+    ),
+    "decompose shift_set": (
+        "shift_set", lambda v: decompose(POT, v), range(2), None, True
+    ),
+    "classify shift_set": (
+        "shift_set", lambda v: classify(POT, v), range(2), None, True
+    ),
+    "accumulated_potential shift_set": (
+        "shift_set",
+        lambda v: accumulated_potential(POT, v, 3),
+        range(2),
+        None,
+        True,
+    ),
+    "split_interaction part_a": (
+        "part_a", lambda v: split_interaction(POT, v), range(1), None, True
+    ),
+    "ResonancePlan rationals": (
+        "rationals", ResonancePlan, PLAN.rationals, None, False
+    ),
+    "ResonancePlan rationals (pair)": (
+        "rationals",
+        lambda v: ResonancePlan((v, (1, 2))),
+        range(1, 3),
+        2,
+        True,
+    ),
+    "ResonancePlan detunings": (
+        "detunings",
+        lambda v: ResonancePlan(PLAN.rationals, v),
+        range(2),
+        2,
+        False,
+    ),
+    "RotorLattice windows": (
+        "windows", RotorLattice, LATTICE.windows, None, False
+    ),
+    "RotorLattice windows (pair)": (
+        "windows",
+        lambda v: RotorLattice((v, (-8, 8))),
+        range(-8, 9, 16),
+        2,
+        True,
+    ),
+    "RotorLattice.for_run initial_momenta": (
+        "initial_momenta",
+        lambda v: RotorLattice.for_run(POT, v, 3),
+        range(2),
+        2,
+        True,
+    ),
+    "RotorLattice.resized lengths": (
+        "lengths", LATTICE.resized, range(17, 19), 2, True
+    ),
+    "RotorState.momentum_eigenstate momenta": (
+        "momenta",
+        lambda v: RotorState.momentum_eigenstate(LATTICE, v),
+        range(2),
+        2,
+        True,
+    ),
+    "RotorState.coherent_product centers": (
+        "centers",
+        lambda v: RotorState.coherent_product(LATTICE, v, 1),
+        ((0, 0), (0, 0)),
+        2,
+        False,
+    ),
+    "RotorState.coherent_product centers (pair)": (
+        "centers",
+        lambda v: RotorState.coherent_product(LATTICE, (v, (0, 0)), 1),
+        range(2),
+        2,
+        False,
+    ),
+    "BipartitionSpec part_a": (
+        "part_a", lambda v: BipartitionSpec(2, v), range(1), None, True
+    ),
+    "epsilon_second_moment phi_a": (
+        "phi_a",
+        lambda v: epsilon_second_moment(v, [1.0], np.zeros((1, 1))),
+        range(1, 2),
+        None,
+        False,
+    ),
+    "epsilon_second_moment chi_b": (
+        "chi_b",
+        lambda v: epsilon_second_moment([1.0], v, np.zeros((1, 1))),
+        range(1, 2),
+        None,
+        False,
+    ),
+    "FieldTerm powers": (
+        "powers", lambda v: FieldTerm(0.1, v), range(1, 3), None, True
+    ),
+    "TopSpec field_terms": (
+        "field_terms",
+        lambda v: TopSpec(2, 2, PLAN, v),
+        TOP.field_terms,
+        None,
+        False,
+    ),
+    "TopSpec.unit_factors factors": (
+        "factors", TOP.unit_factors, FACTORS, 2, False
+    ),
+    "TopState.jz_product m_values": (
+        "m_values", lambda v: TopState.jz_product(TOP, v), range(2), 2, True
+    ),
+    "TopState.from_factors factors": (
+        "factors", lambda v: TopState.from_factors(TOP, v), FACTORS, 2, False
+    ),
+    "top_params initial_factors": (
+        "initial_factors", lambda v: top_params(TOP, v), FACTORS, 2, False
+    ),
+    "ProductAngleDensity factors": (
+        "factors",
+        lambda v: ProductAngleDensity(2, v),
+        (None, None),
+        2,
+        False,
+    ),
+    "ProductAngleDensity.from_factors factors": (
+        "factors",
+        ProductAngleDensity.from_factors,
+        (None, None),
+        None,
+        False,
+    ),
+    "ProductAngleDensity.char_vector modes": (
+        "modes", DENSITY.char_vector, range(2), 2, True
+    ),
+    "epsilon_sample times": (
+        "times",
+        lambda v: epsilon_sample(V_I, SHIFT, DENSITY, PART, 10_000, 1, v),
+        range(1, 3),
+        None,
+        True,
+    ),
+    "slin_exact times": (
+        "times", lambda v: slin_exact(SAMPLE, v), range(1, 2), None, True
+    ),
+    "deviation_series detuned": (
+        "detuned", lambda v: deviation_series(v, SERIES), SERIES, None, False
+    ),
+    "deviation_series ideal": (
+        "ideal",
+        lambda v: deviation_series(SERIES, v),
+        SERIES,
+        len(SERIES),
+        False,
+    ),
+    "agreement_time deltas": (
+        "deltas", agreement_time, DELTAS, None, False
+    ),
+    "agreement_time deltas (pair)": (
+        "deltas", lambda v: agreement_time((v,)), range(1, 3), 2, False
+    ),
+    "scaling_fit pairs": ("pairs", scaling_fit, PAIRS, None, False),
+    "scaling_fit pairs (pair)": (
+        "pairs",
+        lambda v: scaling_fit((v,) + PAIRS[1:]),
+        range(1, 3),
+        2,
+        False,
+    ),
+    "RobustnessResult.assemble detunings": (
+        "detunings",
+        lambda v: RobustnessResult.assemble(1.0, v, [DELTAS]),
+        range(1),
+        None,
+        False,
+    ),
+    "RobustnessResult.assemble delta_series": (
+        "delta_series",
+        lambda v: RobustnessResult.assemble(1.0, [1e-3], v),
+        (DELTAS,),
+        1,
+        False,
+    ),
+    **{
+        f"WavepacketParams {field}": _wavepacket_row(field)
+        for field in (
+            "alpha_plus",
+            "alpha_minus",
+            "lambda_plus",
+            "lambda_minus",
+            "kappa",
+        )
+    },
+    "WavepacketParams symmetry": (
+        "symmetry",
+        lambda v: dataclasses.replace(ONE_ROTOR, symmetry=v),
+        ONE_ROTOR.symmetry,
+        None,
+        False,
+    ),
+}
+
+
+def _bad_sequences():
+    for case, (name, _, good, count, integers) in SEQ_CASES.items():
+        for bad in (None, 5, 0.1):
+            yield pytest.param(
+                case, bad, f"{name} must be a sequence, not ",
+                id=f"{case}-{bad!r}",
+            )
+        if count is not None:
+            good = tuple(good)
+            for bad in (good[:-1], good + good[:1]):
+                yield pytest.param(
+                    case, bad, f"{name} needs {count} entries, got {len(bad)}",
+                    id=f"{case}-{len(bad)} entries",
+                )
+        if integers:
+            yield pytest.param(
+                case, [[1], [0]], f"{name} must be integers, got [1]",
+                id=f"{case}-nested",
+            )
+
+
+@pytest.mark.parametrize("case, bad, says", _bad_sequences())
+def test_bad_sequence_is_rejected_by_name(case, bad, says):
+    call = SEQ_CASES[case][1]
+    with pytest.raises(ValidationError, match=f"^{re.escape(says)}"):
+        call(bad)
+
+
+def _sequence_forms(good):
+    yield list(good)
+    yield tuple(good)
+    if isinstance(good, range):
+        yield good
+        yield np.array(good)
+
+
+@pytest.mark.parametrize("case", SEQ_CASES)
+def test_list_tuple_range_and_numpy_sequences_are_accepted(case):
+    call, good = SEQ_CASES[case][1:3]
+    for value in _sequence_forms(good):
+        call(value)
+
+
+def test_a_one_pass_iterator_is_read_once():
+    # classify handed shift_set to term_parity once per term, so the first
+    # term used up a generator and the second saw an empty shift set
+    assert classify(POT, iter([0])) is classify(POT, [0])
+
+
+@pytest.mark.parametrize("index", (-1, 2))
+def test_shift_set_index_out_of_range_is_rejected(index):
+    # -1 read the last rotor's mode, and 2 raised a bare IndexError
+    with pytest.raises(
+        ValidationError, match=rf"^shift_set \({index},\) out of range for 2 "
+    ):
+        term_parity(POT.terms[0], [index])
+
+
+# Records the library computes and returns: their tuples are results.
+SEQ_RESULT_RECORDS = (
+    "EpsilonMoments",
+    "MomentRecord",
+    "RegimeReport",
+    "RobustnessResult",
+    "ScalingFit",
+    "SlinEstimate",
+)
+# evaluate runs once per Monte-Carlo block and kick table, on the angle
+# arrays the library itself builds; it keeps its own length check
+HOT_PATHS = ("PotentialSpec.evaluate thetas",)
+
+
+def _sequence_parameters():
+    """Every Sequence-, Iterable- or tuple-annotated argument of the
+    public API, as "<owner> <argument>" ids."""
+    for _, param, annotation in _public_parameters():
+        owner = param.split()[0]
+        head = str(annotation).split("[")[0]
+        if head in ("Sequence", "Iterable", "tuple") and not (
+            owner in SEQ_RESULT_RECORDS or param in HOT_PATHS
+        ):
+            yield param
+
+
+def test_every_sequence_parameter_has_a_row():
+    found = set(_sequence_parameters())
+    # the walk reaches methods and dataclass fields too
+    assert "RotorState.coherent_product centers" in found
+    assert "ResonancePlan rationals" in found
+    assert "RobustnessResult.assemble delta_series" in found
+    assert sorted(found - set(SEQ_CASES)) == []
+
+
+SCALAR = st.one_of(
+    st.none(), st.integers(), st.floats(), st.text(max_size=3)
+)
+FLAT = st.one_of(
+    SCALAR,
+    st.lists(SCALAR, max_size=4),
+    st.lists(SCALAR, max_size=4).map(tuple),
+)
+ANY_NESTING = st.one_of(
+    FLAT, st.lists(FLAT, max_size=4), st.lists(FLAT, max_size=4).map(tuple)
+)
+
+
+@given(case=st.sampled_from(sorted(SEQ_CASES)), value=ANY_NESTING)
+@settings(max_examples=150, deadline=None)
+def test_any_value_is_accepted_or_a_validation_error(case, value):
+    # ResourceCapError: a well-formed lattice beyond the element cap
+    try:
+        SEQ_CASES[case][1](value)
+    except (ValidationError, ResourceCapError):
+        pass

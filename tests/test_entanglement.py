@@ -569,6 +569,22 @@ class TestProductBasisPurity:
         with pytest.raises(ValidationError):
             epsilon_second_moment(good_a, good_b, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "phi, energies, says",
+        [
+            # np.asarray(None, dtype=complex) is NaN, and so was the result
+            (None, [[0.0]], "phi_a must be a sequence, not None"),
+            ([np.nan], [[0.0]], "phi_a must be normalized"),
+            ([1.0], [[np.nan]], "energies must be a finite"),
+            ([1.0], [[np.inf]], "energies must be a finite"),
+        ],
+    )
+    def test_epsilon_second_moment_rejects_non_finite_input(
+        self, phi, energies, says
+    ):
+        with pytest.raises(ValidationError, match=f"^{says}"):
+            epsilon_second_moment(phi, [1.0], np.array(energies))
+
 
 class TestCrossCheck:
     def test_schmidt_vs_product_basis_on_resonant_run(self):

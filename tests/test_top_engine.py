@@ -203,7 +203,7 @@ class TestSpecValidation:
             ("a", (1,), "coefficient must be a real number, not 'a'"),
             (1j, (1,), "coefficient must be a real number"),
             (None, (1, 0), "coefficient must be a real number"),
-            (0.3, 5, "powers must be a sequence of integers, not 5"),
+            (0.3, 5, "powers must be a sequence, not 5"),
             (0.3, ("x",), "powers must be integers, got 'x'"),
             # int() truncated these to the powers (1, 0)
             (0.3, (1.5, 0.9), "powers must be integers, got 1.5"),
@@ -309,7 +309,7 @@ class TestStateConstruction:
         for build in (TopState.from_factors, top_params):
             with pytest.raises(ValidationError, match="factor 1 has size 4"):
                 build(spec, [np.array([0, 1, 0]), np.ones(4)])
-            with pytest.raises(ValidationError, match="one factor required"):
+            with pytest.raises(ValidationError, match="factors needs 2 entries, got 1"):
                 build(spec, [np.array([0, 1, 0])])
 
     def test_from_factors_normalizes(self):
