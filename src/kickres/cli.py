@@ -62,6 +62,8 @@ from .potential import (
     FourierTerm,
     PotentialSpec,
     ResonancePlan,
+    _check_int,
+    _check_real,
     sine_term,
     split_interaction,
     term_text,
@@ -139,28 +141,16 @@ def _as_list(node, path) -> list:
     return node
 
 
+# Numbers go through the library's own checks, which name the field by
+# the last part of its path (``numerator``, ``modes[1]``).
 def _as_int(node, path, minimum=None, maximum=None) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(path, f"expected an integer, got {_type_name(node)}")
-    if minimum is not None and node < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {node}")
-    if maximum is not None and node > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {node}")
-    return node
+    leaf = path.rpartition(".")[2]
+    return _built(path, _check_int, node, leaf, minimum, maximum)
 
 
 def _as_float(node, path, positive=False) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(path, f"expected a number, got {_type_name(node)}")
-    try:
-        value = float(node)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(path, "must be finite")
-    if positive and value <= 0.0:
-        raise ConfigError(path, f"must be > 0, got {value}")
-    return value
+    leaf = path.rpartition(".")[2]
+    return _built(path, _check_real, node, leaf, positive)
 
 
 def _as_str(node, path, choices=None) -> str:
@@ -205,13 +195,11 @@ def _detunings(node, path) -> list:
     values: list = []
     for i, item in enumerate(_as_list(node, path)):
         here = f"{path}[{i}]"
-        value = _as_float(item, here)
-        if value == 0.0:
+        if _as_float(item, here) == 0.0:
             raise ConfigError(
                 here, "0 is not a scan point: the ideal run is the reference"
             )
-        if value < 0.0:
-            raise ConfigError(here, "must be positive")
+        value = _as_float(item, here, positive=True)
         if value in values:
             raise ConfigError(
                 here,
@@ -923,14 +911,11 @@ _PARSER.add_argument("--quiet", action="store_true")
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
-            raise ConfigError("--seed", "must fit in an unsigned 64-bit value")
-        if args.threads < 1:
-            raise ConfigError("--threads", "must be >= 1")
-        if args.threads > 1 and args.command != "detune-scan":
-            raise ConfigError(
-                "--threads", f"{args.command} has no parallel work; use 1"
-            )
+        if args.seed is not None:
+            _as_int(args.seed, "--seed", 0, MAX_SEED)
+        # only detune-scan has parallel work
+        most = None if args.command == "detune-scan" else 1
+        _as_int(args.threads, "--threads", 1, most)
         cfg = load_config(
             args.config,
             args.command,

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .potential import _check_complex, _check_int, _check_rotor, _check_seq
+from .potential import _check_complex, _check_int, _check_seq
 from .rotor_engine import RotorState
 
 
@@ -35,12 +35,9 @@ class BipartitionSpec:
     part_a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if _check_int(self.rotor_count, "rotor_count") < 2:
-            raise ValidationError(
-                "a bipartition needs at least two rotors"
-            )
-        part_a = _check_seq(self.part_a, "part_a")
-        part = tuple(sorted({_check_rotor(self, j) for j in part_a}))
+        last = _check_int(self.rotor_count, "rotor_count", 2) - 1
+        part_a = _check_seq(self.part_a, "part_a", minimum=0, maximum=last)
+        part = tuple(sorted(set(part_a)))
         if len(part) != len(part_a):
             raise ValidationError("part_a contains repeated indices")
         if not part:

@@ -117,9 +117,7 @@ class PotentialSpec:
     terms: tuple[FourierTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        n = _check_int(self.rotor_count, "rotor_count")
-        if n < 1:
-            raise ValidationError("rotor_count must be >= 1")
+        n = _check_int(self.rotor_count, "rotor_count", 1)
         merged: dict[tuple[tuple[int, ...], float], float] = {}
         for term in _check_seq(self.terms, "terms", check=FourierTerm):
             if len(term.modes) != n:
@@ -158,10 +156,13 @@ class PotentialSpec:
         ``thetas`` is a length-``rotor_count`` sequence of mutually
         broadcastable arrays (grid axes or sample columns).
         """
-        arrays = [np.asarray(th, dtype=float) for th in thetas]
-        if len(arrays) != self.rotor_count:
-            raise ValidationError("need one angle array per rotor")
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        thetas = _check_seq(thetas, "thetas", self.rotor_count, None)
+        try:
+            arrays = [np.asarray(th, dtype=float) for th in thetas]
+            shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        except (TypeError, ValueError, OverflowError) as exc:
+            message = f"thetas must be broadcastable real arrays: {exc}"
+            raise ValidationError(message) from None
         out = np.zeros(shape)
         for term in self.terms:
             arg = term.phase
@@ -175,12 +176,7 @@ class PotentialSpec:
 def _check_rotor(owner, rotor: int) -> int:
     """``rotor`` as an index into ``owner``'s ``rotor_count`` rotors; a
     negative one is out of range, not counted from the end."""
-    index = _check_int(rotor, "rotor")
-    if not 0 <= index < owner.rotor_count:
-        raise ValidationError(
-            f"rotor index {index} out of range for {owner.rotor_count} rotors"
-        )
-    return index
+    return _check_int(rotor, "rotor", 0, owner.rotor_count - 1)
 
 
 def term_parity(term: FourierTerm, shift_set: Iterable[int]) -> int:
@@ -189,9 +185,8 @@ def term_parity(term: FourierTerm, shift_set: Iterable[int]) -> int:
     Even terms are invariant under the half-turn shift on ``shift_set``,
     odd terms change sign.  Pure integer arithmetic.
     """
-    shift, n = _check_seq(shift_set, "shift_set"), len(term.modes)
-    if not all(0 <= j < n for j in shift):
-        raise ValidationError(f"shift_set {shift} out of range for {n} rotors")
+    last = len(term.modes) - 1
+    shift = _check_seq(shift_set, "shift_set", minimum=0, maximum=last)
     return sum(term.modes[j] for j in shift) % 2
 
 
@@ -271,27 +266,37 @@ def split_interaction(
     )
 
 
-def _check_int(value, name: str) -> int:
+def _check_int(value, name: str, minimum=None, maximum=None) -> int:
     """``int(value)``, or ValidationError naming the argument unless
-    ``value`` is an integer (a Python or numpy integer, not a bool)."""
+    ``value`` is an integer (a Python or numpy integer, not a bool)
+    within the bounds that are set."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be integers, got {value!r}")
-    return int(value)
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value}")
+    return value
 
 
-def _check_seq(values, name: str, count=None, check=_check_int) -> tuple:
-    """``values`` as a tuple of ``check(entry, name)``, or of the entries
-    themselves where ``check`` is None or a class they are instances of;
-    ValidationError naming the argument unless ``values`` is a sequence,
-    of ``count`` entries where that is set."""
+def _check_seq(
+    values, name: str, count=None, check=_check_int, **bounds
+) -> tuple:
+    """``values`` as a tuple of ``check(entry, name, **bounds)``, or of the
+    entries themselves where ``check`` is None or a class they are
+    instances of; ValidationError naming the argument unless ``values`` is
+    a sequence, of ``count`` entries where that is set."""
     try:
         values = tuple(values)
     except TypeError:
         raise ValidationError(f"{name} must be a sequence, not {values!r}") from None
     if count is not None and len(values) != count:
         raise ValidationError(f"{name} needs {count} entries, got {len(values)}")
+    if check is None:
+        return values
     if not isinstance(check, type):
-        return values if check is None else tuple(check(v, name) for v in values)
+        return tuple(check(v, name, **bounds) for v in values)
     for v in values:
         if not isinstance(v, check):
             kind = f"{type(v).__name__}, not a {check.__name__}"
@@ -326,15 +331,6 @@ def _check_complex(value, name: str) -> complex:
     return complex(_check_real(value, name))
 
 
-def _check_step(steps, name: str = "steps") -> int:
-    """``int(steps)``, or ValidationError naming the argument unless
-    ``steps`` is a step count: an integer >= 0, not a bool."""
-    steps = _check_int(steps, name)
-    if steps < 0:
-        raise ValidationError(f"{name} must be >= 0")
-    return steps
-
-
 def accumulated_potential(
     spec: PotentialSpec, shift_set: Iterable[int], steps: int
 ) -> PotentialSpec:
@@ -344,7 +340,7 @@ def accumulated_potential(
     cancel pairwise and survive only once at odd step counts.  ``steps = 0``
     gives the zero potential (identity map).
     """
-    _check_step(steps)
+    _check_int(steps, "steps", 0)
     shift = frozenset(_check_seq(shift_set, "shift_set"))
     terms = []
     for t in spec.terms:
@@ -373,12 +369,7 @@ class ResonancePlan:
     def __post_init__(self) -> None:
         rationals = []
         for pair in _check_seq(self.rationals, "rationals", check=None):
-            r, s = _check_seq(pair, "rationals", 2)
-            if r < 1 or s < 1:
-                raise ValidationError(
-                    f"resonance ratio ({r}, {s}) must have positive numerator "
-                    "and denominator"
-                )
+            r, s = _check_seq(pair, "rationals", 2, minimum=1)
             g = math.gcd(r, s)
             rationals.append((r // g, s // g))
         n = len(rationals)

@@ -46,7 +46,6 @@ from .potential import (
     _check_real,
     _check_rotor,
     _check_seq,
-    _check_step,
     _parity_class,
     classify,
     decompose,
@@ -99,8 +98,7 @@ class ProductAngleDensity:
     factors: tuple
 
     def __post_init__(self) -> None:
-        if _check_int(self.rotor_count, "rotor_count") < 1:
-            raise ValidationError("rotor_count must be >= 1")
+        _check_int(self.rotor_count, "rotor_count", 1)
         factors = _check_seq(self.factors, "factors", self.rotor_count, None)
         cleaned = []
         for factor in factors:
@@ -315,7 +313,7 @@ def predict_moments(params: WavepacketParams, t: int):
     Odd steps add the odd-part offsets: D gains alpha_minus and
     sigma^2 gains 2 t kappa + lambda_minus.
     """
-    _check_step(t, "t")
+    _check_int(t, "t", 0)
     displacement = []
     spread = []
     for j in range(params.rotor_count):
@@ -383,9 +381,7 @@ def top_params(
     the moments of -i [J_nz, H_nf-].  The symmetry column names the
     parity blocks acting on each top, as classify does for a rotor.
     """
-    factors = spec.unit_factors(
-        _check_seq(initial_factors, "initial_factors", spec.top_count, None)
-    )
+    factors = spec.unit_factors(initial_factors, "initial_factors")
     _check_equator(factors, spec.j_tot)
 
     # per-top operators A_m are Hermitian, so D+-psi is a sum of scaled
@@ -503,11 +499,7 @@ def _check_interaction_inputs(
         raise ValidationError("bipartition rotor count mismatch")
     if initial.rotor_count != v_i.rotor_count:
         raise ValidationError("density rotor count mismatch")
-    _check_int(sample_count, "sample_count")
-    if sample_count < MIN_SAMPLE_COUNT:
-        raise ValidationError(
-            f"sample_count must be >= {MIN_SAMPLE_COUNT}"
-        )
+    _check_int(sample_count, "sample_count", MIN_SAMPLE_COUNT)
 
 
 def _row_key(v_plus: PotentialSpec, v_minus: PotentialSpec, t: int):
@@ -612,7 +604,7 @@ def epsilon_sample(
     random couplings).
     """
     _check_interaction_inputs(v_i, initial, part, sample_count)
-    times = _check_seq(times, "times", check=_check_step)
+    times = _check_seq(times, "times", minimum=0)
     v_plus, v_minus = decompose(v_i, shift_set)
     stride = 1 if v_minus.is_zero else 2
     keys = sorted(
@@ -749,7 +741,7 @@ def slin_exact(
     odd step t = 1's.
     Returns one SlinEstimate per entry of `times`, in order.
     """
-    times = _check_seq(times, "times", check=_check_step)
+    times = _check_seq(times, "times", minimum=0)
     root = math.sqrt(sample.sample_count)
     out = []
     for t in times:

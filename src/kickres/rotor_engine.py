@@ -49,7 +49,6 @@ from .potential import (
     _check_real,
     _check_rotor,
     _check_seq,
-    _check_step,
     accumulated_potential,
     satisfies_resonance_symmetry,
 )
@@ -138,7 +137,8 @@ class RotorLattice:
         that alone would pass the element cap.
         """
         momenta = _check_seq(initial_momenta, "initial_momenta", potential.rotor_count)
-        steps, margin = _check_step(steps), _check_int(margin, "margin")
+        steps = _check_int(steps, "steps", 0)
+        margin = _check_int(margin, "margin")
         windows = []
         for j, p0 in enumerate(momenta):
             half = math.ceil(steps * potential.kick_bandwidth(j)) + margin
@@ -159,7 +159,7 @@ class RotorLattice:
         and ``element_cap`` keywords; the engine's trajectory widens the
         windows as their edges fill.
         """
-        reach = min(_check_step(steps), START_STEPS)
+        reach = min(_check_int(steps, "steps", 0), START_STEPS)
         return cls.for_run(potential, initial_momenta, reach, **sizing)
 
     @property
@@ -540,7 +540,7 @@ class RotorEngine:
         caller that keeps one copies it.  The last state of a finished or
         closed walk is writeable and belongs to the caller.
         """
-        _check_step(steps)
+        _check_int(steps, "steps", 0)
         self._check_state(state)
         trigger = min(GROW_TRIGGER, self.tail_tol)
         cumulative_tail = 0.0
@@ -652,7 +652,7 @@ class RotorEngine:
         # U^t = [momentum phases of t free rotations] x [one kick by the
         # accumulated potential]; the half-turn dressing phases cancel
         # between the two commuting factors.
-        _check_step(steps)
+        _check_int(steps, "steps", 0)
         self._check_state(state)
         acc = accumulated_potential(
             self.potential, self.plan.shift_set, steps

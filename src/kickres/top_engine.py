@@ -50,7 +50,6 @@ from .entanglement import BipartitionSpec, _block_purity, _occupied_box
 from .errors import ResourceCapError, ValidationError
 from .potential import (
     ResonancePlan, _check_complex, _check_int, _check_real, _check_seq,
-    _check_step,
 )
 from .rotor_engine import (
     DEFAULT_ELEMENT_CAP,
@@ -73,9 +72,7 @@ class FieldTerm:
     powers: tuple
 
     def __post_init__(self) -> None:
-        powers = _check_seq(self.powers, "powers")
-        if any(k < 0 for k in powers):
-            raise ValidationError("powers must be nonnegative")
+        powers = _check_seq(self.powers, "powers", minimum=0)
         if sum(powers) < 1:
             raise ValidationError(
                 "each field term must involve at least one spin operator"
@@ -105,11 +102,9 @@ class TopSpec:
 
     def __post_init__(self) -> None:
         _check_int(self.element_cap, "element_cap")
-        if _check_int(self.top_count, "top_count") < 1:
-            raise ValidationError("top_count must be >= 1")
+        _check_int(self.top_count, "top_count", 1)
         # half-integer spins break the secondary-twist periodicity
-        if _check_int(self.j_tot, "j_tot") < 1:
-            raise ValidationError("j_tot must be >= 1")
+        _check_int(self.j_tot, "j_tot", 1)
         if self.plan.rotor_count != self.top_count:
             raise ValidationError(
                 "twist plan must cover every top exactly once"
@@ -191,12 +186,16 @@ class TopSpec:
         w /= np.sqrt(np.square(w).sum(axis=0))
         return k, w.astype(complex)
 
-    def unit_factors(self, factors: Sequence) -> list[np.ndarray]:
-        """One flat factor per top, each checked, then normalized."""
-        factors = _check_seq(factors, "factors", self.top_count, None)
+    def unit_factors(
+        self, factors: Sequence, name: str = "factors"
+    ) -> list[np.ndarray]:
+        """One flat factor per top, each checked, then normalized;
+        ``name`` is the caller's argument that errors name."""
         unit = []
-        for n, factor in enumerate(factors):
-            arr = np.array(_check_seq(factor, "factors", check=_check_complex))
+        for n, factor in enumerate(
+            _check_seq(factors, name, self.top_count, None)
+        ):
+            arr = np.array(_check_seq(factor, name, check=_check_complex))
             if arr.size != self.dimension:
                 raise ValidationError(
                     f"factor {n} has size {arr.size}; need {self.dimension}"
@@ -270,13 +269,12 @@ class TopState:
     @classmethod
     def jz_product(cls, spec: TopSpec, m_values: Sequence[int]) -> "TopState":
         """Product of J_z eigenstates |m_1> x ... x |m_N>."""
+        j = spec.j_tot
+        m_values = _check_seq(
+            m_values, "m_values", spec.top_count, minimum=-j, maximum=j
+        )
         amps = np.zeros(spec.shape, dtype=complex)
-        index = []
-        for m in _check_seq(m_values, "m_values", spec.top_count):
-            if abs(m) > spec.j_tot:
-                raise ValidationError(f"|m| = {abs(m)} exceeds j_tot")
-            index.append(m + spec.j_tot)
-        amps[tuple(index)] = 1.0
+        amps[tuple(m + j for m in m_values)] = 1.0
         return cls(spec, amps)
 
     @classmethod
@@ -295,8 +293,7 @@ class TopState:
 
 def build_spin_ops(j_tot: int):
     """Dense (J_x, J_z) for one spin, basis m = -j..j ascending."""
-    if j_tot < 1:
-        raise ValidationError("j_tot must be >= 1")
+    j_tot = _check_int(j_tot, "j_tot", 1)
     dim = 2 * j_tot + 1
     m = np.arange(-j_tot, j_tot + 1, dtype=float)
     j_z = np.diag(m.astype(complex))
@@ -454,7 +451,7 @@ class TopEngine:
     def trajectory(
         self, state: TopState, steps: int
     ) -> Iterator[tuple]:
-        _check_step(steps)
+        _check_int(steps, "steps", 0)
         self._check_state(state)
         yield 0, state
         for t in range(1, steps + 1):

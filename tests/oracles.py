@@ -18,7 +18,7 @@ from kickres.errors import ValidationError
 from kickres.potential import (
     FourierTerm,
     PotentialSpec,
-    _check_step,
+    _check_seq,
     decompose,
     effective_potential,
 )
@@ -466,9 +466,7 @@ def slin_exact_reference(sample: FullEpsilonSample, times):
     eps_plus == 0 else t, 0 if eps_minus == 0 else t mod 2) once, a key
     whose chain predecessor k - s is asked for rotated from it by
     exp(i s eps_plus), every other key a fresh cos."""
-    times = tuple(times)
-    for t in times:
-        _check_step(t)
+    times = _check_seq(times, "times", minimum=0)
     plus_zero = sample.v_plus.is_zero
     minus_zero = sample.v_minus.is_zero
     stride = 1 if minus_zero else 2

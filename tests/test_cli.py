@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import kickres
+from kickres import cli
 
 from oracles import S_ODD_UNIT
 
@@ -33,6 +34,7 @@ from kickres.errors import ResourceCapError
 from kickres.predictor import (
     DEFAULT_SAMPLES,
     MAX_SAMPLE_ROWS,
+    MIN_SAMPLE_COUNT,
     SAMPLE_BLOCK,
     EpsilonMoments,
     ProductAngleDensity,
@@ -158,7 +160,7 @@ class TestConfigValidation:
             load_config(path, "simulate")
         message = str(excinfo.value)
         assert "potential.terms[0].coefficient" in message
-        assert "str" in message
+        assert "must be a real number, not 'big'" in message
 
     def test_mode_count_mismatch(self, tmp_path):
         body = fig1_body()
@@ -288,7 +290,8 @@ class TestConfigValidation:
         assert excinfo.value.path == where
         assert run("predict", path, tmp_path / "out") == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"config error at {where}: must be finite" in err
+        leaf = where.rpartition(".")[2]
+        assert f"at {where}: {leaf} must be finite, got inf" in err
 
     def test_zero_detuning_rejected(self, tmp_path):
         body = fig1_body()
@@ -431,15 +434,15 @@ SINGLE_FAULTS = [
     (fig1_body, "simulate", {"plan[1].denominator": DROP},
      "plan[1].denominator", "missing required field"),
     (fig1_body, "simulate", {"plan[1].denominator": 0},
-     "plan[1].denominator", "must be >= 1, got 0"),
+     "plan[1].denominator", "denominator must be >= 1, got 0"),
     (fig1_body, "simulate", {"plan[0].numerator": 1.5}, "plan[0].numerator",
-     "expected an integer, got float"),
+     "numerator must be an integer, not 1.5"),
     (fig1_body, "simulate", {"plan[0].numerator": True}, "plan[0].numerator",
-     "expected an integer, got bool"),
+     "numerator must be an integer, not True"),
     (fig1_body, "simulate", {"plan[0].delta_tau": "x"}, "plan[0].delta_tau",
-     "expected a number, got str"),
+     "delta_tau must be a real number, not 'x'"),
     (fig1_body, "simulate", {"plan[0].delta_tau": math.nan},
-     "plan[0].delta_tau", "must be finite"),
+     "plan[0].delta_tau", "delta_tau must be finite, got nan"),
     (fig1_body, "simulate", {"potential": DROP}, "potential",
      "missing required field"),
     (fig1_body, "simulate", {"potential": []}, "potential",
@@ -455,15 +458,16 @@ SINGLE_FAULTS = [
     (fig1_body, "simulate", {"potential.terms[2].modes": DROP},
      "potential.terms[2].modes", "missing required field"),
     (fig1_body, "simulate", {"potential.terms[0].coefficient": "big"},
-     "potential.terms[0].coefficient", "expected a number, got str"),
+     "potential.terms[0].coefficient",
+     "coefficient must be a real number, not 'big'"),
     (fig1_body, "simulate", {"potential.terms[0].coefficient": math.inf},
-     "potential.terms[0].coefficient", "must be finite"),
+     "potential.terms[0].coefficient", "coefficient must be finite, got inf"),
     (fig1_body, "simulate", {"potential.terms[0].modes": [1]},
      "potential.terms[0].modes", "expected 2 entries"),
     (fig1_body, "simulate", {"potential.terms[0].modes": "1 0"},
      "potential.terms[0].modes", "expected a list, got str"),
     (fig1_body, "simulate", {"potential.terms[0].modes[1]": 0.5},
-     "potential.terms[0].modes[1]", "expected an integer, got float"),
+     "potential.terms[0].modes[1]", "modes[1] must be an integer, not 0.5"),
     (fig1_body, "simulate", {"potential.terms[0].kind": "tan"},
      "potential.terms[0].kind", "must be one of ['cos', 'sin'], got 'tan'"),
     (fig1_body, "simulate", {"potential.terms[0].kind": 1},
@@ -477,7 +481,7 @@ SINGLE_FAULTS = [
      "potential.terms[0].phase",
      "specify either kind: sin or phase, not both"),
     (fig1_body, "simulate", {"potential.terms[0].phase": "x"},
-     "potential.terms[0].phase", "expected a number, got str"),
+     "potential.terms[0].phase", "phase must be a real number, not 'x'"),
     (fig1_body, "simulate", {"potential.terms[1].modes": [0, 0]},
      "potential.terms[1]", "constant terms (all modes zero) are not allowed"),
     (fig1_body, "simulate",
@@ -493,9 +497,10 @@ SINGLE_FAULTS = [
      "only valid for system: rotor"),
     (top_body, "top-simulate", {"j_tot": DROP}, "j_tot",
      "missing required field"),
-    (top_body, "top-simulate", {"j_tot": 0}, "j_tot", "must be >= 1, got 0"),
+    (top_body, "top-simulate", {"j_tot": 0}, "j_tot",
+     "j_tot must be >= 1, got 0"),
     (top_body, "top-simulate", {"j_tot": 2.5}, "j_tot",
-     "expected an integer, got float"),
+     "j_tot must be an integer, not 2.5"),
     (top_body, "top-simulate", {"field_terms": {}}, "field_terms",
      "expected a list, got dict"),
     (top_body, "top-simulate", {"field_terms[1]": 2}, "field_terms[1]",
@@ -505,11 +510,12 @@ SINGLE_FAULTS = [
     (top_body, "top-simulate", {"field_terms[0].powers": DROP},
      "field_terms[0].powers", "missing required field"),
     (top_body, "top-simulate", {"field_terms[0].coefficient": None},
-     "field_terms[0].coefficient", "expected a number, got NoneType"),
+     "field_terms[0].coefficient",
+     "coefficient must be a real number, not None"),
     (top_body, "top-simulate", {"field_terms[2].powers": [1]},
      "field_terms[2].powers", "expected 2 entries"),
     (top_body, "top-simulate", {"field_terms[0].powers[0]": -1},
-     "field_terms[0].powers[0]", "must be >= 0, got -1"),
+     "field_terms[0].powers[0]", "powers[0] must be >= 0, got -1"),
     (top_body, "top-simulate", {"field_terms[0].powers": [0, 0]},
      "field_terms[0]",
      "each field term must involve at least one spin operator"),
@@ -524,7 +530,7 @@ SINGLE_FAULTS = [
     (fig1_body, "simulate", {"initial.momenta": 0}, "initial.momenta",
      "expected a list, got int"),
     (fig1_body, "simulate", {"initial.momenta[0]": "a"}, "initial.momenta[0]",
-     "expected an integer, got str"),
+     "momenta[0] must be an integer, not 'a'"),
     (fig1_body, "simulate", {"initial.width": 1.0}, "initial.width",
      "only valid for type: coherent"),
     (fig1_body, "simulate", {"initial.centers": "x"}, "initial.centers",
@@ -540,11 +546,11 @@ SINGLE_FAULTS = [
     (coherent_body, "simulate", {"initial.centers[0]": 5},
      "initial.centers[0]", "expected a list, got int"),
     (coherent_body, "simulate", {"initial.centers[0][1]": "x"},
-     "initial.centers[0][1]", "expected a number, got str"),
+     "initial.centers[0][1]", "centers[0][1] must be a real number, not 'x'"),
     (coherent_body, "simulate", {"initial.width": 0}, "initial.width",
-     "must be > 0, got 0.0"),
+     "width must be finite and > 0, got 0.0"),
     (coherent_body, "simulate", {"initial.width": -1}, "initial.width",
-     "must be > 0, got -1.0"),
+     "width must be finite and > 0, got -1.0"),
     (coherent_body, "simulate", {"initial.momenta": "x"}, "initial.momenta",
      "only valid for type: momentum_eigenstate"),
     (top_body, "top-simulate",
@@ -556,7 +562,7 @@ SINGLE_FAULTS = [
     (fig1_body, "simulate", {"bipartition.part_a": 0}, "bipartition.part_a",
      "expected a list, got int"),
     (fig1_body, "simulate", {"bipartition.part_a": [-1]},
-     "bipartition.part_a[0]", "must be >= 0, got -1"),
+     "bipartition.part_a[0]", "part_a[0] must be >= 0, got -1"),
     (fig1_body, "simulate", {"bipartition.part_a": [0, 0]},
      "bipartition.part_a", "part_a contains repeated indices"),
     (fig1_body, "simulate", {"bipartition.part_a": []}, "bipartition.part_a",
@@ -565,34 +571,36 @@ SINGLE_FAULTS = [
      "bipartition.part_a",
      "part_a must be a proper subset of the rotor indices"),
     (fig1_body, "simulate", {"bipartition.part_a": [5]},
-     "bipartition.part_a", "rotor index 5 out of range for 2 rotors"),
+     "bipartition.part_a", "part_a must be <= 1, got 5"),
     (one_rotor_body, "simulate", {"bipartition": "x"}, "bipartition",
      "a single body has no bipartition"),
     (fig1_body, "simulate", {"steps": DROP}, "steps",
      "missing required field"),
-    (fig1_body, "simulate", {"steps": 0}, "steps", "must be >= 1, got 0"),
+    (fig1_body, "simulate", {"steps": 0}, "steps",
+     "steps must be >= 1, got 0"),
     (fig1_body, "simulate", {"steps": "10"}, "steps",
-     "expected an integer, got str"),
+     "steps must be an integer, not '10'"),
     (fig1_body, "simulate", {"engine": 1}, "engine",
      "expected a mapping, got int"),
     (fig1_body, "simulate", {"engine": {"tail_tolerance": 0}},
-     "engine.tail_tolerance", "must be > 0, got 0.0"),
+     "engine.tail_tolerance",
+     "tail_tolerance must be finite and > 0, got 0.0"),
     (fig1_body, "simulate", {"engine": {"tail_tolerance": "x"}},
-     "engine.tail_tolerance", "expected a number, got str"),
+     "engine.tail_tolerance", "tail_tolerance must be a real number, not 'x'"),
     (fig1_body, "simulate", {"engine": {"tail_budget": -1}},
-     "engine.tail_budget", "must be > 0, got -1.0"),
+     "engine.tail_budget", "tail_budget must be finite and > 0, got -1.0"),
     (fig1_body, "simulate", {"engine": {"window_margin": -1}},
-     "engine.window_margin", "must be >= 0, got -1"),
+     "engine.window_margin", "window_margin must be >= 0, got -1"),
     (fig1_body, "simulate", {"engine": {"element_cap": 0}},
-     "engine.element_cap", "must be >= 1, got 0"),
+     "engine.element_cap", "element_cap must be >= 1, got 0"),
     (fig1_body, "simulate", {"predictor": "x"}, "predictor",
      "expected a mapping, got str"),
     (fig1_body, "simulate", {"predictor": {"samples": 0}},
-     "predictor.samples", "must be >= 10000, got 0"),
+     "predictor.samples", "samples must be >= 10000, got 0"),
     (fig1_body, "simulate", {"predictor": {"seed": -1}}, "predictor.seed",
-     "must be >= 0, got -1"),
+     "seed must be >= 0, got -1"),
     (fig1_body, "simulate", {"predictor": {"seed": 2**64}}, "predictor.seed",
-     "must be <= 18446744073709551615, got 18446744073709551616"),
+     "seed must be <= 18446744073709551615, got 18446744073709551616"),
     (scan_body, "simulate", {}, "detune_scan",
      "only valid for the detune-scan command"),
     (scan_body, "predict", {"detune_scan": 5}, "detune_scan",
@@ -607,21 +615,23 @@ SINGLE_FAULTS = [
     (scan_body, "detune-scan", {"detune_scan.detunings": []},
      "detune_scan.detunings", "needs at least one value"),
     (scan_body, "detune-scan", {"detune_scan.detunings[1]": "a"},
-     "detune_scan.detunings[1]", "expected a number, got str"),
+     "detune_scan.detunings[1]",
+     "detunings[1] must be a real number, not 'a'"),
     (scan_body, "detune-scan", {"detune_scan.detunings[1]": 0.0},
      "detune_scan.detunings[1]",
      "0 is not a scan point: the ideal run is the reference"),
     (scan_body, "detune-scan", {"detune_scan.detunings[0]": -1e-3},
-     "detune_scan.detunings[0]", "must be positive"),
+     "detune_scan.detunings[0]",
+     "detunings[0] must be finite and > 0, got -0.001"),
     (scan_body, "detune-scan", {"detune_scan.detunings[1]": 1e-3},
      "detune_scan.detunings[1]",
      "repeats detunings[0]: each value is one scan point"),
     (scan_body, "detune-scan", {"detune_scan.threshold": 0},
-     "detune_scan.threshold", "must be > 0, got 0.0"),
+     "detune_scan.threshold", "threshold must be finite and > 0, got 0.0"),
     (scan_body, "detune-scan", {"detune_scan.horizons": [10]},
      "detune_scan.horizons", "expected one horizon per detuning"),
     (scan_body, "detune-scan", {"detune_scan.horizons": [10, 0]},
-     "detune_scan.horizons[1]", "must be >= 1, got 0"),
+     "detune_scan.horizons[1]", "horizons[1] must be >= 1, got 0"),
     (scan_body, "detune-scan", {"detune_scan.horizons": 10},
      "detune_scan.horizons", "expected a list, got int"),
     (scan_body, "detune-scan", {"plan[1].delta_tau": 1e-4}, "plan",
@@ -630,7 +640,7 @@ SINGLE_FAULTS = [
      "expected a string, got int"),
     # below the predictor's Monte-Carlo floor: named at load, before a draw
     (fig1_body, "predict", {"predictor": {"samples": 100}},
-     "predictor.samples", "must be >= 10000, got 100"),
+     "predictor.samples", "samples must be >= 10000, got 100"),
 ]
 
 
@@ -661,6 +671,137 @@ def test_single_fault_names_path_and_message(
     where = str(path) if where is None else where
     assert excinfo.value.path == where
     assert str(excinfo.value) == f"config error at {where}: {message}"
+
+
+# Every number field of the config tables: its dotted path (a list of
+# tables at its first entry), its check, and the bounds the table sets,
+# evaluated for two bodies.  Pinned, so that dropping or loosening a bound
+# fails the walk below as well as the bound's own case.
+NUMBER_FIELDS = {
+    "plan[0].numerator": ("int", {"minimum": 1}),
+    "plan[0].denominator": ("int", {"minimum": 1}),
+    "plan[0].delta_tau": ("float", {}),
+    "potential.terms[0].coefficient": ("float", {}),
+    "potential.terms[0].modes": ("ints", {"count": 2}),
+    "potential.terms[0].phase": ("float", {}),
+    "j_tot": ("int", {"minimum": 1}),
+    "field_terms[0].coefficient": ("float", {}),
+    "field_terms[0].powers": ("ints", {"minimum": 0, "count": 2}),
+    "initial.width": ("float", {"positive": True}),
+    "initial.momenta": ("ints", {"count": 2}),
+    "bipartition.part_a": ("ints", {"minimum": 0}),
+    "steps": ("int", {"minimum": 1}),
+    "engine.tail_tolerance": ("float", {"positive": True}),
+    "engine.tail_budget": ("float", {"positive": True}),
+    "engine.window_margin": ("int", {"minimum": 0}),
+    "engine.element_cap": ("int", {"minimum": 1}),
+    "predictor.samples": ("int", {"minimum": MIN_SAMPLE_COUNT}),
+    "predictor.seed": ("int", {"minimum": 0, "maximum": 2**64 - 1}),
+    "detune_scan.threshold": ("float", {"positive": True}),
+    "detune_scan.horizons": ("ints", {"minimum": 1}),
+}
+NUMBER_CHECKS = {cli._as_int: "int", cli._as_float: "float", cli._ints: "ints"}
+# a wrong type for each check; an "ints" field gets it in its first entry
+WRONG_TYPES = {"int": (1.5, True, "1"), "float": ("1", True, None)}
+
+
+def _walk_tables(table, path=""):
+    """(path, check, bounds) of every leaf of ``table`` and the tables
+    nested in it; a list of tables is walked at its first entry."""
+    for name, check, _, bounds, _ in table:
+        here = f"{path}.{name}" if path else name
+        if check is cli._plan:  # a list of tables, checked by a function
+            check = [cli._PLAN_ENTRY]
+        if isinstance(check, list):
+            check, here = check[0], f"{here}[0]"
+        if isinstance(check, tuple):
+            yield from _walk_tables(check, here)
+        else:
+            yield here, check, bounds
+
+
+def _lookup(node, dotted):
+    for key in re.findall(r"[^.\[\]]+", dotted):
+        try:
+            node = node[int(key) if key.isdigit() else key]
+        except (KeyError, IndexError, TypeError):
+            return DROP
+    return node
+
+
+@pytest.fixture(scope="module")
+def echoes(tmp_path_factory):
+    """(command, effective config) of one valid config per system and
+    initial-state type, and of a detune scan: each echo is itself a
+    complete config, every field valid there filled in."""
+    out = []
+    for body, command in (
+        (fig1_body, "simulate"),
+        (coherent_body, "simulate"),
+        (top_body, "top-simulate"),
+        (scan_body, "detune-scan"),
+    ):
+        path = tmp_path_factory.mktemp("echo") / "config.yaml"
+        path.write_text(yaml.safe_dump(body()))
+        out.append((command, load_config(path, command).effective))
+    return out
+
+
+def test_the_walk_finds_every_number_field_and_its_bounds(echoes):
+    seen = {**echoes[0][1], "command": "simulate"}
+    walked = {
+        path: (NUMBER_CHECKS[check], {
+            k: b(seen) if callable(b) else b for k, b in bounds.items()
+        })
+        for path, check, bounds in _walk_tables(cli._ROOT)
+        if check in NUMBER_CHECKS
+    }
+    assert walked == NUMBER_FIELDS
+
+
+# the value of a counted list's case: its entries plus one more
+ONE_MORE = object()
+
+
+def _number_faults():
+    """(field, path the error names, value) for wrong types and for the
+    value just past each bound of every number field."""
+    for field, (kind, bounds) in NUMBER_FIELDS.items():
+        entry = f"{field}[0]" if kind == "ints" else field
+        for bad in WRONG_TYPES["int" if kind == "ints" else kind]:
+            yield pytest.param(field, entry, bad, id=f"{field}-{bad!r}")
+        past = {
+            "minimum": bounds.get("minimum", 0) - 1,
+            "maximum": bounds.get("maximum", 0) + 1,
+            "positive": 0.0,
+        }
+        for bound in past:
+            if bound in bounds:
+                yield pytest.param(
+                    field, entry, past[bound], id=f"{field}-{bound}"
+                )
+        if "count" in bounds:
+            yield pytest.param(field, field, ONE_MORE, id=f"{field}-count")
+
+
+@pytest.mark.parametrize("field, where, value", _number_faults())
+def test_a_bad_number_field_exits_2_naming_its_path(
+    tmp_path, echoes, field, where, value
+):
+    command, body = next(
+        (command, echo) for command, echo in echoes
+        if _lookup(echo, field) is not DROP
+    )
+    if value is ONE_MORE:
+        entries = _lookup(body, field)
+        value = entries + entries[:1]
+    path = write_config(tmp_path, "config.yaml", edited(body, {where: value}))
+    code = main([command, "--config", str(path), "--quiet",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path, command)
+    assert excinfo.value.path == where
 
 
 class TestSimulate:

@@ -6,7 +6,9 @@ ValidationError naming the argument, and takes a numpy integer as it takes
 an int.  One table drives them all.  Before the library checked, int()
 truncated many of these values (RotorLattice.for_run(pot, [0.6, 2.9], 3)
 centred its windows on 0 and 2) and others failed later with a bare
-TypeError (BipartitionSpec(2.5, (0,)) at part_b).
+TypeError (BipartitionSpec(2.5, (0,)) at part_b).  A bounded one rejects
+the value just past its bound in one form, "<name> must be >= N, got v",
+where each site used to word its own.
 
 Every real-valued argument takes a finite int or float, numpy ones too,
 and rejects a bool, a non-number and NaN or +-inf (and a value <= 0 where
@@ -72,6 +74,7 @@ from kickres import (
     wavepacket_params,
 )
 from kickres.potential import accumulated_potential
+from kickres.top_engine import build_spin_ops
 
 # 2.0 too: int() took an integral float, so TopSpec(2.0, ...) had 2 tops
 BAD = (2.5, 2.0, True, "1", None)
@@ -179,6 +182,7 @@ CASES = {
         "top_count", lambda v: TopSpec(v, 2, PLAN, TOP.field_terms), 2
     ),
     "TopSpec j_tot": ("j_tot", lambda v: TopSpec(2, v, PLAN, ()), 2),
+    "build_spin_ops j_tot": ("j_tot", build_spin_ops, 2),
     "TopSpec element_cap": (
         "element_cap",
         lambda v: TopSpec(2, 2, PLAN, (), element_cap=v),
@@ -225,7 +229,9 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_non_integer_is_rejected_by_name(case, bad):
     name, call, _ = CASES[case]
-    with pytest.raises(ValidationError, match=f"^{name} must be integers, "):
+    with pytest.raises(
+        ValidationError, match=f"^{name} must be an integer, not "
+    ):
         call(bad)
 
 
@@ -235,20 +241,64 @@ def test_numpy_integer_is_accepted(case):
     call(np.int64(good))
 
 
+# id: the least value the CASES row's argument takes.  One message names
+# every bound; before, each site wrote its own ("a bipartition needs at
+# least two rotors", "powers must be nonnegative", "resonance ratio (0,
+# 2) must have positive numerator and denominator").
+MINIMUMS = {
+    "PotentialSpec rotor_count": 1,
+    "ResonancePlan rationals": 1,
+    "for_run steps": 0,
+    "start_window steps": 0,
+    "RotorEngine.evolve steps": 0,
+    "RotorEngine.trajectory steps": 0,
+    "dressed_evolve steps": 0,
+    "observe steps": 0,
+    "BipartitionSpec rotor_count": 2,
+    "FieldTerm powers": 0,
+    "TopSpec top_count": 1,
+    "TopSpec j_tot": 1,
+    "build_spin_ops j_tot": 1,
+    "jz_product m_values": -2,
+    "TopEngine.evolve steps": 0,
+    "ProductAngleDensity rotor_count": 1,
+    "predict_moments t": 0,
+    "epsilon_sample sample_count": 10_000,
+    "epsilon_sample times": 0,
+    "slin_exact times": 0,
+}
+
+
+@pytest.mark.parametrize("case", MINIMUMS)
+def test_value_below_the_minimum_is_rejected_by_name(case):
+    name, call, _ = CASES[case]
+    low = MINIMUMS[case] - 1
+    with pytest.raises(
+        ValidationError, match=f"^{name} must be >= {low + 1}, got {low}$"
+    ):
+        call(low)
+
+
 # The rotor-index cases also range-check: -1 used to read the last
 # rotor's windows and density, and rotor_count raised a bare IndexError.
+# A part_a index out of range was reported as a "rotor index", not by
+# the argument's name.
 ROTOR_INDEX_CASES = (
-    "momenta rotor", "angles rotor", "axis_view rotor", "char rotor"
+    "momenta rotor",
+    "angles rotor",
+    "axis_view rotor",
+    "char rotor",
+    "BipartitionSpec part_a",
 )
+# the indices just past each end of 2 rotors, and what the error says
+OUT_OF_RANGE = ((-1, ">= 0, got -1"), (2, "<= 1, got 2"))
 
 
-@pytest.mark.parametrize("index", (-1, 2))
+@pytest.mark.parametrize("index, says", OUT_OF_RANGE, ids=("-1", "2"))
 @pytest.mark.parametrize("case", ROTOR_INDEX_CASES)
-def test_rotor_index_out_of_range_is_rejected(case, index):
-    _, call, _ = CASES[case]
-    with pytest.raises(
-        ValidationError, match=f"^rotor index {index} out of range for 2 "
-    ):
+def test_rotor_index_out_of_range_is_rejected(case, index, says):
+    name, call, _ = CASES[case]
+    with pytest.raises(ValidationError, match=f"^{name} must be {says}$"):
         call(index)
 
 
@@ -493,6 +543,9 @@ SEQ_CASES = {
     "PotentialSpec terms": (
         "terms", lambda v: PotentialSpec(2, v), POT.terms, None, False
     ),
+    "PotentialSpec.evaluate thetas": (
+        "thetas", POT.evaluate, (np.zeros(3), np.zeros(3)), 2, False
+    ),
     "term_parity shift_set": (
         "shift_set",
         lambda v: term_parity(POT.terms[0], v),
@@ -714,7 +767,7 @@ def _bad_sequences():
                 )
         if integers:
             yield pytest.param(
-                case, [[1], [0]], f"{name} must be integers, got [1]",
+                case, [[1], [0]], f"{name} must be an integer, not [1]",
                 id=f"{case}-nested",
             )
 
@@ -741,18 +794,32 @@ def test_list_tuple_range_and_numpy_sequences_are_accepted(case):
         call(value)
 
 
+def test_an_entry_error_names_the_callers_argument():
+    # top_params handed its factors to unit_factors, whose entry errors
+    # named unit_factors' own argument
+    says = "^initial_factors must be a real number, not 'a'$"
+    with pytest.raises(ValidationError, match=says):
+        top_params(TOP, ["a", FACTORS[1]])
+
+
+def test_bad_angles_are_a_validation_error():
+    # evaluate(None) raised a bare TypeError and a text angle numpy's
+    # ValueError
+    for thetas in (["x", 0.0], ([0.0, 1.0], [0.0, 1.0, 2.0])):
+        with pytest.raises(ValidationError, match="^thetas must be "):
+            POT.evaluate(thetas)
+
+
 def test_a_one_pass_iterator_is_read_once():
     # classify handed shift_set to term_parity once per term, so the first
     # term used up a generator and the second saw an empty shift set
     assert classify(POT, iter([0])) is classify(POT, [0])
 
 
-@pytest.mark.parametrize("index", (-1, 2))
-def test_shift_set_index_out_of_range_is_rejected(index):
+@pytest.mark.parametrize("index, says", OUT_OF_RANGE, ids=("-1", "2"))
+def test_shift_set_index_out_of_range_is_rejected(index, says):
     # -1 read the last rotor's mode, and 2 raised a bare IndexError
-    with pytest.raises(
-        ValidationError, match=rf"^shift_set \({index},\) out of range for 2 "
-    ):
+    with pytest.raises(ValidationError, match=f"^shift_set must be {says}$"):
         term_parity(POT.terms[0], [index])
 
 
@@ -765,9 +832,6 @@ SEQ_RESULT_RECORDS = (
     "ScalingFit",
     "SlinEstimate",
 )
-# evaluate runs once per Monte-Carlo block and kick table, on the angle
-# arrays the library itself builds; it keeps its own length check
-HOT_PATHS = ("PotentialSpec.evaluate thetas",)
 
 
 def _sequence_parameters():
@@ -777,7 +841,7 @@ def _sequence_parameters():
         owner = param.split()[0]
         head = str(annotation).split("[")[0]
         if head in ("Sequence", "Iterable", "tuple") and not (
-            owner in SEQ_RESULT_RECORDS or param in HOT_PATHS
+            owner in SEQ_RESULT_RECORDS
         ):
             yield param
 

@@ -421,7 +421,9 @@ class TestPredictMoments:
         # slin_exact's step check: 2.5 gave the even law at t = 2.5 and
         # True counted as step 1
         wp = wavepacket_params(fig1_potential(), PLAN_MIXED.shift_set)
-        with pytest.raises(ValidationError, match="integers"):
+        with pytest.raises(
+            ValidationError, match="^t must be an integer, not "
+        ):
             predict_moments(wp, bad)
 
     def test_agreement_with_engine(self):

@@ -204,10 +204,10 @@ class TestSpecValidation:
             (1j, (1,), "coefficient must be a real number"),
             (None, (1, 0), "coefficient must be a real number"),
             (0.3, 5, "powers must be a sequence, not 5"),
-            (0.3, ("x",), "powers must be integers, got 'x'"),
+            (0.3, ("x",), "powers must be an integer, not 'x'"),
             # int() truncated these to the powers (1, 0)
-            (0.3, (1.5, 0.9), "powers must be integers, got 1.5"),
-            (0.3, (1, True), "powers must be integers, got True"),
+            (0.3, (1.5, 0.9), "powers must be an integer, not 1.5"),
+            (0.3, (1, True), "powers must be an integer, not True"),
         ],
     )
     def test_field_term_input_errors_name_the_argument(
@@ -260,7 +260,9 @@ class TestStateConstruction:
         spec = TopSpec(
             top_count=2, j_tot=2, plan=make_plan((1, 1), (1, 2)), field_terms=()
         )
-        with pytest.raises(ValidationError, match="^m_values must be integers"):
+        with pytest.raises(
+            ValidationError, match="^m_values must be an integer, not "
+        ):
             TopState.jz_product(spec, m_values)
 
     def test_jz_product_takes_numpy_integer_m(self):
